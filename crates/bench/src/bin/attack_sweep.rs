@@ -17,7 +17,6 @@
 
 use consistency_bench::{cli, experiment, table};
 use consistency_core::{numax, pss};
-use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
 
 /// The committed golden spec this binary is the pivot-table view of.
@@ -25,19 +24,15 @@ const SPEC: &str = include_str!("../../../../examples/specs/attack_sweep.toml");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::Args::parse(
-        "attack_sweep [rounds-per-trial] [trials]",
+        "attack_sweep [rounds-per-trial] [trials] [--jobs N]",
         2,
-        &["--threads", "--jobs"],
+        &["--jobs"],
     )?;
-    if let Some(jobs) = args.jobs {
-        if !executor::configure_global_width(jobs) {
-            eprintln!("--jobs: the executor pool already exists; the width is unchanged");
-        }
-    }
+    args.configure_jobs();
     let mut spec = ExperimentSpec::parse(SPEC).expect("committed spec parses");
     let rounds = args.pos_u64(0)?.unwrap_or(30_000);
     let trials = args.pos_u64(1)?;
-    experiment::apply_budget(&mut spec, Some(rounds), trials, args.threads, None, None);
+    experiment::apply_budget(&mut spec, Some(rounds), trials, None);
 
     let trials = spec.run.trials;
     let t_consistency = *spec.run.thresholds.first().expect("spec carries T");

@@ -7,28 +7,19 @@
 //!
 //! * `bench_sim` — measure and print the table.
 //! * `bench_sim --write PATH` — measure and (re)write the JSON baseline.
-//! * `bench_sim --check PATH` — run the short check workloads (scalar,
-//!   lockstep-batch, and the end-to-end spec grid) and exit non-zero
-//!   if any throughput regressed more than 25% versus the committed
-//!   baseline's `check_rounds_per_sec` / `check_batch_rounds_per_sec`
-//!   / `check_grid_rounds_per_sec`.
+//! * `bench_sim --check PATH` — run the short check workloads (scalar
+//!   and the end-to-end spec grid) and exit non-zero if either
+//!   throughput regressed more than 25% versus the committed
+//!   baseline's `check_rounds_per_sec` / `check_grid_rounds_per_sec`.
 //!
-//! The `bench_sim/v2` schema adds lockstep-batch rows (width
-//! [`BATCH_WIDTH`]) for the two single-thread workloads. The batch
-//! engine runs each lane through the *same* per-lane code path as the
-//! scalar loop (that is what buys bit-identical aggregates), so its
-//! rounds/sec is expected to track the scalar number — the row exists
-//! to catch wave-overhead regressions, not to advertise a speedup.
-//!
-//! The `bench_sim/v3` schema adds the **end-to-end grid row**: the
+//! Every row is **single-thread**: `main` fixes the shared
+//! `nakamoto_sim::executor` pool to width 1 before any workload runs,
+//! so each gate measures per-core throughput and a multi-core host
+//! cannot leak parallelism into it. The end-to-end grid row drives the
 //! committed `attack_sweep.toml` golden spec through
-//! `consistency_bench::experiment::run_spec`, i.e. the full path the
-//! `experiment` binary takes — spec expansion, all cells submitted at
-//! once to the shared `nakamoto_sim::executor` pool, analytic overlay.
-//! On the 1-CPU reference container this pins the executor's overhead
-//! (inline fast path, no pool) to within the regression gate; on a
-//! multi-core host the same row records the cell-pipelining speedup
-//! the ROADMAP's re-measure item asks for.
+//! `consistency_bench::experiment::run_spec`, the full path the
+//! `experiment` binary takes: spec expansion, every cell submitted to
+//! the executor, analytic overlay.
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
@@ -36,6 +27,7 @@ use consistency_bench::experiment;
 use nakamoto_sim::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
 use nakamoto_sim::execution::run_simulation_with;
+use nakamoto_sim::executor;
 use nakamoto_sim::montecarlo::TrialPlan;
 use nakamoto_sim::spec::ExperimentSpec;
 use probability::rng::{RandomSource, SplitMix64};
@@ -53,12 +45,9 @@ const SEED_IMMEDIATE_N1000_RPS: f64 = 17_542_993.0;
 const SEED_SWEEP_WALL_SECS: f64 = 0.942;
 
 /// Fraction of the committed check throughput below which `--check`
-/// fails (i.e. a >25% regression). Scalar and batch rows share the
+/// fails (i.e. a >25% regression). Scalar and grid rows share the
 /// same floor.
 const CHECK_FLOOR: f64 = 0.75;
-
-/// Lane count for the lockstep-batch rows.
-const BATCH_WIDTH: u64 = 8;
 
 fn best_of<F: FnMut() -> f64>(reps: u32, mut f: F) -> f64 {
     (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min)
@@ -85,43 +74,10 @@ fn immediate_n1000(rounds: u64) -> f64 {
     dt
 }
 
-/// Lockstep-batch private-chain run at c = 3: [`BATCH_WIDTH`] lanes ×
-/// `rounds_per_lane`, single thread, through the Monte-Carlo batched
-/// fan-out. Returns wall seconds for the whole batch.
-fn private_chain_c3_batch(rounds_per_lane: u64) -> f64 {
-    let cfg = SimConfig::from_c(100, 4, 3.0, 0.25, 42).unwrap();
-    let plan = TrialPlan::new(cfg, rounds_per_lane, BATCH_WIDTH)
-        .unwrap()
-        .thresholds(vec![12])
-        .with_threads(1)
-        .with_batch_width(BATCH_WIDTH as usize);
-    let t = Instant::now();
-    let run = plan.run(|_| PrivateChainAdversary::new(4));
-    let dt = t.elapsed().as_secs_f64();
-    assert_eq!(run.aggregate.total_rounds(), rounds_per_lane * BATCH_WIDTH);
-    dt
-}
-
-/// Lockstep-batch immediate-release run with n = 1000 miners:
-/// [`BATCH_WIDTH`] lanes × `rounds_per_lane`, single thread.
-fn immediate_n1000_batch(rounds_per_lane: u64) -> f64 {
-    let cfg = SimConfig::new(1_000, 0.25, 1.0 / (3.0 * 1_000.0 * 4.0), 4, 1).unwrap();
-    let plan = TrialPlan::new(cfg, rounds_per_lane, BATCH_WIDTH)
-        .unwrap()
-        .thresholds(vec![12])
-        .with_threads(1)
-        .with_batch_width(BATCH_WIDTH as usize);
-    let t = Instant::now();
-    let run = plan.run(|_| ImmediateReleaseAdversary::new());
-    let dt = t.elapsed().as_secs_f64();
-    assert_eq!(run.aggregate.total_rounds(), rounds_per_lane * BATCH_WIDTH);
-    dt
-}
-
 /// The attack-sweep grid (27 cells × 2 adversaries, 8.1M total rounds,
-/// the workload of the seed's `attack_sweep` binary) on the parallel
-/// trial engine. Returns (wall seconds, total rounds).
-fn attack_sweep_grid(threads: usize) -> (f64, u64) {
+/// the workload of the seed's `attack_sweep` binary) on the trial
+/// engine. Returns (wall seconds, total rounds).
+fn attack_sweep_grid() -> (f64, u64) {
     let mut cell_seeds = SplitMix64::new(0x000B_EAC4);
     let t = Instant::now();
     let mut total = 0u64;
@@ -131,7 +87,6 @@ fn attack_sweep_grid(threads: usize) -> (f64, u64) {
                 TrialPlan::new(SimConfig::from_c(100, 4, c, nu, seed).unwrap(), 30_000, 5)
                     .unwrap()
                     .thresholds(vec![12])
-                    .with_threads(threads)
             };
             let p = mk(cell_seeds.next_u64()).run(|_| PrivateChainAdversary::new(4));
             let b = mk(cell_seeds.next_u64()).run(|_| BalanceAdversary::new(4));
@@ -148,7 +103,7 @@ fn attack_sweep_grid(threads: usize) -> (f64, u64) {
 /// seconds, cells, total simulated rounds).
 fn spec_grid(rounds: u64, trials: u64) -> (f64, usize, u64) {
     let mut spec = ExperimentSpec::parse(GRID_SPEC).expect("committed spec parses");
-    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), Some(1), None, None);
+    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), None);
     let t = Instant::now();
     let results = experiment::run_spec(&spec).expect("committed spec runs");
     let wall = t.elapsed().as_secs_f64();
@@ -161,14 +116,6 @@ fn spec_grid(rounds: u64, trials: u64) -> (f64, usize, u64) {
 fn check_throughput() -> f64 {
     const ROUNDS: u64 = 1_000_000;
     ROUNDS as f64 / best_of(3, || private_chain_c3(ROUNDS))
-}
-
-/// The batch-mode CI check workload: the same 1M private-chain rounds
-/// split over [`BATCH_WIDTH`] lockstep lanes, best of 3. Returns
-/// rounds/sec.
-fn check_batch_throughput() -> f64 {
-    const ROUNDS: u64 = 1_000_000;
-    ROUNDS as f64 / best_of(3, || private_chain_c3_batch(ROUNDS / BATCH_WIDTH))
 }
 
 /// The grid CI check workload: the golden-spec grid at a ~1M-round
@@ -186,16 +133,13 @@ fn check_grid_throughput() -> f64 {
 
 struct Baseline {
     private_rps: f64,
-    private_batch_rps: f64,
     immediate_rps: f64,
-    immediate_batch_rps: f64,
-    sweep_walls: Vec<(usize, f64)>,
+    sweep_wall: f64,
     sweep_rounds: u64,
     grid_wall: f64,
     grid_cells: usize,
     grid_rounds: u64,
     check_rps: f64,
-    check_batch_rps: f64,
     check_grid_rps: f64,
     cpus: usize,
 }
@@ -204,23 +148,13 @@ fn measure() -> Baseline {
     const ROUNDS: u64 = 2_000_000;
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let private_rps = ROUNDS as f64 / best_of(3, || private_chain_c3(ROUNDS));
-    let private_batch_rps =
-        ROUNDS as f64 / best_of(3, || private_chain_c3_batch(ROUNDS / BATCH_WIDTH));
     let immediate_rps = ROUNDS as f64 / best_of(3, || immediate_n1000(ROUNDS));
-    let immediate_batch_rps =
-        ROUNDS as f64 / best_of(3, || immediate_n1000_batch(ROUNDS / BATCH_WIDTH));
     let mut sweep_rounds = 0;
-    let sweep_walls = [1usize, 2, 8]
-        .into_iter()
-        .map(|threads| {
-            let wall = best_of(2, || {
-                let (w, r) = attack_sweep_grid(threads);
-                sweep_rounds = r;
-                w
-            });
-            (threads, wall)
-        })
-        .collect();
+    let sweep_wall = best_of(2, || {
+        let (w, r) = attack_sweep_grid();
+        sweep_rounds = r;
+        w
+    });
     let mut grid_cells = 0;
     let mut grid_rounds = 0;
     let grid_wall = best_of(2, || {
@@ -230,27 +164,26 @@ fn measure() -> Baseline {
         w
     });
     let check_rps = check_throughput();
-    let check_batch_rps = check_batch_throughput();
     let check_grid_rps = check_grid_throughput();
     Baseline {
         private_rps,
-        private_batch_rps,
         immediate_rps,
-        immediate_batch_rps,
-        sweep_walls,
+        sweep_wall,
         sweep_rounds,
         grid_wall,
         grid_cells,
         grid_rounds,
         check_rps,
-        check_batch_rps,
         check_grid_rps,
         cpus,
     }
 }
 
 fn print_table(b: &Baseline) {
-    consistency_bench::section(&format!("Simulator throughput ({} CPU(s) visible)", b.cpus));
+    consistency_bench::section(&format!(
+        "Simulator throughput (1 worker; {} CPU(s) visible)",
+        b.cpus
+    ));
     println!(
         "{:<28} {:>16} {:>16} {:>9}",
         "workload", "rounds/sec", "seed rounds/sec", "speedup"
@@ -264,34 +197,18 @@ fn print_table(b: &Baseline) {
     );
     println!(
         "{:<28} {:>16.0} {:>16.0} {:>8.1}x",
-        format!("private_chain_c3 (batch {BATCH_WIDTH})"),
-        b.private_batch_rps,
-        SEED_PRIVATE_C3_RPS,
-        b.private_batch_rps / SEED_PRIVATE_C3_RPS
-    );
-    println!(
-        "{:<28} {:>16.0} {:>16.0} {:>8.1}x",
         "immediate_n1000 (1 thread)",
         b.immediate_rps,
         SEED_IMMEDIATE_N1000_RPS,
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS
     );
     println!(
-        "{:<28} {:>16.0} {:>16.0} {:>8.1}x",
-        format!("immediate_n1000 (batch {BATCH_WIDTH})"),
-        b.immediate_batch_rps,
-        SEED_IMMEDIATE_N1000_RPS,
-        b.immediate_batch_rps / SEED_IMMEDIATE_N1000_RPS
+        "{:<28} {:>15.3}s {:>15.3}s {:>8.1}x",
+        "attack_sweep (1 thread)",
+        b.sweep_wall,
+        SEED_SWEEP_WALL_SECS,
+        SEED_SWEEP_WALL_SECS / b.sweep_wall
     );
-    for &(threads, wall) in &b.sweep_walls {
-        println!(
-            "{:<28} {:>15.3}s {:>15.3}s {:>8.1}x",
-            format!("attack_sweep ({threads} threads)"),
-            wall,
-            SEED_SWEEP_WALL_SECS,
-            SEED_SWEEP_WALL_SECS / wall
-        );
-    }
     println!(
         "{:<28} {:>15.3}s {:>16.0} {:>9}",
         format!("spec grid ({} cells, e2e)", b.grid_cells),
@@ -305,47 +222,28 @@ fn print_table(b: &Baseline) {
     );
     println!(
         "{:<28} {:>16.0} {:>16} {:>9}",
-        "check batch workload", b.check_batch_rps, "-", "-"
-    );
-    println!(
-        "{:<28} {:>16.0} {:>16} {:>9}",
         "check grid workload", b.check_grid_rps, "-", "-"
     );
 }
 
 fn to_json(b: &Baseline) -> String {
-    let sweep: Vec<String> = b
-        .sweep_walls
-        .iter()
-        .map(|(threads, wall)| {
-            format!(
-                "    {{ \"threads\": {threads}, \"wall_secs\": {wall:.4}, \
-                 \"total_rounds\": {}, \"speedup_vs_seed\": {:.2} }}",
-                b.sweep_rounds,
-                SEED_SWEEP_WALL_SECS / wall
-            )
-        })
-        .collect();
     format!(
-        "{{\n  \"schema\": \"bench_sim/v3\",\n  \"regenerate\": \"cargo run --release -p \
+        "{{\n  \"schema\": \"bench_sim/v4\",\n  \"regenerate\": \"cargo run --release -p \
          consistency_bench --bin bench_sim -- --write BENCH_sim.json\",\n  \"host_cpus\": {},\n  \
-         \"batch_width\": {BATCH_WIDTH},\n  \
+         \"pool_width\": 1,\n  \
          \"seed_baseline\": {{\n    \"description\": \"pre-overhaul engine: boxed dispatch, \
          per-round sampling, unbounded arena (commit 3627bf5, same container)\",\n    \
          \"private_chain_c3_rounds_per_sec\": {:.0},\n    \
          \"immediate_n1000_rounds_per_sec\": {:.0},\n    \"attack_sweep_wall_secs\": {:.3}\n  \
          }},\n  \"private_chain_c3_rounds_per_sec\": {:.0},\n  \
          \"private_chain_c3_speedup_vs_seed\": {:.2},\n  \
-         \"private_chain_c3_batch_rounds_per_sec\": {:.0},\n  \
-         \"private_chain_c3_batch_vs_scalar\": {:.2},\n  \
          \"immediate_n1000_rounds_per_sec\": {:.0},\n  \
-         \"immediate_n1000_speedup_vs_seed\": {:.2},\n  \
-         \"immediate_n1000_batch_rounds_per_sec\": {:.0},\n  \
-         \"immediate_n1000_batch_vs_scalar\": {:.2},\n  \"attack_sweep\": [\n{}\n  ],\n  \
-         \"grid_attack_sweep\": {{\n    \"spec\": \"examples/specs/attack_sweep.toml\",\n    \
+         \"immediate_n1000_speedup_vs_seed\": {:.2},\n  \"attack_sweep\": {{\n    \
+         \"wall_secs\": {:.4},\n    \"total_rounds\": {},\n    \"speedup_vs_seed\": {:.2}\n  \
+         }},\n  \"grid_attack_sweep\": {{\n    \"spec\": \"examples/specs/attack_sweep.toml\",\n    \
          \"cells\": {},\n    \"wall_secs\": {:.4},\n    \"total_rounds\": {},\n    \
          \"rounds_per_sec\": {:.0}\n  }},\n  \
-         \"check_rounds_per_sec\": {:.0},\n  \"check_batch_rounds_per_sec\": {:.0},\n  \
+         \"check_rounds_per_sec\": {:.0},\n  \
          \"check_grid_rounds_per_sec\": {:.0},\n  \
          \"check_regression_floor\": {:.2}\n}}\n",
         b.cpus,
@@ -354,19 +252,16 @@ fn to_json(b: &Baseline) -> String {
         SEED_SWEEP_WALL_SECS,
         b.private_rps,
         b.private_rps / SEED_PRIVATE_C3_RPS,
-        b.private_batch_rps,
-        b.private_batch_rps / b.private_rps,
         b.immediate_rps,
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS,
-        b.immediate_batch_rps,
-        b.immediate_batch_rps / b.immediate_rps,
-        sweep.join(",\n"),
+        b.sweep_wall,
+        b.sweep_rounds,
+        SEED_SWEEP_WALL_SECS / b.sweep_wall,
         b.grid_cells,
         b.grid_wall,
         b.grid_rounds,
         b.grid_rounds as f64 / b.grid_wall,
         b.check_rps,
-        b.check_batch_rps,
         b.check_grid_rps,
         CHECK_FLOOR,
     )
@@ -385,6 +280,9 @@ fn json_number(source: &str, key: &str) -> Option<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Every row is a single-thread measurement: pin the shared pool
+    // to one worker before any workload can create it.
+    executor::configure_global_width(1);
     let args = consistency_bench::cli::Args::parse(
         "bench_sim [--write [PATH] | --check [PATH]]",
         0,
@@ -405,20 +303,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                  (ratio {ratio:.2}, floor {floor:.2})"
             );
             failed |= ratio < floor;
-            // Batch row: gated under the same floor. Absent from a
-            // pre-v2 baseline, in which case only the scalar gate runs.
-            match json_number(&committed, "check_batch_rounds_per_sec") {
-                Some(batch_baseline) => {
-                    let fresh = check_batch_throughput();
-                    let ratio = fresh / batch_baseline;
-                    println!(
-                        "check batch workload: {fresh:.0} rounds/sec vs committed \
-                         {batch_baseline:.0} (ratio {ratio:.2}, floor {floor:.2})"
-                    );
-                    failed |= ratio < floor;
-                }
-                None => println!("check batch workload: no committed row (pre-v2 baseline)"),
-            }
             // End-to-end grid row: gated under the same floor. Absent
             // from a pre-v3 baseline, in which case the gate is skipped.
             match json_number(&committed, "check_grid_rounds_per_sec") {

@@ -28,7 +28,6 @@
 use consistency_bench::{cli, experiment, table};
 use nakamoto_sim::compose::{ComposedAdversary, Composition, SubSpec};
 use nakamoto_sim::execution::Simulation;
-use nakamoto_sim::executor;
 use nakamoto_sim::scenario::StrategyKind;
 use nakamoto_sim::spec::ExperimentSpec;
 
@@ -36,20 +35,12 @@ use nakamoto_sim::spec::ExperimentSpec;
 const SPEC: &str = include_str!("../../../../examples/specs/compose_sweep.toml");
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli::Args::parse(
-        "compose_sweep [rounds] [trials]",
-        2,
-        &["--threads", "--jobs"],
-    )?;
-    if let Some(jobs) = args.jobs {
-        if !executor::configure_global_width(jobs) {
-            eprintln!("--jobs: the executor pool already exists; the width is unchanged");
-        }
-    }
+    let args = cli::Args::parse("compose_sweep [rounds] [trials] [--jobs N]", 2, &["--jobs"])?;
+    args.configure_jobs();
     let mut spec = ExperimentSpec::parse(SPEC).expect("committed spec parses");
     let rounds = args.pos_u64(0)?.unwrap_or(20_000);
     let trials = args.pos_u64(1)?;
-    experiment::apply_budget(&mut spec, Some(rounds), trials, args.threads, None, None);
+    experiment::apply_budget(&mut spec, Some(rounds), trials, None);
 
     let base = spec.base;
     let trials = spec.run.trials;

@@ -9,27 +9,28 @@
 //!
 //! ```text
 //! cargo run --release -p consistency_bench --bin experiment -- \
-//!     <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
-//!     [--seed S] [--batch W] [--out PATH] [--verbose]
+//!     <spec.toml> [--rounds N] [--trials N] [--jobs N] [--seed S] \
+//!     [--out PATH] [--verbose]
 //! ```
 //!
 //! `--rounds`/`--trials` override the spec's budgets (CI smokes every
 //! committed spec this way), `--seed` overrides the base master seed
-//! (sweep cells still derive theirs from the sweep stream), `--batch`
-//! overrides the lockstep batch width (stationary specs only; the
-//! aggregates are bit-identical at every width), `--jobs` fixes the
-//! process-wide executor pool width (cells complete in any order, but
-//! the table, totals, and JSON are byte-identical at every job count),
-//! `--verbose` streams per-cell completions and the executor's
-//! counters to stderr, `--out` writes JSON. Budgets and expected
-//! runtimes: see EXPERIMENTS.md.
+//! (sweep cells still derive theirs from the sweep stream), `--jobs`
+//! fixes the process-wide executor pool width, the one parallelism
+//! knob (cells complete in any order, but the table, totals, and JSON
+//! are byte-identical at every job count), `--verbose` streams
+//! per-cell completions and the executor's counters to stderr, `--out`
+//! writes JSON. The closing summary line reports the grid's wall time
+//! and, separately, the per-cell times summed (which overlap when
+//! cells pipeline). Budgets and expected runtimes: see EXPERIMENTS.md.
 
 use consistency_bench::{cli, experiment};
 use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
+use std::time::Instant;
 
-const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
-                     [--seed S] [--batch W] [--out PATH] [--verbose]";
+const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--jobs N] [--seed S] \
+                     [--out PATH] [--verbose]";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::Args::parse(
@@ -38,33 +39,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &[
             "--rounds",
             "--trials",
-            "--threads",
             "--jobs",
             "--seed",
-            "--batch",
             "--out",
             "--verbose",
         ],
     )?;
-    if let Some(jobs) = args.jobs {
-        if !executor::configure_global_width(jobs) {
-            eprintln!("--jobs: the executor pool already exists; the width is unchanged");
-        }
-    }
+    args.configure_jobs();
     let path = args
         .positionals
         .first()
         .ok_or_else(|| format!("missing spec path; usage: {USAGE}"))?;
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExperimentSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-    experiment::apply_budget(
-        &mut spec,
-        args.rounds,
-        args.trials,
-        args.threads,
-        args.seed,
-        args.batch,
-    );
+    experiment::apply_budget(&mut spec, args.rounds, args.trials, args.seed);
 
     let name = std::path::Path::new(path)
         .file_stem()
@@ -84,6 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let verbose = args.verbose;
     let jobs = args.jobs.unwrap_or(0);
+    let started = Instant::now();
     let results = experiment::run_spec_streaming(&spec, jobs, |index, cell| {
         if verbose {
             // Completion order, to stderr: the stdout table and JSON
@@ -95,10 +84,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     })?;
+    let wall = started.elapsed().as_secs_f64();
     experiment::print_table(&results);
     let rounds: u64 = results.iter().map(|r| r.estimate.simulated_rounds()).sum();
-    let elapsed: f64 = results.iter().map(|r| r.estimate.elapsed_secs()).sum();
-    println!("\n{rounds} simulated rounds in {elapsed:.2} s");
+    let cell_secs: f64 = results.iter().map(|r| r.estimate.elapsed_secs()).sum();
+    println!(
+        "\n{rounds} simulated rounds: grid wall time {wall:.2} s, \
+         summed cell time {cell_secs:.2} s"
+    );
     if verbose {
         let stats = executor::global_stats();
         eprintln!(

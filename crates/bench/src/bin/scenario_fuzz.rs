@@ -1,7 +1,7 @@
 //! The **scenario fuzz gate**: runs the seeded scenario × composition
 //! fuzzer ([`nakamoto_sim::fuzz::ScenarioFuzzer`]) for a case budget
 //! and fails loudly — with a runnable spec-format repro written next
-//! to the binary — when any engine invariant (thread-count
+//! to the binary — when any engine invariant (pool
 //! bit-identity, pruning-liveness, prefix monotonicity) breaks on a
 //! generated case.
 //!
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stats.rounds,
                 started.elapsed().as_secs_f64(),
             );
-            println!("Invariants held: thread-count bit-identity, pruning-liveness, prefix monotonicity.");
+            println!("Invariants held: pool bit-identity, pruning-liveness, prefix monotonicity.");
             Ok(())
         }
         Err(failure) => {

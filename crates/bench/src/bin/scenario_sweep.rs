@@ -22,7 +22,6 @@
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
 use consistency_bench::{cli, experiment, table};
-use nakamoto_sim::executor;
 use nakamoto_sim::scenario::{run_scenario, PhaseSpec, Regime, Scenario, StrategyKind};
 use nakamoto_sim::spec::ExperimentSpec;
 use probability::rng::{RandomSource, SplitMix64};
@@ -32,26 +31,15 @@ const SPEC: &str = include_str!("../../../../examples/specs/scenario_sweep.toml"
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::Args::parse(
-        "scenario_sweep [rounds-per-phase] [trials]",
+        "scenario_sweep [rounds-per-phase] [trials] [--jobs N]",
         2,
-        &["--threads", "--jobs"],
+        &["--jobs"],
     )?;
-    if let Some(jobs) = args.jobs {
-        if !executor::configure_global_width(jobs) {
-            eprintln!("--jobs: the executor pool already exists; the width is unchanged");
-        }
-    }
+    args.configure_jobs();
     let mut spec = ExperimentSpec::parse(SPEC).expect("committed spec parses");
     let rounds_per_phase = args.pos_u64(0)?.unwrap_or(20_000);
     let trials = args.pos_u64(1)?;
-    experiment::apply_budget(
-        &mut spec,
-        Some(rounds_per_phase),
-        trials,
-        args.threads,
-        None,
-        None,
-    );
+    experiment::apply_budget(&mut spec, Some(rounds_per_phase), trials, None);
 
     let base = spec.base;
     let trials = spec.run.trials;

@@ -3,7 +3,7 @@
 //! Every binary used to hand-roll its own `std::env::args` loop
 //! (twelve near-copies across `src/bin/`); this module centralises the
 //! common vocabulary — positional budgets plus the
-//! `--threads`/`--seed`/`--budget`/`--out` flag family — with one
+//! `--jobs`/`--seed`/`--budget`/`--out` flag family — with one
 //! error style and per-binary opt-in, so an unsupported flag fails
 //! loudly instead of being silently ignored.
 //!
@@ -11,26 +11,24 @@
 //! let args = consistency_bench::cli::Args::parse(
 //!     "[rounds-per-trial] [trials]",
 //!     2, // at most two positionals
-//!     &["--threads", "--seed"],
+//!     &["--jobs", "--seed"],
 //! )?;
+//! args.configure_jobs();
 //! let rounds = args.pos_u64(0)?.unwrap_or(30_000);
 //! let trials = args.pos_u64(1)?.unwrap_or(5);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 /// Flags a binary may opt into (`Args::parse`'s `allowed` list).
-/// Value-taking: `--threads N`, `--jobs N`, `--seed N`, `--budget N`,
-/// `--rounds N`, `--trials N`, `--batch N`, `--out PATH`,
-/// `--replay PATH`, `--write [PATH]`, `--check [PATH]`. Boolean:
-/// `--seed-from-env`, `--verbose`.
+/// Value-taking: `--jobs N`, `--seed N`, `--budget N`, `--rounds N`,
+/// `--trials N`, `--out PATH`, `--replay PATH`, `--write [PATH]`,
+/// `--check [PATH]`. Boolean: `--seed-from-env`, `--verbose`.
 pub const KNOWN_FLAGS: &[&str] = &[
-    "--threads",
     "--jobs",
     "--seed",
     "--budget",
     "--rounds",
     "--trials",
-    "--batch",
     "--out",
     "--replay",
     "--write",
@@ -51,11 +49,8 @@ const BOOL_FLAGS: &[&str] = &["--seed-from-env", "--verbose"];
 pub struct Args {
     /// Non-flag arguments, in order.
     pub positionals: Vec<String>,
-    /// `--threads N`: pool slots per cell's trial fan-out (0 = the
-    /// shared pool's width).
-    pub threads: Option<usize>,
     /// `--jobs N`: width of the process-wide executor pool — the only
-    /// OS-thread knob (0 = one worker per CPU).
+    /// parallelism knob (0 = one worker per CPU).
     pub jobs: Option<usize>,
     /// `--seed N`: master-seed override.
     pub seed: Option<u64>,
@@ -65,8 +60,6 @@ pub struct Args {
     pub rounds: Option<u64>,
     /// `--trials N`: trial-count override.
     pub trials: Option<u64>,
-    /// `--batch N`: lockstep batch-width override (1 = scalar engine).
-    pub batch: Option<u64>,
     /// `--out PATH`: machine-readable output path.
     pub out: Option<String>,
     /// `--replay PATH`: a saved repro spec to re-run.
@@ -163,14 +156,6 @@ impl Args {
                     })
             };
             match arg.as_str() {
-                "--threads" => {
-                    parsed.threads = Some(usize::try_from(number(&value)?).map_err(|_| {
-                        format!(
-                            "`--threads` does not fit usize: {}",
-                            value.unwrap_or_default()
-                        )
-                    })?);
-                }
                 "--jobs" => {
                     parsed.jobs = Some(usize::try_from(number(&value)?).map_err(|_| {
                         format!("`--jobs` does not fit usize: {}", value.unwrap_or_default())
@@ -180,7 +165,6 @@ impl Args {
                 "--budget" => parsed.budget = Some(number(&value)?),
                 "--rounds" => parsed.rounds = Some(number(&value)?),
                 "--trials" => parsed.trials = Some(number(&value)?),
-                "--batch" => parsed.batch = Some(number(&value)?),
                 "--out" => parsed.out = value,
                 "--replay" => parsed.replay = value,
                 "--write" => parsed.write = Some(value),
@@ -189,6 +173,17 @@ impl Args {
             }
         }
         Ok(parsed)
+    }
+
+    /// Applies `--jobs N` to the process-wide executor pool. Call it
+    /// before the first fan-out: once the pool exists its width is
+    /// fixed, and a late call only warns on stderr.
+    pub fn configure_jobs(&self) {
+        if let Some(jobs) = self.jobs {
+            if !nakamoto_sim::executor::configure_global_width(jobs) {
+                eprintln!("--jobs: the executor pool already exists; the width is unchanged");
+            }
+        }
     }
 
     /// The `i`-th positional as a `u64`, if given.
@@ -251,14 +246,7 @@ mod tests {
     fn positionals_and_flags_mix() {
         let args = Args::parse_from(
             [
-                "5000",
-                "--threads",
-                "4",
-                "7",
-                "--seed",
-                "99",
-                "--out",
-                "x.json",
+                "5000", "--jobs", "4", "7", "--seed", "99", "--out", "x.json",
             ],
             "usage",
             2,
@@ -269,7 +257,7 @@ mod tests {
         assert_eq!(args.pos_u64(0).unwrap(), Some(5000));
         assert_eq!(args.pos_u64(1).unwrap(), Some(7));
         assert_eq!(args.pos_u64(2).unwrap(), None);
-        assert_eq!(args.threads, Some(4));
+        assert_eq!(args.jobs, Some(4));
         assert_eq!(args.seed, Some(99));
         assert_eq!(args.out.as_deref(), Some("x.json"));
     }
@@ -299,16 +287,6 @@ mod tests {
         );
         let err = Args::parse_from(["1", "2", "3"], "u", 2, ALL).unwrap_err();
         assert!(err.contains("unexpected argument `3`"), "{err}");
-    }
-
-    #[test]
-    fn batch_flag_takes_a_width() {
-        let args = Args::parse_from(["--batch", "8"], "u", 0, ALL).unwrap();
-        assert_eq!(args.batch, Some(8));
-        let err = Args::parse_from(["--batch"], "u", 0, ALL).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
-        let err = Args::parse_from(["--batch", "wide"], "u", 0, ALL).unwrap_err();
-        assert!(err.contains("unsigned integer"), "{err}");
     }
 
     #[test]

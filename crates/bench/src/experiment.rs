@@ -177,28 +177,22 @@ pub fn binding_config(spec: &ExperimentSpec) -> Result<nakamoto_sim::config::Sim
 }
 
 /// Applies the harness budget overrides (`--rounds`, `--trials`,
-/// `--threads`, `--seed`, `--batch`) onto a parsed spec: `rounds`
-/// rescales the stationary run or *every* scenario phase, the rest
-/// override the run settings / base seed. This is how CI smokes every
-/// committed spec at tiny budgets without editing the files.
-///
-/// `batch` overwrites `run.batch_width`; on a scenario spec a width
-/// above 1 then fails validation loudly (scenario cells run the scalar
-/// engine), matching the CLI's fail-loud convention.
+/// `--seed`) onto a parsed spec: `rounds` rescales the stationary run
+/// or *every* scenario phase, the rest override the run settings /
+/// base seed. This is how CI smokes every committed spec at tiny
+/// budgets without editing the files.
 ///
 /// An override is a hard cap for the whole run, so sweep-cell patches
 /// targeting the same budget path (`experiment.trials`,
-/// `stationary.rounds`, `phase.N.rounds`, `experiment.batch_width`)
-/// are dropped — otherwise expansion would silently re-apply the
-/// spec's full budget *after* the override, defeating a tiny-budget
-/// smoke.
+/// `experiment.splitting_effort`, `stationary.rounds`,
+/// `phase.N.rounds`) are dropped — otherwise expansion would silently
+/// re-apply the spec's full budget *after* the override, defeating a
+/// tiny-budget smoke.
 pub fn apply_budget(
     spec: &mut ExperimentSpec,
     rounds: Option<u64>,
     trials: Option<u64>,
-    threads: Option<usize>,
     seed: Option<u64>,
-    batch: Option<u64>,
 ) {
     if let Some(rounds) = rounds {
         match &mut spec.mode {
@@ -220,14 +214,8 @@ pub fn apply_budget(
             spec.run.splitting.effort = spec.run.splitting.effort.min(trials.max(1));
         }
     }
-    if let Some(threads) = threads {
-        spec.run.threads = threads;
-    }
     if let Some(seed) = seed {
         spec.base.seed = seed;
-    }
-    if let Some(batch) = batch {
-        spec.run.batch_width = batch;
     }
     if let Some(sweep) = &mut spec.sweep {
         let overridden = |path: &str| {
@@ -236,7 +224,6 @@ pub fn apply_budget(
                 || (rounds.is_some()
                     && (path == "stationary.rounds"
                         || (path.starts_with("phase.") && path.ends_with(".rounds"))))
-                || (batch.is_some() && path == "experiment.batch_width")
         };
         for axis in &mut sweep.axes {
             for cell in &mut axis.cells {
@@ -829,9 +816,8 @@ mod tests {
     #[test]
     fn budget_overrides_rescale_every_phase() {
         let mut spec = ExperimentSpec::parse(TINY_SPEC).unwrap();
-        apply_budget(&mut spec, Some(100), Some(3), Some(1), Some(42), None);
+        apply_budget(&mut spec, Some(100), Some(3), Some(42));
         assert_eq!(spec.run.trials, 3);
-        assert_eq!(spec.run.threads, 1);
         assert_eq!(spec.base.seed, 42);
         let ExperimentMode::Stationary { rounds, .. } = spec.mode else {
             panic!("stationary")
@@ -913,10 +899,10 @@ mod tests {
 
             [[sweep.axis.cell]]
             label = "big"
-            patch = { "experiment.trials" = 9, "stationary.rounds" = 9000, "experiment.batch_width" = 16, "base.adversary_fraction" = 0.2 }
+            patch = { "experiment.trials" = 9, "stationary.rounds" = 9000, "base.adversary_fraction" = 0.2 }
         "#;
         let mut spec = ExperimentSpec::parse(source).unwrap();
-        apply_budget(&mut spec, Some(50), Some(2), None, None, Some(4));
+        apply_budget(&mut spec, Some(50), Some(2), None);
         let cells = spec.expand().unwrap();
         let cell = &cells[0];
         assert_eq!(cell.spec.run.trials, 2, "--trials caps the sweep cell");
@@ -925,29 +911,9 @@ mod tests {
         };
         assert_eq!(rounds, 50, "--rounds caps the sweep cell");
         assert_eq!(
-            cell.spec.run.batch_width, 4,
-            "--batch overrides the sweep cell's width patch"
-        );
-        assert_eq!(
             cell.spec.base.adversary_fraction, 0.2,
             "non-budget patches still apply"
         );
-    }
-
-    /// `--batch` is an execution-strategy knob, not a statistical one:
-    /// the overridden run must produce bit-identical aggregates.
-    #[test]
-    fn batch_override_is_bit_identical_to_scalar() {
-        let spec = ExperimentSpec::parse(TINY_SPEC).unwrap();
-        let scalar = run_spec(&spec).unwrap();
-        let mut batched_spec = ExperimentSpec::parse(TINY_SPEC).unwrap();
-        apply_budget(&mut batched_spec, None, None, None, None, Some(8));
-        assert_eq!(batched_spec.run.batch_width, 8);
-        let batched = run_spec(&batched_spec).unwrap();
-        assert_eq!(scalar.len(), batched.len());
-        for (s, b) in scalar.iter().zip(&batched) {
-            assert_eq!(s.wilson().unwrap().aggregate, b.wilson().unwrap().aggregate);
-        }
     }
 
     const SWEEP_SPEC: &str = r#"
@@ -1114,14 +1080,14 @@ mod tests {
     #[test]
     fn trials_override_caps_splitting_effort() {
         let mut spec = ExperimentSpec::parse(SPLITTING_SPEC).unwrap();
-        apply_budget(&mut spec, None, Some(2), None, None, None);
+        apply_budget(&mut spec, None, Some(2), None);
         assert_eq!(spec.run.trials, 2);
         assert_eq!(spec.run.splitting.effort, 2);
         spec.validate().unwrap();
         // The default effort (reuse `trials`) stays implicit.
         let source = SPLITTING_SPEC.replace("splitting_effort = 24\n", "");
         let mut spec = ExperimentSpec::parse(&source).unwrap();
-        apply_budget(&mut spec, None, Some(2), None, None, None);
+        apply_budget(&mut spec, None, Some(2), None);
         assert_eq!(spec.run.splitting.effort, 0);
     }
 

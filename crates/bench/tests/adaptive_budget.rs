@@ -21,8 +21,7 @@ fn adaptive_sweep_meets_target_at_a_fraction_of_the_fixed_budget() {
         .run
         .stop_half_width
         .expect("committed spec declares a stopping target");
-    assert!(spec.run.batch_width > 1, "spec exercises the batch engine");
-    experiment::apply_budget(&mut spec, Some(400), None, None, None, None);
+    experiment::apply_budget(&mut spec, Some(400), None, None);
 
     let results = experiment::run_spec(&spec).expect("committed spec runs");
     assert!(!results.is_empty());

@@ -22,7 +22,7 @@ fn wilson_interval_contains_the_exact_answer_on_the_golden_grid() {
     let mut spec = ExperimentSpec::parse(GOLDEN_SPEC).expect("committed spec parses");
     // Shrink the sampled cell's budget (CI speed); the exact cell is
     // budget-free, and a Wilson interval is valid at any trial count.
-    experiment::apply_budget(&mut spec, Some(1000), Some(32), None, None, None);
+    experiment::apply_budget(&mut spec, Some(1000), Some(32), None);
     let results = experiment::run_spec(&spec).expect("committed spec runs");
     assert_eq!(results.len(), 2, "one exact cell, one sampled cell");
     let exact = results[0].exact().expect("first cell solves exactly");

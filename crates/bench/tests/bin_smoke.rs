@@ -76,8 +76,7 @@ fn attack_sweep_entry() {
 
 /// `scenario_sweep`: a three-phase scenario cell (power shift +
 /// strategy switch + eclipse window) on the scenario Monte-Carlo
-/// engine, with the Wilson-CI failure rate and thread-count
-/// determinism the phase diagram relies on.
+/// engine, with the Wilson-CI failure rate the phase diagram reports.
 #[test]
 fn scenario_sweep_entry() {
     use nakamoto_sim::scenario::{PhaseSpec, Regime, Scenario, ScenarioPlan, StrategyKind};
@@ -98,16 +97,11 @@ fn scenario_sweep_entry() {
     .unwrap();
     assert_eq!(scenario.group_count(), 2);
     let plan = ScenarioPlan::new(scenario, 3).unwrap().thresholds(vec![12]);
-    let run = plan.clone().with_threads(1).run();
+    let run = plan.run();
     assert_eq!(run.aggregate.trials, 3);
     assert_eq!(run.aggregate.rounds_per_trial, 3 * (ROUNDS / 2));
     let wilson = run.aggregate.failure_interval(12, 1.96).unwrap();
     assert!(wilson.lo <= wilson.estimate && wilson.estimate <= wilson.hi);
-    let run2 = plan.with_threads(2).run();
-    assert_eq!(
-        run.aggregate, run2.aggregate,
-        "scenario aggregate must be thread-count independent"
-    );
 }
 
 /// `compose_sweep`: a composed-adversary cell on the multi-trial
@@ -187,6 +181,13 @@ fn scenario_fuzz_replay_entry() {
 /// `examples/specs/` parses, expands, runs at a tiny budget, and
 /// renders well-formed JSON; the theorem1_check spec's JSON must carry
 /// the theorem-1 analytic bound alongside the simulated Wilson CI.
+///
+/// Each spec also runs through the `experiment` binary itself at
+/// `--jobs 1` and at an oversubscribed `--jobs 8`: the two `--out`
+/// documents must be byte-identical. `--jobs` is the one parallelism
+/// knob, so this covers pool-width independence end to end for every
+/// cell kind the committed specs hold (Wilson, scenario, composed,
+/// adaptive, splitting, exact).
 #[test]
 fn experiment_entry_runs_every_committed_spec() {
     use consistency_bench::experiment;
@@ -224,7 +225,7 @@ fn experiment_entry_runs_every_committed_spec() {
         let source = std::fs::read_to_string(path).expect("spec readable");
         let mut spec = ExperimentSpec::parse(&source)
             .unwrap_or_else(|e| panic!("{name}: committed spec must parse: {e}"));
-        experiment::apply_budget(&mut spec, Some(200), Some(2), None, None, None);
+        experiment::apply_budget(&mut spec, Some(200), Some(2), None);
         let results = experiment::run_spec(&spec)
             .unwrap_or_else(|e| panic!("{name}: committed spec must run: {e}"));
         assert!(!results.is_empty(), "{name}: at least one cell");
@@ -257,6 +258,30 @@ fn experiment_entry_runs_every_committed_spec() {
                 "{name}: the JSON must carry the exact block:\n{json}"
             );
         }
+        let documents: Vec<Vec<u8>> = ["1", "8"]
+            .iter()
+            .map(|jobs| {
+                let out = std::env::temp_dir().join(format!(
+                    "bin_smoke_{}_{name}_jobs{jobs}.json",
+                    std::process::id()
+                ));
+                let status = std::process::Command::new(env!("CARGO_BIN_EXE_experiment"))
+                    .arg(path)
+                    .args(["--rounds", "200", "--trials", "2", "--jobs", jobs, "--out"])
+                    .arg(&out)
+                    .stdout(std::process::Stdio::null())
+                    .status()
+                    .expect("experiment binary runs");
+                assert!(status.success(), "{name} --jobs {jobs}: {status}");
+                let document = std::fs::read(&out).expect("--out document written");
+                let _ = std::fs::remove_file(&out);
+                document
+            })
+            .collect();
+        assert!(
+            documents[0] == documents[1],
+            "{name}: --jobs 1 and --jobs 8 wrote different JSON"
+        );
     }
 }
 

@@ -21,7 +21,7 @@ const TRIALS: u64 = 2;
 
 fn spec_aggregates(source: &str, rounds: u64, trials: u64) -> Vec<TrialAggregate> {
     let mut spec = ExperimentSpec::parse(source).expect("committed spec parses");
-    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), None, None, None);
+    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), None);
     experiment::run_spec(&spec)
         .expect("committed spec runs")
         .into_iter()

@@ -4,7 +4,7 @@
 //!
 //! Every claim this repository makes about the reproduced paper rests
 //! on one contract: Monte-Carlo aggregates are **bit-identical** at
-//! any thread count, batch width, and resume point. That contract is
+//! any pool width and resume point. That contract is
 //! enforced *dynamically* by the `determinism` CI job and the scenario
 //! fuzzer — which catch violations only after they are seeded. This
 //! crate enforces it *statically*: a token-level scan of the workspace
@@ -12,7 +12,7 @@
 //! time, before they can grow call sites.
 //!
 //! In the same in-tree-parser discipline as the `nakamoto_sim::spec`
-//! TOML codec and the vendored criterion shim, the scanner is a
+//! TOML codec, the scanner is a
 //! hand-rolled lexer ([`lexer`]) — no external crates, offline-safe —
 //! that understands strings, raw strings, char literals vs lifetimes,
 //! and nested block comments, so rule matching never confuses text
@@ -107,7 +107,6 @@ impl Policy {
                 "crates/sim/src/lib.rs".into(),
                 "crates/core/src/lib.rs".into(),
                 "crates/bench/src/lib.rs".into(),
-                "crates/criterion/src/lib.rs".into(),
                 "crates/lint/src/lib.rs".into(),
             ],
             exclude_prefixes: vec![

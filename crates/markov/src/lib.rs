@@ -20,10 +20,9 @@
 //!   behind the paper's Inequality (19).
 //! * [`hitting`] — expected hitting and return times.
 //! * [`walk`] — random-walk sampling with occupancy statistics.
-//! * [`race`] / [`lead`] — the exact private-chain-race backends of the
-//!   spec-driven experiment layer: capped absorbing-race solves and
-//!   finite-horizon lead-distribution truncations, each carrying a
-//!   provable truncation-error bound.
+//! * [`race`] — the exact private-chain-race backend of the
+//!   spec-driven experiment layer: capped absorbing-race solves, each
+//!   carrying a provable truncation-error bound.
 //!
 //! # Example
 //!
@@ -45,7 +44,6 @@ pub mod absorption;
 pub mod chain;
 pub mod concentration;
 pub mod hitting;
-pub mod lead;
 pub mod mixing;
 pub mod race;
 pub mod stationary;

@@ -476,7 +476,8 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::execution::{run_simulation_with, Simulation};
-    use crate::montecarlo::TrialPlan;
+    use crate::metrics::SimReport;
+    use crate::montecarlo::{aggregate_reports, trial_streams, TrialPlan};
 
     fn composition(specs: &[(StrategyKind, u64)]) -> Composition {
         Composition::new(
@@ -704,12 +705,13 @@ mod tests {
         );
     }
 
-    /// Acceptance: composed-adversary Monte-Carlo aggregates are
-    /// bit-identical at 1, 2, 4 and 8 worker threads for a fixed master
-    /// seed (the oracle-level allocation rides the per-trial mining
-    /// stream, so composition adds no thread-sensitive randomness).
+    /// Acceptance: composed-adversary Monte-Carlo aggregates on the pool
+    /// are bit-identical to a plain sequential loop over the
+    /// jump-derived trial streams (the oracle-level allocation rides
+    /// the per-trial mining stream, so composition adds no
+    /// scheduling-sensitive randomness).
     #[test]
-    fn composed_aggregate_independent_of_thread_count() {
+    fn composed_aggregate_matches_sequential_reference() {
         let cfg = SimConfig::from_c(80, 3, 1.0, 0.4, 61).unwrap();
         let make = move || {
             ComposedAdversary::new(
@@ -724,16 +726,19 @@ mod tests {
         let plan = TrialPlan::new(cfg, 5_000, 8)
             .unwrap()
             .thresholds(vec![0, 6, 12]);
-        let reference = plan.clone().with_threads(1).run(move |_| make());
-        assert_eq!(reference.aggregate.trials, 8);
-        assert!(reference.aggregate.total_adversary_blocks > 0);
-        for threads in [2usize, 4, 8] {
-            let other = plan.clone().with_threads(threads).run(move |_| make());
-            assert_eq!(
-                reference.aggregate, other.aggregate,
-                "composed aggregate differs at {threads} threads"
-            );
-        }
+        let pooled = plan.run(move |_| make());
+        let reports: Vec<SimReport> = trial_streams(cfg.seed, 8)
+            .into_iter()
+            .map(|rng| {
+                let mut sim = Simulation::with_rng(cfg, make(), rng);
+                sim.run(5_000);
+                sim.report()
+            })
+            .collect();
+        let sequential = aggregate_reports(&reports, 5_000, &[0, 6, 12]);
+        assert_eq!(pooled.aggregate.trials, 8);
+        assert!(pooled.aggregate.total_adversary_blocks > 0);
+        assert_eq!(pooled.aggregate, sequential);
     }
 
     #[test]

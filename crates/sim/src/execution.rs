@@ -586,9 +586,9 @@ impl<A: Adversary> Simulation<A> {
     /// strategy declares [`Adversary::supports_fast_forward`] and no
     /// per-round log demands that every round execute for real.
     /// Constant for the lifetime of a run (logging can only be enabled
-    /// at round zero), so [`Simulation::run`] and the lockstep batch
-    /// engine both evaluate it once per run segment.
-    pub(crate) fn fast_forward_enabled(&self) -> bool {
+    /// at round zero), so the run loops evaluate it once per run
+    /// segment.
+    fn fast_forward_enabled(&self) -> bool {
         self.adversary.supports_fast_forward() && self.round_log.is_none()
     }
 
@@ -596,11 +596,10 @@ impl<A: Adversary> Simulation<A> {
     /// refills the gap buffer and returns how many quiet rounds may be
     /// consumed in bulk before `target`, the next buffered success, or
     /// the next delivery — whichever is nearest. Shared between
-    /// [`Simulation::run`], [`Simulation::run_until_depth`] and the
-    /// lockstep batch engine so every driver advances a lane through
-    /// the identical op sequence (and hence the identical random
-    /// stream).
-    pub(crate) fn plan_quiet_skip(&mut self, target: u64) -> u64 {
+    /// [`Simulation::run`] and [`Simulation::run_until_depth`] so both
+    /// drivers advance a run through the identical op sequence (and
+    /// hence the identical random stream).
+    fn plan_quiet_skip(&mut self, target: u64) -> u64 {
         // Refill the gap buffer eagerly: sampling order (and hence
         // the random stream) is unchanged, but the round that would
         // otherwise execute just to draw the next gap becomes
@@ -655,10 +654,8 @@ impl<A: Adversary> Simulation<A> {
 
     /// Consumes `k` quiet rounds in O(min(k, Δ)): no mining, no
     /// deliveries, no strategy calls — only the round counter, the gap
-    /// buffer, and the streaming detectors advance. `pub(crate)` for
-    /// the lockstep batch engine, whose per-lane advance phase is this
-    /// exact call.
-    pub(crate) fn skip_quiet(&mut self, k: u64) {
+    /// buffer, and the streaming detectors advance.
+    fn skip_quiet(&mut self, k: u64) {
         debug_assert!(self.network.next_due().map_or(true, |d| d > self.round + k));
         self.round += k;
         if let Some((left, _)) = &mut self.pending_outcome {

@@ -45,10 +45,10 @@
 //! [`global()`] lazily creates the process-wide pool; its width
 //! defaults to [`std::thread::available_parallelism`] and can be fixed
 //! *before first use* with [`configure_global_width`] (the `--jobs`
-//! CLI flag). Plan-level `threads` knobs no longer spawn OS threads —
-//! they only bound how many pool slots a job occupies — so concurrent
-//! [`crate::spec::ExperimentPlan`]s can no longer oversubscribe the
-//! host: the pool owns every worker thread in the process.
+//! CLI flag), the one parallelism knob in the workspace. Every trial
+//! and splitting-stage fan-out asks for [`global_width`] slots, so
+//! concurrent [`crate::spec::ExperimentPlan`]s cannot oversubscribe
+//! the host: the pool owns every worker thread in the process.
 //!
 //! Jobs whose effective width is 1 (and single-unit jobs) run inline
 //! on the caller thread without touching — or even creating — the
@@ -494,9 +494,32 @@ pub fn global() -> &'static Executor {
     })
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Unit-test stand-in for `--jobs`: while set, [`global_width`]
+    /// reports this width on the current thread.
+    static TEST_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with [`global_width`] reporting `width` on this thread, so
+/// every fan-out `f` starts occupies up to `width` slots of the one
+/// pool. Lets a unit test run a plan at several job widths inside one
+/// process, where the pool's own width is fixed.
+#[cfg(test)]
+pub(crate) fn with_test_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    let previous = TEST_WIDTH.replace(Some(width));
+    let result = f();
+    TEST_WIDTH.set(previous);
+    result
+}
+
 /// The width the global pool has — or would have, if it has not been
 /// created yet. Never creates the pool.
 pub fn global_width() -> usize {
+    #[cfg(test)]
+    if let Some(width) = TEST_WIDTH.get() {
+        return width;
+    }
     if let Some(pool) = GLOBAL.get() {
         return pool.width();
     }

@@ -2,7 +2,7 @@
 //! *scenario × composition* space, asserting engine invariants on every
 //! generated case.
 //!
-//! The scenario subsystem's contracts — thread-count bit-identity,
+//! The scenario subsystem's contracts — pool bit-identity,
 //! behaviour-invisible pruning, monotone cumulative counters — are each
 //! proven by targeted unit tests on hand-written scenarios, but the
 //! space of phase grids, power splits, network regimes, detector
@@ -12,9 +12,9 @@
 //! overrides, and composition tables with random sub-strategy weights —
 //! zero-weight passengers included) and checks, per case:
 //!
-//! 1. **Thread-count bit-identity** — a two-trial [`ScenarioPlan`]
-//!    aggregate is bit-identical at 1, 2, 4, and 8 worker slots of the
-//!    shared executor pool.
+//! 1. **Pool bit-identity** — a two-trial [`ScenarioPlan`] aggregate
+//!    computed on the shared executor pool is bit-identical to a plain
+//!    sequential loop over the same jump-derived trial streams.
 //! 2. **Pruning-liveness** — a pruned run and an unpruned run of the
 //!    same scenario produce identical final and per-phase reports, and
 //!    the pruned tree never holds more blocks than the unpruned one.
@@ -23,10 +23,6 @@
 //!    opportunities, reorgs, depth maxima, group heights) is
 //!    nondecreasing, and the per-phase rounds recompose into the
 //!    scenario total.
-//! 4. **Lockstep-batch bit-identity** — the case's base config and
-//!    leading strategy, fanned out over `jump()`-derived lanes through
-//!    the [`crate::batch::BatchSimulation`] engine, reproduce the
-//!    scalar engine's reports lane for lane.
 //!
 //! A violation aborts the run with a [`FuzzFailure`] carrying the full
 //! sampled case as a TOML repro ([`FuzzFailure::repro_toml`]) plus the
@@ -43,18 +39,15 @@
 //! assert_eq!(stats.cases, 4);
 //! ```
 
-use crate::adversary::{
-    Adversary, BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary,
-};
-use crate::batch::BatchSimulation;
-use crate::compose::{ComposedAdversary, Composition, SubSpec};
+use crate::compose::{Composition, SubSpec};
 use crate::config::SimConfig;
-use crate::execution::Simulation;
 use crate::metrics::SimReport;
-use crate::scenario::{PhaseSpec, Regime, Scenario, ScenarioPlan, ScenarioRunner, StrategyKind};
-use crate::selfish::SelfishMiningAdversary;
+use crate::montecarlo::{aggregate_reports, trial_streams};
+use crate::scenario::{
+    run_scenario_with_rng, PhaseSpec, Regime, Scenario, ScenarioPlan, ScenarioRunner, StrategyKind,
+};
 use crate::spec::{ExperimentMode, ExperimentSpec, FuzzHeader, RunSettings};
-use probability::rng::{RandomSource, SplitMix64, Xoshiro256PlusPlus};
+use probability::rng::{RandomSource, SplitMix64};
 use std::fmt;
 
 /// Aggregate statistics of a completed fuzz run.
@@ -126,7 +119,6 @@ impl FuzzFailure {
         ExperimentSpec {
             run: RunSettings {
                 trials: 2,
-                threads: 0,
                 thresholds: vec![6],
                 ..RunSettings::default()
             },
@@ -306,7 +298,7 @@ fn sample_composition(rng: &mut SplitMix64) -> Composition {
     Composition::new(subs).expect("generator: composition") // detlint: allow(panic-expect) -- a nonzero weight is forced two lines above
 }
 
-/// Checks every engine invariant (thread-count bit-identity,
+/// Checks every engine invariant (pool bit-identity,
 /// pruning-liveness, prefix monotonicity) on one scenario, exactly as
 /// the fuzzer does per sampled case. Returns `(invariant, detail)` on
 /// the first violation.
@@ -319,24 +311,22 @@ fn sample_composition(rng: &mut SplitMix64) -> Composition {
 /// Returns the violated invariant's name and a human-readable mismatch
 /// description.
 pub fn check_scenario(scenario: &Scenario) -> Result<(), (&'static str, String)> {
-    // 1. Thread-count bit-identity over a small Monte-Carlo fan-out:
-    // the slot counts cover inline (1), and pooled widths narrower
-    // than, equal to, and wider than the trial count (2, 4, 8).
+    // 1. Pool bit-identity: a small Monte-Carlo fan-out on the shared
+    // pool against a plain sequential loop over the same trial streams.
     let plan = ScenarioPlan::new(scenario.clone(), 2)
         .expect("two trials") // detlint: allow(panic-expect) -- trials = 2 is statically nonzero
         .thresholds(vec![6]);
-    let single = plan.clone().with_threads(1).run();
-    for threads in [2, 4, 8] {
-        let pooled = plan.clone().with_threads(threads).run();
-        if single.aggregate != pooled.aggregate {
-            return Err((
-                "thread-count bit-identity",
-                format!(
-                    "aggregates diverge between 1 and {threads} threads: {:?} vs {:?}",
-                    single.aggregate, pooled.aggregate
-                ),
-            ));
-        }
+    let pooled = plan.run().aggregate;
+    let reports: Vec<SimReport> = trial_streams(scenario.base().seed, 2)
+        .into_iter()
+        .map(|rng| run_scenario_with_rng(scenario, rng).final_report)
+        .collect();
+    let sequential = aggregate_reports(&reports, scenario.total_rounds(), &[6]);
+    if pooled != sequential {
+        return Err((
+            "pool bit-identity",
+            format!("pooled and sequential aggregates diverge: {pooled:?} vs {sequential:?}"),
+        ));
     }
 
     // 2 + 3. One pruned run stepped phase by phase (snapshots feed the
@@ -412,51 +402,6 @@ pub fn check_scenario(scenario: &Scenario) -> Result<(), (&'static str, String)>
         ));
     }
 
-    // 4. Lockstep-batch bit-identity: the case's base config and its
-    // leading strategy, run stationary over jump()-derived lanes, must
-    // give lane-for-lane identical reports through the batch engine
-    // and the scalar engine.
-    const BATCH_LANES: usize = 4;
-    let base = *scenario.base();
-    let kind = scenario.phases()[0].strategy;
-    let make = || -> Box<dyn Adversary> {
-        match kind {
-            StrategyKind::Honest => Box::new(ImmediateReleaseAdversary::new()),
-            StrategyKind::PrivateChain => Box::new(PrivateChainAdversary::new(base.delta)),
-            StrategyKind::Balance => Box::new(BalanceAdversary::new(base.delta)),
-            StrategyKind::Selfish => Box::new(SelfishMiningAdversary::new(base.delta)),
-            StrategyKind::Composed(i) => Box::new(ComposedAdversary::new(
-                base.delta,
-                scenario.compositions()[i].clone(),
-            )),
-        }
-    };
-    let rounds = scenario.total_rounds().min(1_500);
-    let mut stream = Xoshiro256PlusPlus::seed_from_u64(base.seed);
-    let mut lanes = Vec::with_capacity(BATCH_LANES);
-    let mut scalars = Vec::with_capacity(BATCH_LANES);
-    for _ in 0..BATCH_LANES {
-        lanes.push(Simulation::with_rng(base, make(), stream.clone()));
-        scalars.push(Simulation::with_rng(base, make(), stream.clone()));
-        stream = stream.jump();
-    }
-    let mut batch = BatchSimulation::new(lanes);
-    batch.run(rounds);
-    let batched = batch.reports();
-    for (lane, mut sim) in scalars.into_iter().enumerate() {
-        sim.run(rounds);
-        let scalar = sim.report();
-        if batched[lane] != scalar {
-            return Err((
-                "lockstep-batch bit-identity",
-                format!(
-                    "lane {lane} of a width-{BATCH_LANES} batch diverged from the scalar engine \
-                     under `{kind:?}`: {:?} vs {scalar:?}",
-                    batched[lane]
-                ),
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -533,7 +478,7 @@ mod tests {
         let failure = FuzzFailure {
             master_seed: 99,
             case: 3,
-            invariant: "thread-count bit-identity",
+            invariant: "pool bit-identity",
             detail: "example \"quoted\" detail".into(),
             scenario: scenario.clone(),
         };
@@ -541,7 +486,7 @@ mod tests {
         assert!(toml.contains("[fuzz]"));
         assert!(toml.contains("master_seed = 99"));
         assert!(toml.contains("case = 3"));
-        assert!(toml.contains("invariant = \"thread-count bit-identity\""));
+        assert!(toml.contains("invariant = \"pool bit-identity\""));
         assert!(toml.contains("\\\"quoted\\\""));
         assert!(toml.contains("[base]"));
         assert_eq!(

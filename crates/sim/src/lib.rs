@@ -34,7 +34,7 @@
 //! feasible trial budget, the [`splitting`] module estimates the same
 //! `T`-consistency violation events with fixed-effort multilevel
 //! splitting over the consistency depth, preserving the trial engine's
-//! thread-count bit-identity.
+//! pool-width bit-identity.
 //!
 //! # Quickstart
 //!
@@ -55,7 +55,6 @@
 //! ```
 
 pub mod adversary;
-pub mod batch;
 pub mod block;
 pub mod compose;
 pub mod config;

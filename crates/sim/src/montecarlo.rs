@@ -3,19 +3,20 @@
 //! Every empirical claim in the paper (Figure 1's attack thresholds,
 //! the T-consistency failure rates, the convergence-opportunity counts)
 //! rests on many independent simulation trials. This module fans those
-//! trials out over OS threads with three guarantees:
+//! trials out over the shared [`crate::executor`] pool with three
+//! guarantees:
 //!
 //! * **Disjoint randomness** — trial `t` runs on the master generator
 //!   advanced by `t` [`Xoshiro256PlusPlus::jump`]s (2¹²⁸ steps each),
 //!   so trial streams can never overlap no matter how long a trial
 //!   runs.
-//! * **Thread-count independence** — per-trial generators are derived
+//! * **Pool-width independence** — per-trial generators are derived
 //!   from the master seed alone and trial results are reduced in trial
 //!   order, so [`run_trials`] returns a bit-identical
-//!   [`TrialAggregate`] for 1, 2 or 64 worker threads.
-//! * **No new dependencies** — trial slots submitted to the shared
-//!   [`crate::executor`] pool (plain `std`, per-worker deques over an
-//!   atomic work counter); no rayon, no channels.
+//!   [`TrialAggregate`] at every pool width (the `--jobs` flag is the
+//!   only parallelism knob).
+//! * **One engine** — every trial runs through the scalar
+//!   [`Simulation::run`] loop; plain `std`, no rayon, no channels.
 //!
 //! # Example
 //!
@@ -36,7 +37,6 @@
 //! ```
 
 use crate::adversary::Adversary;
-use crate::batch::BatchSimulation;
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::executor::{self, TaskKind};
@@ -54,15 +54,15 @@ pub const STOP_Z: f64 = 1.96;
 /// [`TrialPlan::stop_half_width`] is set but no explicit cadence was
 /// chosen. Checkpoints land on fixed trial counts (multiples of the
 /// wave size), so the stopping decision is a pure function of the
-/// master seed — never of thread count or batch width.
+/// master seed — never of pool width.
 pub const DEFAULT_STOP_CHECK_EVERY: u64 = 64;
 
 /// A Monte-Carlo experiment: `trials` independent simulations of
 /// `rounds` rounds each, all sharing one validated configuration.
 ///
 /// `config.seed` is the *master seed*: it determines every trial's
-/// random stream. The number of worker threads affects wall-clock time
-/// only, never results.
+/// random stream. The pool width affects wall-clock time only, never
+/// results.
 #[derive(Debug, Clone)]
 pub struct TrialPlan {
     /// Shared simulation parameters; `config.seed` is the master seed.
@@ -71,17 +71,9 @@ pub struct TrialPlan {
     pub rounds: u64,
     /// Number of independent trials.
     pub trials: u64,
-    /// Worker threads; `0` means one per available CPU.
-    pub threads: usize,
     /// Consistency thresholds `T` for which per-trial violation is
     /// tallied (see [`TrialAggregate::failure_counts`]).
     pub consistency_thresholds: Vec<u64>,
-    /// Lockstep batch width: how many consecutive trials each worker
-    /// advances together through a [`BatchSimulation`]. `1` (the
-    /// default) runs the scalar engine per trial; any width produces
-    /// bit-identical aggregates (the batch engine shares the scalar
-    /// per-lane code path).
-    pub batch_width: usize,
     /// Sequential stopping target: when set, trials run in
     /// deterministic waves of [`TrialPlan::check_every`] and stop at
     /// the first wave boundary where every threshold's Wilson
@@ -96,8 +88,7 @@ pub struct TrialPlan {
 }
 
 impl TrialPlan {
-    /// Creates a plan with no consistency thresholds and automatic
-    /// thread count.
+    /// Creates a plan with no consistency thresholds.
     ///
     /// # Errors
     ///
@@ -122,9 +113,7 @@ impl TrialPlan {
             config,
             rounds,
             trials,
-            threads: 0,
             consistency_thresholds: Vec::new(),
-            batch_width: 1,
             stop_half_width: None,
             check_every: 0,
         })
@@ -134,26 +123,6 @@ impl TrialPlan {
     #[must_use]
     pub fn thresholds(mut self, thresholds: Vec<u64>) -> Self {
         self.consistency_thresholds = thresholds;
-        self
-    }
-
-    /// Sets the worker thread count (builder style). `0` selects one
-    /// worker per available CPU, falling back to a single worker when
-    /// parallelism detection fails — the fan-out never runs with an
-    /// empty worker pool.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the lockstep batch width (builder style); `0` is treated as
-    /// `1` (the scalar path). Aggregates are bit-identical at every
-    /// width — the batch engine advances each lane through the exact
-    /// scalar op sequence.
-    #[must_use]
-    pub fn with_batch_width(mut self, batch_width: usize) -> Self {
-        self.batch_width = batch_width.max(1);
         self
     }
 
@@ -219,7 +188,7 @@ impl WilsonInterval {
 /// Order-deterministic aggregate over all trials of a [`TrialPlan`].
 ///
 /// Everything in here is a pure function of the master seed and the
-/// plan — never of thread count or scheduling (verified by the
+/// plan — never of pool width or scheduling (verified by the
 /// determinism tests). Wall-clock metrics live on [`MonteCarloRun`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialAggregate {
@@ -320,13 +289,11 @@ impl TrialAggregate {
 }
 
 /// Result of [`run_trials`]: the deterministic aggregate plus
-/// wall-clock metrics (which naturally *do* depend on thread count).
+/// wall-clock metrics (which naturally *do* depend on pool width).
 #[derive(Debug, Clone)]
 pub struct MonteCarloRun {
-    /// Thread-count-independent statistics.
+    /// Pool-width-independent statistics.
     pub aggregate: TrialAggregate,
-    /// Worker threads actually used.
-    pub threads: usize,
     /// Wall-clock seconds for the whole fan-out.
     pub elapsed_secs: f64,
     /// Aggregate simulated-round throughput (total rounds / elapsed).
@@ -347,79 +314,38 @@ pub(crate) fn trial_streams(master_seed: u64, trials: u64) -> Vec<Xoshiro256Plus
     streams
 }
 
-/// The deterministic fan-out shared by [`run_trials`] and the scenario
-/// layer's `ScenarioPlan`: runs `run_one(trial, stream)` for every
-/// trial as one ordered job on the shared [`crate::executor`] pool,
-/// and returns the reports **in trial order** together with the
-/// wall-clock seconds and the job width actually used.
+/// The deterministic fan-out shared by [`run_trials`], its adaptive
+/// waves, and the scenario layer's `ScenarioPlan`: runs
+/// `run_one(base_trial + i, streams[i])` for every stream as one
+/// ordered job on the shared [`crate::executor`] pool, at the pool's
+/// width, and returns the reports **in trial order** together with the
+/// wall-clock seconds.
 ///
-/// Trial `t`'s stream is the master generator advanced by `t` jumps,
-/// and the reduction order is the trial index, so the result is a pure
-/// function of `(master_seed, run_one)` — never of pool width, job
-/// width, or scheduling.
+/// The caller derives the streams from the master seed alone (trial
+/// `t` runs on the master generator advanced by `t` jumps), and the
+/// reduction order is the trial index, so the result is a pure
+/// function of `(streams, run_one)` — never of pool width or
+/// scheduling.
 pub(crate) fn fan_out_reports<F>(
-    master_seed: u64,
-    trials: u64,
-    requested_threads: usize,
-    run_one: F,
-) -> (Vec<SimReport>, f64, usize)
+    streams: Vec<Xoshiro256PlusPlus>,
+    base_trial: u64,
+    run_one: Arc<F>,
+) -> (Vec<SimReport>, f64)
 where
     F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
-    let threads = effective_threads(requested_threads, trials);
-    let streams = Arc::new(trial_streams(master_seed, trials));
-
-    // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-    let started = Instant::now();
-    let reports = executor::run_ordered(trials, threads, TaskKind::Leaf, move |trial| {
-        run_one(trial, streams[trial as usize].clone())
-    });
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    debug_assert_eq!(reports.len() as u64, trials);
-    (reports, elapsed_secs, threads)
-}
-
-/// Block-pulling variant of [`fan_out_reports`] for the lockstep batch
-/// engine: each job unit is a *block* of `batch_width` consecutive
-/// trials whose streams are handed to `run_block`, which returns one
-/// report per stream in stream order. Trial `base_trial + i` runs on
-/// `streams[i]`, and blocks cover consecutive trial ranges in block
-/// order, so flattening block results in unit order *is* the
-/// trial-order reduction — a pure function of the streams, never of
-/// pool width or batch width. With `batch_width == 1` the unit
-/// sequence is exactly [`fan_out_reports`]'s.
-pub(crate) fn fan_out_report_blocks<F>(
-    streams: Vec<Xoshiro256PlusPlus>,
-    base_trial: u64,
-    requested_threads: usize,
-    batch_width: u64,
-    run_block: Arc<F>,
-) -> (Vec<SimReport>, f64, usize)
-where
-    F: Fn(u64, &[Xoshiro256PlusPlus]) -> Vec<SimReport> + Send + Sync + 'static,
-{
     let trials = streams.len() as u64;
-    let batch_width = batch_width.max(1);
-    let blocks = trials.div_ceil(batch_width);
-    let threads = effective_threads(requested_threads, blocks);
     let streams = Arc::new(streams);
 
     // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
     let started = Instant::now();
-    let block_reports = executor::run_ordered(blocks, threads, TaskKind::Leaf, move |block| {
-        let start = block * batch_width;
-        let end = (start + batch_width).min(trials);
-        let chunk = &streams[start as usize..end as usize]; // detlint: allow(panic-slice-index) -- end = min(start + width, trials) <= streams.len() by construction
-        let reports = run_block(base_trial + start, chunk);
-        debug_assert_eq!(reports.len() as u64, end - start);
-        reports
-    });
+    let reports =
+        executor::run_ordered(trials, executor::global_width(), TaskKind::Leaf, move |i| {
+            run_one(base_trial + i, streams[i as usize].clone())
+        });
     let elapsed_secs = started.elapsed().as_secs_f64();
-
-    // Ordered reduction: block order is trial order.
-    let reports: Vec<SimReport> = block_reports.into_iter().flatten().collect();
     debug_assert_eq!(reports.len() as u64, trials);
-    (reports, elapsed_secs, threads)
+    (reports, elapsed_secs)
 }
 
 /// Order-preserving reduction of per-trial reports into a
@@ -474,18 +400,14 @@ pub(crate) fn aggregate_reports(
 ///
 /// `make_adversary` builds a fresh strategy for trial `t`; it runs on
 /// pool workers, so it must be `Send + Sync + 'static` (it is called
-/// once per trial). `plan.threads` bounds how many pool slots the job
-/// occupies — it no longer spawns OS threads of its own.
+/// once per trial). The job occupies up to the pool's width in slots.
 ///
-/// With `plan.batch_width > 1`, workers pull blocks of consecutive
-/// trials and advance them through the lockstep [`BatchSimulation`];
-/// with [`TrialPlan::stop_half_width`] set, trials run in deterministic
+/// With [`TrialPlan::stop_half_width`] set, trials run in deterministic
 /// waves and stop at the first wave boundary meeting the target (see
 /// `run_trials_adaptive`).
 ///
 /// The returned [`TrialAggregate`] is bit-identical for a fixed
-/// `plan.config.seed` regardless of `plan.threads` *and* of
-/// `plan.batch_width`.
+/// `plan.config.seed` at every pool width.
 ///
 /// # Panics
 ///
@@ -504,87 +426,44 @@ where
         plan.trials > 0 && plan.rounds > 0,
         "empty experiment: construct plans through TrialPlan::new"
     );
-    if let Some(target) = plan.stop_half_width {
-        return run_trials_adaptive(plan, target, make_adversary);
-    }
-    let width = plan.batch_width.max(1) as u64;
-    if width == 1 {
-        // Scalar path: one trial per pull, the historical engine.
-        let config = plan.config;
-        let rounds = plan.rounds;
-        let run_one = move |trial: u64, rng: Xoshiro256PlusPlus| {
-            let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
-            sim.run(rounds);
-            sim.report()
-        };
-        let (reports, elapsed_secs, threads) =
-            fan_out_reports(plan.config.seed, plan.trials, plan.threads, run_one);
-        let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-        let total_rounds = aggregate.total_rounds();
-        return MonteCarloRun {
-            aggregate,
-            threads,
-            elapsed_secs,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-        };
-    }
-    let streams = trial_streams(plan.config.seed, plan.trials);
-    let run_block = batch_block_runner(plan, Arc::new(make_adversary));
-    let (reports, elapsed_secs, threads) =
-        fan_out_report_blocks(streams, 0, plan.threads, width, run_block);
+    let config = plan.config;
+    let rounds = plan.rounds;
+    let run_one = Arc::new(move |trial: u64, rng: Xoshiro256PlusPlus| {
+        let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
+        sim.run(rounds);
+        sim.report()
+    });
+    let (reports, elapsed_secs) = match plan.stop_half_width {
+        Some(target) => run_trials_adaptive(plan, target, run_one),
+        None => fan_out_reports(trial_streams(plan.config.seed, plan.trials), 0, run_one),
+    };
     let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
     let total_rounds = aggregate.total_rounds();
     MonteCarloRun {
         aggregate,
-        threads,
         elapsed_secs,
         rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
     }
-}
-
-/// Builds the block runner shared by the fixed-budget and adaptive
-/// paths: trial `first + i` becomes lane `i` of a lockstep batch.
-fn batch_block_runner<A, F>(
-    plan: &TrialPlan,
-    make_adversary: Arc<F>,
-) -> Arc<impl Fn(u64, &[Xoshiro256PlusPlus]) -> Vec<SimReport> + Send + Sync + 'static>
-where
-    A: Adversary,
-    F: Fn(u64) -> A + Send + Sync + 'static,
-{
-    let config = plan.config;
-    let rounds = plan.rounds;
-    Arc::new(move |first: u64, streams: &[Xoshiro256PlusPlus]| {
-        let lanes = streams
-            .iter()
-            .enumerate()
-            .map(|(i, rng)| {
-                Simulation::with_rng(config, make_adversary(first + i as u64), rng.clone())
-            })
-            .collect();
-        let mut batch = BatchSimulation::new(lanes);
-        batch.run(rounds);
-        batch.reports()
-    })
 }
 
 /// Sequential-stopping fan-out: runs trials in deterministic waves of
 /// [`TrialPlan::check_every`] (default [`DEFAULT_STOP_CHECK_EVERY`])
 /// and stops at the first wave boundary where every plan threshold's
 /// Wilson half-width at [`STOP_Z`] is at most the target — or when the
-/// `plan.trials` budget is exhausted.
+/// `plan.trials` budget is exhausted. Returns the trial-ordered reports
+/// and the summed wave wall time.
 ///
 /// Checkpoints land on trial counts that are pure functions of the plan
 /// (multiples of the wave size, capped by the budget), and each
 /// checkpoint's statistic is computed over the trial-ordered prefix, so
 /// the stopping decision — and hence the aggregate — is bit-identical
-/// at every thread count and batch width. Trial `t` still runs on the
-/// master stream advanced `t` jumps: the master generator rolls forward
-/// wave by wave instead of being expanded up front.
-fn run_trials_adaptive<A, F>(plan: &TrialPlan, target: f64, make_adversary: F) -> MonteCarloRun
+/// at every pool width. Trial `t` still runs on the master stream
+/// advanced `t` jumps: the master generator rolls forward wave by wave
+/// instead of being expanded up front, and each wave goes through the
+/// same [`fan_out_reports`] as the fixed-budget path.
+fn run_trials_adaptive<F>(plan: &TrialPlan, target: f64, run_one: Arc<F>) -> (Vec<SimReport>, f64)
 where
-    A: Adversary,
-    F: Fn(u64) -> A + Send + Sync + 'static,
+    F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
     assert!(
         target > 0.0 && target < 1.0,
@@ -594,13 +473,11 @@ where
         !plan.consistency_thresholds.is_empty(),
         "the stopping rule tracks consistency failure rates: set at least one threshold"
     );
-    let width = plan.batch_width.max(1) as u64;
     let check = if plan.check_every == 0 {
         DEFAULT_STOP_CHECK_EVERY
     } else {
         plan.check_every
     };
-    let run_block = batch_block_runner(plan, Arc::new(make_adversary));
 
     let mut master = Xoshiro256PlusPlus::seed_from_u64(plan.config.seed);
     let mut reports: Vec<SimReport> = Vec::new();
@@ -610,7 +487,6 @@ where
         .map(|&t| (t, 0))
         .collect();
     let mut elapsed_secs = 0.0;
-    let mut threads_used = 1usize;
     while (reports.len() as u64) < plan.trials {
         let wave = check.min(plan.trials - reports.len() as u64);
         let wave_streams: Vec<Xoshiro256PlusPlus> = (0..wave)
@@ -621,15 +497,8 @@ where
             })
             .collect();
         let base = reports.len() as u64;
-        let (wave_reports, secs, threads) = fan_out_report_blocks(
-            wave_streams,
-            base,
-            plan.threads,
-            width,
-            Arc::clone(&run_block),
-        );
+        let (wave_reports, secs) = fan_out_reports(wave_streams, base, Arc::clone(&run_one));
         elapsed_secs += secs;
-        threads_used = threads_used.max(threads);
         for report in &wave_reports {
             for (t, count) in &mut failures {
                 if !report.is_consistent(*t) {
@@ -647,29 +516,7 @@ where
             break;
         }
     }
-    let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-    let total_rounds = aggregate.total_rounds();
-    MonteCarloRun {
-        aggregate,
-        threads: threads_used,
-        elapsed_secs,
-        rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-    }
-}
-
-/// Job width for a fan-out: `requested`, or the shared executor pool's
-/// width when `requested == 0` (the pool sizes itself to the available
-/// CPUs unless `--jobs` fixed it), capped by the trial count — and
-/// never zero. This is a *slot* count on the global pool, not an OS
-/// thread count: concurrent plans cannot oversubscribe the host, they
-/// only queue more work on the same workers.
-pub(crate) fn effective_threads(requested: usize, trials: u64) -> usize {
-    let available = if requested == 0 {
-        executor::global_width()
-    } else {
-        requested
-    };
-    available.min(trials.min(usize::MAX as u64) as usize).max(1)
+    (reports, elapsed_secs)
 }
 
 #[cfg(test)]
@@ -714,29 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_is_never_empty() {
-        for requested in [0usize, 1, 7, 64] {
-            for trials in [1u64, 3, 100] {
-                let threads = effective_threads(requested, trials);
-                assert!(threads >= 1, "requested {requested}, trials {trials}");
-                assert!(threads as u64 <= trials.max(1));
-            }
-        }
-        // Degenerate trial count still yields a worker (the scope must
-        // terminate rather than hang on an empty fan-out).
-        assert_eq!(effective_threads(0, 0), 1);
-        assert_eq!(effective_threads(8, 0), 1);
-    }
-
-    #[test]
     fn aggregate_independent_of_thread_count() {
-        let reference = plan(11, 12)
-            .with_threads(1)
-            .run(|_| PrivateChainAdversary::new(3));
+        let reference =
+            executor::with_test_width(1, || plan(11, 12).run(|_| PrivateChainAdversary::new(3)));
         for threads in [2usize, 3, 8] {
-            let other = plan(11, 12)
-                .with_threads(threads)
-                .run(|_| PrivateChainAdversary::new(3));
+            let other = executor::with_test_width(threads, || {
+                plan(11, 12).run(|_| PrivateChainAdversary::new(3))
+            });
             assert_eq!(
                 reference.aggregate, other.aggregate,
                 "aggregate differs at {threads} threads"
@@ -746,26 +577,21 @@ mod tests {
 
     #[test]
     fn trials_match_sequential_jump_streams() {
-        // Trial t must equal a plain simulation run on the master
-        // stream jumped t times.
-        let p = plan(23, 4).with_threads(2);
+        // The pooled aggregate must equal a plain sequential loop in
+        // which trial t runs on the master stream jumped t times.
+        let p = plan(23, 12);
         let run = p.run(|_| PrivateChainAdversary::new(3));
         let mut stream = Xoshiro256PlusPlus::seed_from_u64(23);
-        for t in 0..4usize {
+        let mut reports = Vec::new();
+        for _ in 0..12 {
             let mut sim =
                 Simulation::with_rng(p.config, PrivateChainAdversary::new(3), stream.clone());
             sim.run(p.rounds);
-            let report = sim.report();
-            assert_eq!(
-                run.aggregate.reorg_depths[t], report.max_reorg_depth,
-                "trial {t} reorg depth"
-            );
-            assert_eq!(
-                run.aggregate.convergence_counts[t], report.convergence_opportunities,
-                "trial {t} convergence count"
-            );
+            reports.push(sim.report());
             stream = stream.jump();
         }
+        let sequential = aggregate_reports(&reports, p.rounds, &p.consistency_thresholds);
+        assert_eq!(run.aggregate, sequential);
     }
 
     #[test]
@@ -848,62 +674,22 @@ mod tests {
         let run = plan(3, 2).run(|_| ImmediateReleaseAdversary::new());
         assert!(run.elapsed_secs > 0.0);
         assert!(run.rounds_per_sec > 0.0);
-        assert!(run.threads >= 1);
-    }
-
-    #[test]
-    fn batch_widths_and_thread_counts_are_bit_identical() {
-        // Tentpole acceptance: the lockstep batch engine must return
-        // the scalar engine's aggregate bit-for-bit at every batch
-        // width and thread count.
-        let reference = plan(31, 24)
-            .with_threads(1)
-            .run(|_| PrivateChainAdversary::new(3));
-        for width in [1usize, 2, 8, 16] {
-            for threads in [1usize, 2, 8] {
-                let other = plan(31, 24)
-                    .with_threads(threads)
-                    .with_batch_width(width)
-                    .run(|_| PrivateChainAdversary::new(3));
-                assert_eq!(
-                    reference.aggregate, other.aggregate,
-                    "width {width}, threads {threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_width_zero_is_scalar() {
-        let a = plan(32, 6).run(|_| BalanceAdversary::new(3));
-        let b = plan(32, 6)
-            .with_batch_width(0)
-            .run(|_| BalanceAdversary::new(3));
-        assert_eq!(a.aggregate, b.aggregate);
-    }
-
-    #[test]
-    fn batch_width_larger_than_trials_is_fine() {
-        let a = plan(33, 5).run(|_| PrivateChainAdversary::new(3));
-        let b = plan(33, 5)
-            .with_batch_width(16)
-            .run(|_| PrivateChainAdversary::new(3));
-        assert_eq!(a.aggregate, b.aggregate);
     }
 
     #[test]
     fn adaptive_stopping_is_thread_and_width_independent() {
         // The stopping rule must fire at the same trial count — and
-        // return the same aggregate — at every thread count and batch
-        // width: checkpoints are pure functions of the master seed.
-        let mk = || {
+        // return the same aggregate — at every job width: checkpoints
+        // are pure functions of the master seed.
+        let run = |width: usize| {
             let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, 41).unwrap();
-            TrialPlan::new(cfg, 4_000, 4_096)
+            let plan = TrialPlan::new(cfg, 4_000, 4_096)
                 .unwrap()
                 .thresholds(vec![4, 12])
-                .with_stopping(0.05, 16)
+                .with_stopping(0.05, 16);
+            executor::with_test_width(width, || plan.run(|_| PrivateChainAdversary::new(3)))
         };
-        let reference = mk().with_threads(1).run(|_| PrivateChainAdversary::new(3));
+        let reference = run(1);
         assert!(
             reference.aggregate.trials < 4_096,
             "stopping rule never fired; tighten the test target"
@@ -913,15 +699,9 @@ mod tests {
             0,
             "stopping must land on a wave boundary"
         );
-        for (threads, width) in [(2usize, 1usize), (8, 1), (1, 8), (2, 8), (8, 16)] {
-            let other = mk()
-                .with_threads(threads)
-                .with_batch_width(width)
-                .run(|_| PrivateChainAdversary::new(3));
-            assert_eq!(
-                reference.aggregate, other.aggregate,
-                "threads {threads}, width {width}"
-            );
+        for width in [2usize, 3, 8, 16] {
+            let other = run(width);
+            assert_eq!(reference.aggregate, other.aggregate, "width {width}");
         }
     }
 
@@ -929,7 +709,9 @@ mod tests {
     fn adaptive_stopping_matches_fixed_budget_prefix() {
         // The adaptive run's aggregate over n trials must equal a
         // fixed-budget run of exactly n trials: stopping only truncates
-        // the trial sequence, it never alters any trial.
+        // the trial sequence, it never alters any trial. Checkpoints
+        // are pure functions of the plan, so it stops on a wave
+        // boundary.
         let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, 43).unwrap();
         let adaptive = TrialPlan::new(cfg, 4_000, 4_096)
             .unwrap()
@@ -937,6 +719,8 @@ mod tests {
             .with_stopping(0.05, 16)
             .run(|_| PrivateChainAdversary::new(3));
         let n = adaptive.aggregate.trials;
+        assert!(n < 4_096, "stopping rule never fired; tighten the target");
+        assert_eq!(n % 16, 0, "stopping must land on a wave boundary");
         let fixed = TrialPlan::new(cfg, 4_000, n)
             .unwrap()
             .thresholds(vec![4, 12])

@@ -56,7 +56,7 @@ use crate::compose::{ComposedAdversary, Composition};
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::metrics::SimReport;
-use crate::montecarlo::{aggregate_reports, fan_out_reports, MonteCarloRun};
+use crate::montecarlo::{aggregate_reports, fan_out_reports, trial_streams, MonteCarloRun};
 use crate::selfish::SelfishMiningAdversary;
 use crate::tree::BlockTree;
 use probability::rng::Xoshiro256PlusPlus;
@@ -771,21 +771,19 @@ pub fn run_scenario_with_rng(scenario: &Scenario, rng: Xoshiro256PlusPlus) -> Sc
 /// A Monte-Carlo experiment over a scenario: independent trials of the
 /// full phase sequence, fanned out on the shared deterministic trial
 /// engine — the aggregate is bit-identical for a fixed master seed
-/// (the base config's seed) at any thread count.
+/// (the base config's seed) at any pool width.
 #[derive(Debug, Clone)]
 pub struct ScenarioPlan {
     /// The scenario every trial runs.
     pub scenario: Scenario,
     /// Number of independent trials.
     pub trials: u64,
-    /// Worker threads; `0` = one per available CPU (≥ 1 always).
-    pub threads: usize,
     /// Consistency thresholds `T` tallied per trial.
     pub consistency_thresholds: Vec<u64>,
 }
 
 impl ScenarioPlan {
-    /// Creates a plan with no thresholds and automatic thread count.
+    /// Creates a plan with no thresholds.
     ///
     /// # Errors
     ///
@@ -799,7 +797,6 @@ impl ScenarioPlan {
         Ok(ScenarioPlan {
             scenario,
             trials,
-            threads: 0,
             consistency_thresholds: Vec::new(),
         })
     }
@@ -808,14 +805,6 @@ impl ScenarioPlan {
     #[must_use]
     pub fn thresholds(mut self, thresholds: Vec<u64>) -> Self {
         self.consistency_thresholds = thresholds;
-        self
-    }
-
-    /// Sets the worker thread count (builder style); `0` = one per CPU,
-    /// falling back to 1 if detection fails.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -832,15 +821,11 @@ impl ScenarioPlan {
             "empty experiment: construct plans through ScenarioPlan::new"
         );
         let scenario = std::sync::Arc::new(self.scenario.clone());
-        let run_one = move |_trial: u64, rng: Xoshiro256PlusPlus| {
+        let run_one = std::sync::Arc::new(move |_trial: u64, rng: Xoshiro256PlusPlus| {
             run_scenario_with_rng(&scenario, rng).final_report
-        };
-        let (reports, elapsed_secs, threads) = fan_out_reports(
-            self.scenario.base().seed,
-            self.trials,
-            self.threads,
-            run_one,
-        );
+        });
+        let streams = trial_streams(self.scenario.base().seed, self.trials);
+        let (reports, elapsed_secs) = fan_out_reports(streams, 0, run_one);
         let aggregate = aggregate_reports(
             &reports,
             self.scenario.total_rounds(),
@@ -849,7 +834,6 @@ impl ScenarioPlan {
         let total_rounds = aggregate.total_rounds();
         MonteCarloRun {
             aggregate,
-            threads,
             elapsed_secs,
             rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
         }
@@ -1165,36 +1149,21 @@ mod tests {
     }
 
     /// Acceptance: the multi-phase scenario (power shift + strategy
-    /// switch + eclipse window) aggregates bit-identically at 1, 2, 3
-    /// and 8 worker threads for a fixed master seed.
+    /// switch + eclipse window) aggregates on the pool bit-identically
+    /// to a plain sequential loop over the jump-derived trial streams.
     #[test]
-    fn multi_phase_aggregate_independent_of_thread_count() {
-        let make_plan = || {
-            ScenarioPlan::new(acceptance_scenario(99), 8)
-                .unwrap()
-                .thresholds(vec![0, 6, 12])
-        };
-        let reference = make_plan().with_threads(1).run();
-        assert_eq!(reference.aggregate.trials, 8);
-        for threads in [2usize, 3, 8] {
-            let other = make_plan().with_threads(threads).run();
-            assert_eq!(
-                reference.aggregate, other.aggregate,
-                "aggregate differs at {threads} threads"
-            );
-        }
-        // And the fan-out really is the montecarlo trial derivation:
-        // trial t == the scenario run on the master stream jumped t times.
-        let mut stream = Xoshiro256PlusPlus::seed_from_u64(99);
-        for t in 0..3usize {
-            let report = run_scenario_with_rng(&acceptance_scenario(99), stream.clone());
-            assert_eq!(
-                reference.aggregate.convergence_counts[t],
-                report.final_report.convergence_opportunities,
-                "trial {t}"
-            );
-            stream = stream.jump();
-        }
+    fn multi_phase_aggregate_matches_sequential_reference() {
+        let plan = ScenarioPlan::new(acceptance_scenario(99), 8)
+            .unwrap()
+            .thresholds(vec![0, 6, 12]);
+        let pooled = plan.run();
+        let reports: Vec<SimReport> = trial_streams(plan.scenario.base().seed, 8)
+            .into_iter()
+            .map(|rng| run_scenario_with_rng(&plan.scenario, rng).final_report)
+            .collect();
+        let sequential = aggregate_reports(&reports, plan.scenario.total_rounds(), &[0, 6, 12]);
+        assert_eq!(pooled.aggregate.trials, 8);
+        assert_eq!(pooled.aggregate, sequential);
     }
 
     /// A fork frozen at a strategy switch must stop pinning the tree

@@ -8,7 +8,7 @@
 //! One spec expresses everything the bench harness previously
 //! hard-coded per binary:
 //!
-//! * `[experiment]` — trials, worker threads, consistency thresholds,
+//! * `[experiment]` — trials, consistency thresholds,
 //!   the failure-probability estimator: `estimator = "wilson"`
 //!   (default, plain Monte-Carlo with Wilson intervals) or
 //!   `"splitting"` (the fixed-effort multilevel-splitting rare-event
@@ -894,17 +894,11 @@ pub struct SplittingSettings {
     pub effort: u64,
 }
 
-/// The widest lockstep batch a spec may request; wider batches buy no
-/// further locality on one core and inflate per-worker memory.
-pub const MAX_BATCH_WIDTH: u64 = 64;
-
 /// `[experiment]`: the Monte-Carlo settings every cell shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSettings {
     /// Independent trials per cell (≥ 1; default 1).
     pub trials: u64,
-    /// Worker threads (`0` = one per CPU; default 0).
-    pub threads: usize,
     /// Consistency thresholds `T` tallied per trial (default none).
     pub thresholds: Vec<u64>,
     /// Computational backend (default Monte-Carlo sampling).
@@ -914,9 +908,6 @@ pub struct RunSettings {
     pub estimator: EstimatorKind,
     /// Level-schedule knobs for the splitting estimator.
     pub splitting: SplittingSettings,
-    /// Lockstep batch width (`1` = the scalar engine; max
-    /// [`MAX_BATCH_WIDTH`]). Bit-identical aggregates at every width.
-    pub batch_width: u64,
     /// Sequential stopping target: stop a cell at the first wave
     /// boundary where every threshold's Wilson half-width is at most
     /// this value, with `trials` as the budget cap. Stationary specs
@@ -928,12 +919,10 @@ impl Default for RunSettings {
     fn default() -> Self {
         RunSettings {
             trials: 1,
-            threads: 0,
             thresholds: Vec::new(),
             backend: BackendKind::default(),
             estimator: EstimatorKind::default(),
             splitting: SplittingSettings::default(),
-            batch_width: 1,
             stop_half_width: None,
         }
     }
@@ -1213,9 +1202,7 @@ impl ScenarioPlan {
         let scenario = spec.scenario()?;
         let plan = ScenarioPlan::new(scenario, spec.run.trials)
             .map_err(|e| SpecError::whole(e.to_string()))?;
-        Ok(plan
-            .thresholds(spec.run.thresholds.clone())
-            .with_threads(spec.run.threads))
+        Ok(plan.thresholds(spec.run.thresholds.clone()))
     }
 }
 
@@ -1235,10 +1222,7 @@ impl TrialPlan {
         };
         let plan = TrialPlan::new(spec.base, rounds, spec.run.trials)
             .map_err(|e| SpecError::whole(e.to_string()))?;
-        let mut plan = plan
-            .thresholds(spec.run.thresholds.clone())
-            .with_threads(spec.run.threads)
-            .with_batch_width(usize::try_from(spec.run.batch_width).unwrap_or(1).max(1));
+        let mut plan = plan.thresholds(spec.run.thresholds.clone());
         if let Some(half_width) = spec.run.stop_half_width {
             plan = plan.with_stopping(half_width, 0);
         }
@@ -1269,11 +1253,10 @@ impl SplittingPlan {
         } else {
             spec.run.splitting.effort
         };
-        let plan = SplittingPlan::new(spec.base, rounds, effort, spec.run.thresholds.clone())
+        SplittingPlan::new(spec.base, rounds, effort, spec.run.thresholds.clone())
             .map_err(|e| SpecError::whole(e.to_string()))?
             .with_levels(spec.run.splitting.levels.clone())
-            .map_err(|e| SpecError::whole(e.to_string()))?;
-        Ok(plan.with_threads(spec.run.threads))
+            .map_err(|e| SpecError::whole(e.to_string()))
     }
 }
 
@@ -1334,10 +1317,6 @@ impl ExperimentSpec {
                 }
                 run.trials = trials;
             }
-            if let Some((line, threads)) = table.take_u64("threads")? {
-                run.threads = usize::try_from(threads)
-                    .map_err(|_| SpecError::new(line, "`threads` does not fit usize"))?;
-            }
             if let Some((line, items)) = table.take_array("thresholds")? {
                 run.thresholds = items
                     .iter()
@@ -1395,15 +1374,6 @@ impl ExperimentSpec {
                     ));
                 }
                 run.splitting.effort = effort;
-            }
-            if let Some((line, width)) = table.take_u64("batch_width")? {
-                if width == 0 || width > MAX_BATCH_WIDTH {
-                    return Err(SpecError::new(
-                        line,
-                        format!("`batch_width` must lie in 1..={MAX_BATCH_WIDTH}, got {width}"),
-                    ));
-                }
-                run.batch_width = width;
             }
             if let Some((line, half_width)) = table.take_f64("stop_half_width")? {
                 if !(half_width > 0.0 && half_width < 1.0) {
@@ -1799,17 +1769,6 @@ impl ExperimentSpec {
                 "splitting_levels / splitting_effort need `estimator = \"splitting\"`",
             ));
         }
-        if self.run.batch_width == 0 || self.run.batch_width > MAX_BATCH_WIDTH {
-            return Err(SpecError::whole(format!(
-                "experiment.batch_width must lie in 1..={MAX_BATCH_WIDTH}, got {}",
-                self.run.batch_width
-            )));
-        }
-        if self.run.batch_width > 1 && !matches!(self.mode, ExperimentMode::Stationary { .. }) {
-            return Err(SpecError::whole(
-                "experiment.batch_width > 1 needs a [stationary] table; scenario cells run the scalar engine",
-            ));
-        }
         if let Some(half_width) = self.run.stop_half_width {
             if !(half_width > 0.0 && half_width < 1.0) {
                 return Err(SpecError::whole(format!(
@@ -2031,11 +1990,6 @@ impl ExperimentSpec {
                     patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
                 Ok(())
             }
-            ["experiment", "batch_width"] => {
-                self.run.batch_width =
-                    patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                Ok(())
-            }
             ["experiment", "stop_half_width"] => {
                 self.run.stop_half_width =
                     Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
@@ -2183,9 +2137,6 @@ impl ExperimentSpec {
         let mut out = String::new();
         out.push_str("[experiment]\n");
         out.push_str(&format!("trials = {}\n", self.run.trials));
-        if self.run.threads != 0 {
-            out.push_str(&format!("threads = {}\n", self.run.threads));
-        }
         if !self.run.thresholds.is_empty() {
             let list: Vec<String> = self.run.thresholds.iter().map(u64::to_string).collect();
             out.push_str(&format!("thresholds = [{}]\n", list.join(", ")));
@@ -2211,9 +2162,6 @@ impl ExperimentSpec {
                 "splitting_effort = {}\n",
                 self.run.splitting.effort
             ));
-        }
-        if self.run.batch_width != 1 {
-            out.push_str(&format!("batch_width = {}\n", self.run.batch_width));
         }
         if let Some(half_width) = self.run.stop_half_width {
             out.push_str(&format!("stop_half_width = {}\n", emit_f64(half_width)));
@@ -2593,10 +2541,7 @@ mod tests {
     #[test]
     fn scenario_spec_plan_matches_hand_built_plan() {
         let spec = ExperimentSpec::parse(SCENARIO_SPEC).unwrap();
-        let from_spec = ScenarioPlan::from_spec(&spec)
-            .unwrap()
-            .with_threads(1)
-            .run();
+        let from_spec = ScenarioPlan::from_spec(&spec).unwrap().run();
         let scenario = Scenario::with_compositions(
             spec.base,
             vec![
@@ -2612,7 +2557,6 @@ mod tests {
         let by_hand = ScenarioPlan::new(scenario, 3)
             .unwrap()
             .thresholds(vec![6, 12])
-            .with_threads(1)
             .run();
         assert_eq!(from_spec.aggregate, by_hand.aggregate);
     }
@@ -2630,28 +2574,8 @@ mod tests {
     }
 
     #[test]
-    fn batch_width_key_drives_the_lockstep_engine() {
-        // A batched spec run must be bit-identical to the scalar spec
-        // run: `batch_width` is a performance knob, never a semantic
-        // one.
-        let scalar = ExperimentSpec::parse(STATIONARY_SPEC).unwrap();
-        let mut source = String::from(STATIONARY_SPEC);
-        source = source.replace("trials = 2", "trials = 6\nbatch_width = 8");
-        let batched = ExperimentSpec::parse(&source).unwrap();
-        assert_eq!(batched.run.batch_width, 8);
-        let mut scalar = scalar;
-        scalar.run.trials = 6;
-        assert_eq!(
-            wilson(scalar.plan().unwrap().execute()).aggregate,
-            wilson(batched.plan().unwrap().execute()).aggregate,
-        );
-    }
-
-    #[test]
-    fn batch_width_and_stop_half_width_are_range_checked() {
+    fn stop_half_width_is_range_checked() {
         for (patch, needle) in [
-            ("batch_width = 0", "batch_width"),
-            ("batch_width = 65", "batch_width"),
             ("stop_half_width = 0.0", "stop_half_width"),
             ("stop_half_width = 1.5", "stop_half_width"),
         ] {
@@ -2667,10 +2591,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_and_stopping_are_stationary_only() {
-        let source = SCENARIO_SPEC.replace("trials = 3", "trials = 3\nbatch_width = 8");
-        let err = ExperimentSpec::parse(&source).unwrap_err();
-        assert!(err.message.contains("stationary"), "{err}");
+    fn stopping_is_stationary_only() {
         let source = SCENARIO_SPEC.replace("trials = 3", "trials = 3\nstop_half_width = 0.05");
         let err = ExperimentSpec::parse(&source).unwrap_err();
         assert!(err.message.contains("stationary"), "{err}");
@@ -2678,10 +2599,7 @@ mod tests {
 
     #[test]
     fn stopping_spec_round_trips_and_stops_early() {
-        let source = STATIONARY_SPEC.replace(
-            "trials = 2",
-            "trials = 4096\nbatch_width = 8\nstop_half_width = 0.2",
-        );
+        let source = STATIONARY_SPEC.replace("trials = 2", "trials = 4096\nstop_half_width = 0.2");
         let spec = ExperimentSpec::parse(&source).unwrap();
         let reparsed = ExperimentSpec::parse(&spec.to_toml()).unwrap();
         assert_eq!(spec, reparsed);
@@ -2814,7 +2732,7 @@ mod tests {
             Some(FuzzHeader {
                 master_seed: rng.next_u64(),
                 case: rng.next_below(10_000),
-                invariant: "thread-count bit-identity".into(),
+                invariant: "pool bit-identity".into(),
                 detail: "line1\nline \"2\" \\ tab\t".into(),
             })
         } else {
@@ -2840,11 +2758,6 @@ mod tests {
             } else {
                 (EstimatorKind::Wilson, SplittingSettings::default())
             };
-        let batch_width = if stationary {
-            1 + rng.next_below(16)
-        } else {
-            1
-        };
         let stop_half_width = if stationary && !thresholds.is_empty() && rng.next_below(3) == 0 {
             Some(0.01 * (1 + rng.next_below(20)) as f64)
         } else {
@@ -2869,12 +2782,10 @@ mod tests {
         let spec = ExperimentSpec {
             run: RunSettings {
                 trials: 1 + rng.next_below(8),
-                threads: rng.next_below(3) as usize,
                 thresholds,
                 backend,
                 estimator,
                 splitting,
-                batch_width,
                 stop_half_width,
             },
             base,
@@ -2898,6 +2809,19 @@ mod tests {
         let err = ExperimentSpec::parse(source).unwrap_err();
         assert_eq!(err.line, 2, "{err}");
         assert!(err.to_string().contains("unknown key `bogus`"), "{err}");
+
+        // Width keys are not part of the schema: the pool width is a
+        // process-wide `--jobs` setting, never part of a spec.
+        for key in ["threads = 2", "batch_width = 8"] {
+            let source = format!("[experiment]\ntrials = 2\n{key}\n");
+            let err = ExperimentSpec::parse(&source).unwrap_err();
+            assert_eq!(err.line, 3, "{key}: {err}");
+            let name = key.split(' ').next().unwrap();
+            assert!(
+                err.to_string().contains(&format!("unknown key `{name}`")),
+                "{key}: {err}"
+            );
+        }
     }
 
     #[test]

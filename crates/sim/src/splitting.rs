@@ -35,8 +35,8 @@
 //! Identical to the trial engine's: parent selections and replica
 //! streams are derived from `config.seed` alone before any worker
 //! starts, and stage results are reduced in replica order, so a
-//! [`SplittingRun`]'s statistics are bit-identical for any thread
-//! count. With no intermediate levels (a single-stage "degenerate"
+//! [`SplittingRun`]'s statistics are bit-identical at every pool
+//! width. With no intermediate levels (a single-stage "degenerate"
 //! schedule) the estimator *is* the plain Monte-Carlo failure fraction,
 //! bit for bit.
 
@@ -44,7 +44,7 @@ use crate::adversary::Adversary;
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::executor::{self, TaskKind};
-use crate::montecarlo::{effective_threads, trial_streams};
+use crate::montecarlo::trial_streams;
 use probability::rare_event::{product_estimate, LevelOutcome};
 use probability::rng::{RandomSource, SplitMix64};
 use std::sync::Arc;
@@ -59,7 +59,7 @@ const STAGE_SEED_TAG: u64 = 0x5350_4C49_5454_494E;
 /// racing toward `depth ≥ max(thresholds) + 1` within `rounds` rounds.
 ///
 /// `config.seed` is the master seed; as with
-/// [`crate::montecarlo::TrialPlan`], the thread count affects wall-clock
+/// [`crate::montecarlo::TrialPlan`], the pool width affects wall-clock
 /// time only, never results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SplittingPlan {
@@ -77,8 +77,6 @@ pub struct SplittingPlan {
     pub levels: Option<Vec<u64>>,
     /// Replicas launched per stage (≥ 1).
     pub effort: u64,
-    /// Worker threads; `0` means one per available CPU.
-    pub threads: usize,
 }
 
 impl SplittingPlan {
@@ -100,7 +98,6 @@ impl SplittingPlan {
             thresholds,
             levels: None,
             effort,
-            threads: 0,
         };
         plan.validate()?;
         Ok(plan)
@@ -118,14 +115,6 @@ impl SplittingPlan {
         self.levels = levels;
         self.validate()?;
         Ok(self)
-    }
-
-    /// Sets the worker thread count (builder style); `0` selects one
-    /// worker per available CPU.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Re-checks every plan invariant (useful after mutating the public
@@ -242,7 +231,7 @@ impl SplittingEstimate {
 
 /// Result of [`run_splitting`]: per-threshold estimates, the full stage
 /// ladder, and wall-clock metrics (which, as for the trial engine,
-/// *do* depend on thread count while the statistics never do).
+/// *do* depend on pool width while the statistics never do).
 #[derive(Debug, Clone)]
 pub struct SplittingRun {
     /// One estimate per plan threshold, in plan order.
@@ -250,8 +239,6 @@ pub struct SplittingRun {
     /// Per-stage crossing statistics, in ladder order; truncated at the
     /// first starved stage (later stages have no entrance states).
     pub levels: Vec<LevelStats>,
-    /// Worker threads actually used.
-    pub threads: usize,
     /// Wall-clock seconds for all stages.
     pub elapsed_secs: f64,
     /// Rounds simulated across every replica of every stage.
@@ -269,22 +256,17 @@ impl SplittingRun {
 }
 
 /// One stage's fan-out: runs `run_one(replica)` for every replica index
-/// as one ordered job on the shared [`crate::executor`] pool and
-/// reduces the results **in replica order** (the mirror of
-/// `fan_out_reports`, carrying engine states instead of reports).
-/// Returns the survivors (index order, `None` for replicas that missed
-/// the level), the rounds simulated, and the job width used.
-fn fan_out_stage<A, F>(
-    effort: u64,
-    requested_threads: usize,
-    run_one: F,
-) -> (Vec<Option<Simulation<A>>>, u64, usize)
+/// as one ordered job on the shared [`crate::executor`] pool, at the
+/// pool's width, and reduces the results **in replica order** (the
+/// mirror of `fan_out_reports`, carrying engine states instead of
+/// reports). Returns the survivors (index order, `None` for replicas
+/// that missed the level) and the rounds simulated.
+fn fan_out_stage<A, F>(effort: u64, run_one: F) -> (Vec<Option<Simulation<A>>>, u64)
 where
     A: Adversary + Clone + Send + Sync + 'static,
     F: Fn(u64) -> (Option<Simulation<A>>, u64) + Send + Sync + 'static,
 {
-    let threads = effective_threads(requested_threads, effort);
-    let slots = executor::run_ordered(effort, threads, TaskKind::Leaf, run_one);
+    let slots = executor::run_ordered(effort, executor::global_width(), TaskKind::Leaf, run_one);
     debug_assert_eq!(slots.len() as u64, effort);
     let mut rounds_total = 0u64;
     let survivors = slots
@@ -294,7 +276,7 @@ where
             survivor
         })
         .collect();
-    (survivors, rounds_total, threads)
+    (survivors, rounds_total)
 }
 
 /// Runs a fixed-effort splitting experiment.
@@ -305,7 +287,7 @@ where
 /// with the rest of the engine.
 ///
 /// The returned statistics are bit-identical for a fixed
-/// `plan.config.seed` regardless of `plan.threads`.
+/// `plan.config.seed` at every pool width.
 ///
 /// # Panics
 ///
@@ -326,11 +308,10 @@ where
     let mut stage_seeder = SplitMix64::new(plan.config.seed ^ STAGE_SEED_TAG);
     let mut level_stats: Vec<LevelStats> = Vec::with_capacity(ladder.len());
     let mut total_rounds = 0u64;
-    let mut threads_used = 1usize;
     let mut entrants: Vec<Simulation<A>> = Vec::new();
 
     for (stage, &level) in ladder.iter().enumerate() {
-        let (survivors, stage_rounds, threads) = if stage == 0 {
+        let (survivors, stage_rounds) = if stage == 0 {
             // Stage 1 replicas are plain trials: same streams, same
             // adversary factory, same engine entry as `run_trials` — a
             // degenerate (single-stage) schedule reproduces the plain
@@ -346,7 +327,7 @@ where
                 let consumed = sim.round();
                 (hit.then_some(sim), consumed)
             };
-            fan_out_stage(effort, plan.threads, run_one)
+            fan_out_stage(effort, run_one)
         } else {
             // Later stages: resample entrance states with replacement
             // and restart each clone on its own disjoint stream. Both
@@ -370,9 +351,8 @@ where
                 let consumed = sim.round() - entered_at;
                 (hit.then_some(sim), consumed)
             };
-            fan_out_stage(effort, plan.threads, run_one)
+            fan_out_stage(effort, run_one)
         };
-        threads_used = threads_used.max(threads);
         total_rounds += stage_rounds;
         entrants = survivors.into_iter().flatten().collect();
         let hits = entrants.len() as u64;
@@ -415,7 +395,6 @@ where
     SplittingRun {
         estimates,
         levels: level_stats,
-        threads: threads_used,
         elapsed_secs,
         total_rounds,
         rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
@@ -494,20 +473,21 @@ mod tests {
         }
     }
 
-    /// Satellite edge case: thread-count bit-identity at 1/2/4/8
-    /// workers (the CI determinism job picks this test up by name).
+    /// Satellite edge case: zero successes at an intermediate level.
+    /// With no adversary and one group, the consistency depth can reach
+    /// shallow levels (same-round sibling ties) but never deep ones, so
+    /// the chain starves and deeper thresholds report a clean zero.
+    /// Job-width bit-identity at 1/2/4/8 slots (the CI determinism job
+    /// picks this test up by name).
     #[test]
     fn splitting_independent_of_thread_count() {
         let plan = SplittingPlan::new(cfg(42), 3_000, 16, vec![3]).unwrap();
-        let reference = plan
-            .clone()
-            .with_threads(1)
-            .run(|_| PrivateChainAdversary::new(3));
+        let run = |threads: usize| {
+            executor::with_test_width(threads, || plan.run(|_| PrivateChainAdversary::new(3)))
+        };
+        let reference = run(1);
         for threads in [2usize, 4, 8] {
-            let other = plan
-                .clone()
-                .with_threads(threads)
-                .run(|_| PrivateChainAdversary::new(3));
+            let other = run(threads);
             assert_eq!(
                 reference.estimates, other.estimates,
                 "estimates differ at {threads} threads"
@@ -520,10 +500,6 @@ mod tests {
         }
     }
 
-    /// Satellite edge case: zero successes at an intermediate level.
-    /// With no adversary and one group, the consistency depth can reach
-    /// shallow levels (same-round sibling ties) but never deep ones, so
-    /// the chain starves and deeper thresholds report a clean zero.
     #[test]
     fn intermediate_level_starvation_reports_zero() {
         let config = SimConfig::new(50, 0.0, 2e-3, 2, 9).unwrap();
@@ -575,6 +551,5 @@ mod tests {
         assert!(run.elapsed_secs > 0.0);
         assert!(run.total_rounds > 0);
         assert!(run.rounds_per_sec > 0.0);
-        assert!(run.threads >= 1);
     }
 }

@@ -1,13 +1,14 @@
 //! Demonstrates the parallel Monte-Carlo engine: the same experiment as
 //! `private_attack`, but as a fan-out of independent trials with a 95%
 //! Wilson interval on the T-consistency failure rate — and results that
-//! are bit-identical no matter how many worker threads run it.
+//! are bit-identical at every width of the shared worker pool.
 //!
 //! Run with: `cargo run --release --example parallel_trials`
 
 use blockchain_consistency::consistency_core::numax;
 use blockchain_consistency::nakamoto_sim::adversary::PrivateChainAdversary;
 use blockchain_consistency::nakamoto_sim::config::SimConfig;
+use blockchain_consistency::nakamoto_sim::executor;
 use blockchain_consistency::nakamoto_sim::montecarlo::TrialPlan;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,12 +21,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("Parallel private-chain trials: n = {n}, Δ = {delta}, c = {c}");
     println!(
-        "{trials} trials × {rounds} rounds per ν; paper ν_max(c) = {:.4}\n",
+        "{trials} trials × {rounds} rounds per ν on {} pool worker(s); paper ν_max(c) = {:.4}\n",
+        executor::global_width(),
         numax::nu_max_for_c(c)?
     );
     println!(
-        "{:>6} {:>10} {:>24} {:>14} {:>12}",
-        "ν", "max_reorg", "P[¬12-cons] (95% CI)", "rounds/sec", "threads"
+        "{:>6} {:>10} {:>24} {:>14}",
+        "ν", "max_reorg", "P[¬12-cons] (95% CI)", "rounds/sec"
     );
     for &nu in &[0.1, 0.2, 0.3, 0.4, 0.45] {
         let cfg = SimConfig::from_c(n, delta, c, nu, 2020)?;
@@ -36,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .failure_interval(t_consistency, 1.96)
             .expect("threshold requested");
         println!(
-            "{:>6.2} {:>10} {:>24} {:>14.0} {:>12}",
+            "{:>6.2} {:>10} {:>24} {:>14.0}",
             nu,
             run.aggregate.max_reorg_depth,
             format!(
@@ -44,10 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 wilson.estimate, wilson.lo, wilson.hi
             ),
             run.rounds_per_sec,
-            run.threads,
         );
     }
-    println!("\nDeterminism: rerunning with any thread count reproduces these");
+    println!("\nDeterminism: rerunning at any pool width reproduces these");
     println!("numbers bit-for-bit — per-trial RNG streams come from jump() on");
     println!("the master seed, and the reduction is ordered by trial index.");
     Ok(())

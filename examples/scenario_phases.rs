@@ -6,6 +6,7 @@
 //! Run with: `cargo run --release --example scenario_phases`
 
 use blockchain_consistency::nakamoto_sim::config::SimConfig;
+use blockchain_consistency::nakamoto_sim::executor;
 use blockchain_consistency::nakamoto_sim::scenario::{
     run_scenario, PhaseSpec, Regime, Scenario, ScenarioPlan, StrategyKind,
 };
@@ -49,18 +50,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The same scenario as a Monte-Carlo fan-out: failure rate of
     // 12-consistency with a 95% Wilson interval, bit-identical at any
-    // thread count.
+    // pool width.
     let run = ScenarioPlan::new(scenario, 8)?.thresholds(vec![12]).run();
     let wilson = run
         .aggregate
         .failure_interval(12, 1.96)
         .expect("threshold requested");
     println!(
-        "\n8 trials: P[¬12-consistent] = {:.2} [{:.2}, {:.2}] at {:.0} rounds/s on {} threads",
-        wilson.estimate, wilson.lo, wilson.hi, run.rounds_per_sec, run.threads,
+        "\n8 trials: P[¬12-consistent] = {:.2} [{:.2}, {:.2}] at {:.0} rounds/s on {} pool worker(s)",
+        wilson.estimate,
+        wilson.lo,
+        wilson.hi,
+        run.rounds_per_sec,
+        executor::global_width(),
     );
     println!("\nThe attack window concentrates adversary blocks and depth growth in");
     println!("phase 1; the recovery phase mines clean. The per-trial streams are");
-    println!("jump()-derived from the base seed, so any thread count reproduces this.");
+    println!("jump()-derived from the base seed, so any pool width reproduces this.");
     Ok(())
 }
