@@ -31,11 +31,14 @@
 //! * `[fuzz]` — optional replay coordinates written by the scenario
 //!   fuzzer so a repro document is directly runnable.
 //!
+//! The schema is written down once, as one table of fields: parsing a
+//! document applies each key through the setter a sweep patch uses,
+//! [`ExperimentSpec::to_toml`] walks the same table to emit a canonical
+//! document that parses back to an equal spec, and every range and
+//! backend rule is checked in one place, naming the field it rejects.
 //! Parsing is *strict*: unknown keys, duplicate keys, and out-of-range
-//! values are rejected with a [`SpecError`] carrying the offending
-//! line. Serialization ([`ExperimentSpec::to_toml`]) emits a canonical
-//! document that parses back to an equal spec (round-trip tested on
-//! randomized specs).
+//! values are rejected with a [`SpecError`] carrying the line of the
+//! offending key or table.
 //!
 //! # Example
 //!
@@ -230,7 +233,7 @@ impl SpecValue {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct SpecEntry {
     key: String,
     line: usize,
@@ -239,12 +242,34 @@ struct SpecEntry {
 
 /// An ordered table of key → value entries, each remembering its source
 /// line for positioned errors.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SpecTable {
+    /// Line of the header or inline value that opened the table.
+    line: usize,
     entries: Vec<SpecEntry>,
 }
 
+/// Tables compare by content: where a value sat in its document is not
+/// part of it, so a re-emitted patch value equals the parsed one.
+impl PartialEq for SpecTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| a.key == b.key && a.value == b.value)
+    }
+}
+
 impl SpecTable {
+    fn at(line: usize) -> Self {
+        SpecTable {
+            line,
+            entries: Vec::new(),
+        }
+    }
+
     fn insert(&mut self, key: String, line: usize, value: SpecValue) -> Result<(), SpecError> {
         if self.entries.iter().any(|e| e.key == key) {
             return Err(SpecError::new(line, format!("duplicate key `{key}`")));
@@ -270,109 +295,64 @@ impl SpecTable {
         }
     }
 
-    fn take_u64(&mut self, key: &str) -> Result<Option<(usize, u64)>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, SpecValue::Int(i))) => {
-                let v = u64::try_from(i).map_err(|_| {
-                    SpecError::new(line, format!("`{key}` must fit an unsigned 64-bit integer"))
-                })?;
-                Ok(Some((line, v)))
-            }
-            Some((line, other)) => Err(SpecError::new(
-                line,
-                format!("`{key}` must be an integer, got a {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn take_f64(&mut self, key: &str) -> Result<Option<(usize, f64)>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, value)) => {
-                let v = value_as_f64(&value).ok_or_else(|| {
-                    SpecError::new(
-                        line,
-                        format!("`{key}` must be a number, got a {}", value.type_name()),
-                    )
-                })?;
-                Ok(Some((line, v)))
-            }
-        }
-    }
-
-    fn take_str(&mut self, key: &str) -> Result<Option<(usize, String)>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, SpecValue::Str(s))) => Ok(Some((line, s))),
-            Some((line, other)) => Err(SpecError::new(
-                line,
-                format!("`{key}` must be a string, got a {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn take_array(&mut self, key: &str) -> Result<Option<(usize, Vec<SpecValue>)>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, SpecValue::Array(items))) => Ok(Some((line, items))),
-            Some((line, other)) => Err(SpecError::new(
-                line,
-                format!("`{key}` must be an array, got a {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn take_table(&mut self, key: &str) -> Result<Option<(usize, SpecTable)>, SpecError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((line, SpecValue::Table(t))) => Ok(Some((line, t))),
-            Some((line, other)) => Err(SpecError::new(
-                line,
-                format!("`{key}` must be a table, got a {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn take_array_of_tables(&mut self, key: &str) -> Result<Vec<(usize, SpecTable)>, SpecError> {
-        match self.take(key) {
-            None => Ok(Vec::new()),
-            Some((_, SpecValue::Array(items))) => items
+    /// Takes the tables under `key`: one `[key]` table, or with
+    /// `repeated` the entries of a `[[key]]` array of tables.
+    fn take_tables(&mut self, key: &str, repeated: bool) -> Result<Vec<SpecTable>, SpecError> {
+        let Some((line, value)) = self.take(key) else {
+            return Ok(Vec::new());
+        };
+        match value {
+            SpecValue::Table(table) if !repeated => Ok(vec![table]),
+            SpecValue::Array(items) if repeated => items
                 .into_iter()
                 .map(|item| match item {
-                    SpecValue::Table(t) => {
-                        let line = t.entries.first().map_or(0, |e| e.line);
-                        Ok((line, t))
-                    }
-                    other => Err(SpecError::whole(format!(
-                        "every `[[{key}]]` entry must be a table, got a {}",
-                        other.type_name()
-                    ))),
+                    SpecValue::Table(table) => Ok(table),
+                    other => Err(SpecError::new(
+                        line,
+                        format!(
+                            "every `[[{key}]]` entry must be a table, got a {}",
+                            other.type_name()
+                        ),
+                    )),
                 })
                 .collect(),
-            Some((line, other)) => Err(SpecError::new(
+            other => Err(SpecError::new(
                 line,
                 format!(
-                    "`{key}` must be an array of tables, got a {}",
+                    "`{key}` must be {}, got a {}",
+                    if repeated {
+                        "an array of tables"
+                    } else {
+                        "a table"
+                    },
                     other.type_name()
                 ),
             )),
         }
     }
-}
 
-fn value_as_f64(value: &SpecValue) -> Option<f64> {
-    match value {
-        SpecValue::Float(f) => Some(*f),
-        #[allow(clippy::cast_precision_loss)]
-        SpecValue::Int(i) => Some(*i as f64),
-        _ => None,
+    /// Takes a key every `context` table must give, converted by `read`.
+    fn need<T>(
+        &mut self,
+        key: &str,
+        context: &str,
+        read: fn(&SpecValue) -> Result<T, String>,
+    ) -> Result<T, SpecError> {
+        let (line, value) = self
+            .take(key)
+            .ok_or_else(|| SpecError::new(self.line, format!("{context} needs `{key}`")))?;
+        read(&value).map_err(|message| SpecError::new(line, format!("{key}: {message}")))
     }
 }
 
 // ---------------------------------------------------------------------
 // TOML-subset parser
 // ---------------------------------------------------------------------
+
+/// How deep arrays and inline tables may nest. The schema itself never
+/// nests deeper than 2 (an array of inline tables); the cap keeps a
+/// hostile document from exhausting the stack.
+const MAX_NESTING: usize = 8;
 
 /// Strips a trailing `#` comment, respecting string literals.
 fn strip_comment(line: &str) -> &str {
@@ -394,6 +374,11 @@ fn strip_comment(line: &str) -> &str {
         }
     }
     line
+}
+
+/// Whether `ch` may appear in a bare (unquoted) key.
+fn is_bare_key_char(ch: char) -> bool {
+    ch.is_ascii_alphanumeric() || ch == '_' || ch == '-'
 }
 
 struct Cursor<'a> {
@@ -480,7 +465,7 @@ impl<'a> Cursor<'a> {
             return self.parse_string();
         }
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == '_' || c == '-') {
+        while matches!(self.peek(), Some(c) if is_bare_key_char(c)) {
             self.pos += 1;
         }
         if self.pos == start {
@@ -489,8 +474,14 @@ impl<'a> Cursor<'a> {
         Ok(self.chars[start..self.pos].iter().collect()) // detlint: allow(panic-slice-index) -- pos only advances while peek() is Some, so pos <= len
     }
 
-    fn parse_value(&mut self) -> Result<SpecValue, SpecError> {
+    /// A value nested inside `depth` enclosing arrays or inline tables.
+    fn parse_value(&mut self, depth: usize) -> Result<SpecValue, SpecError> {
         self.skip_ws();
+        if matches!(self.peek(), Some('[' | '{')) && depth >= MAX_NESTING {
+            return Err(self.err(format!(
+                "arrays and inline tables nest deeper than {MAX_NESTING} levels"
+            )));
+        }
         match self.peek() {
             None => Err(self.err("expected a value")),
             Some('"') => Ok(SpecValue::Str(self.parse_string()?)),
@@ -503,7 +494,7 @@ impl<'a> Cursor<'a> {
                         self.bump();
                         return Ok(SpecValue::Array(items));
                     }
-                    items.push(self.parse_value()?);
+                    items.push(self.parse_value(depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(',') => {
@@ -516,7 +507,7 @@ impl<'a> Cursor<'a> {
             }
             Some('{') => {
                 self.bump();
-                let mut table = SpecTable::default();
+                let mut table = SpecTable::at(self.line);
                 loop {
                     self.skip_ws();
                     if self.peek() == Some('}') {
@@ -525,7 +516,7 @@ impl<'a> Cursor<'a> {
                     }
                     let key = self.parse_key()?;
                     self.expect_char('=')?;
-                    let value = self.parse_value()?;
+                    let value = self.parse_value(depth + 1)?;
                     table.insert(key, self.line, value)?;
                     self.skip_ws();
                     match self.peek() {
@@ -607,7 +598,7 @@ fn table_at_mut<'a>(
                 current.entries.push(SpecEntry {
                     key: segment.clone(),
                     line,
-                    value: SpecValue::Table(SpecTable::default()),
+                    value: SpecValue::Table(SpecTable::at(line)),
                 });
                 current.entries.len() - 1
             }
@@ -645,75 +636,60 @@ fn parse_document(input: &str) -> Result<SpecTable, SpecError> {
         if line.is_empty() {
             continue;
         }
-        if let Some(inner) = line.strip_prefix("[[") {
-            let inner = inner
-                .strip_suffix("]]")
-                .ok_or_else(|| SpecError::new(line_no, "`[[` without closing `]]`"))?;
-            let mut cursor = Cursor::new(inner, line_no);
-            let path = cursor.parse_path()?;
-            if !cursor.at_end() {
-                return Err(cursor.err("trailing characters after `]]` header"));
-            }
-            let Some((last, parents)) = path.split_last() else {
-                return Err(SpecError::new(line_no, "empty `[[...]]` header path"));
-            };
-            let parent = table_at_mut(&mut root, parents, line_no)?;
-            match parent.entries.iter_mut().find(|e| &e.key == last) {
-                None => parent.entries.push(SpecEntry {
-                    key: last.clone(),
-                    line: line_no,
-                    value: SpecValue::Array(vec![SpecValue::Table(SpecTable::default())]),
-                }),
-                Some(entry) => match &mut entry.value {
-                    SpecValue::Array(items) => items.push(SpecValue::Table(SpecTable::default())),
-                    other => {
-                        return Err(SpecError::new(
-                            line_no,
-                            format!(
-                                "`{last}` is already a {}, cannot append a table",
-                                other.type_name()
-                            ),
-                        ))
-                    }
-                },
-            }
-            current_path = path;
-        } else if let Some(inner) = line.strip_prefix('[') {
-            let inner = inner
-                .strip_suffix(']')
-                .ok_or_else(|| SpecError::new(line_no, "`[` without closing `]`"))?;
-            let mut cursor = Cursor::new(inner, line_no);
-            let path = cursor.parse_path()?;
-            if !cursor.at_end() {
-                return Err(cursor.err("trailing characters after `]` header"));
-            }
-            let Some((last, parents)) = path.split_last() else {
-                return Err(SpecError::new(line_no, "empty `[...]` header path"));
-            };
-            let parent = table_at_mut(&mut root, parents, line_no)?;
-            if parent.entries.iter().any(|e| &e.key == last) {
-                return Err(SpecError::new(
-                    line_no,
-                    format!("duplicate table `[{last}]`"),
-                ));
-            }
-            parent.entries.push(SpecEntry {
-                key: last.clone(),
-                line: line_no,
-                value: SpecValue::Table(SpecTable::default()),
-            });
-            current_path = path;
-        } else {
+        let header = match line.strip_prefix("[[") {
+            Some(inner) => Some((inner.strip_suffix("]]"), "[[", "]]")),
+            None => line
+                .strip_prefix('[')
+                .map(|inner| (inner.strip_suffix(']'), "[", "]")),
+        };
+        let Some((inner, open, close)) = header else {
             let mut cursor = Cursor::new(line, line_no);
             let key = cursor.parse_key()?;
             cursor.expect_char('=')?;
-            let value = cursor.parse_value()?;
+            let value = cursor.parse_value(0)?;
             if !cursor.at_end() {
                 return Err(cursor.err(format!("trailing characters after value for `{key}`")));
             }
             let table = table_at_mut(&mut root, &current_path, line_no)?;
             table.insert(key, line_no, value)?;
+            continue;
+        };
+        let inner = inner.ok_or_else(|| {
+            SpecError::new(line_no, format!("`{open}` without closing `{close}`"))
+        })?;
+        let mut cursor = Cursor::new(inner, line_no);
+        let path = cursor.parse_path()?;
+        if !cursor.at_end() {
+            return Err(cursor.err(format!("trailing characters after `{close}` header")));
         }
+        let Some((last, parents)) = path.split_last() else {
+            return Err(SpecError::new(line_no, "empty header path"));
+        };
+        let parent = table_at_mut(&mut root, parents, line_no)?;
+        let table = SpecValue::Table(SpecTable::at(line_no));
+        let repeated = open == "[[";
+        match parent.entries.iter_mut().find(|e| &e.key == last) {
+            None => parent.entries.push(SpecEntry {
+                key: last.clone(),
+                line: line_no,
+                value: if repeated {
+                    SpecValue::Array(vec![table])
+                } else {
+                    table
+                },
+            }),
+            Some(SpecEntry {
+                value: SpecValue::Array(items),
+                ..
+            }) if repeated => items.push(table),
+            Some(_) => {
+                return Err(SpecError::new(
+                    line_no,
+                    format!("duplicate table `{open}{last}{close}`"),
+                ))
+            }
+        }
+        current_path = path;
     }
     Ok(root)
 }
@@ -979,7 +955,7 @@ pub struct SweepSpec {
 /// `[fuzz]`: replay coordinates stamped on a fuzz repro so the
 /// document regenerates its failing case exactly (see
 /// [`crate::fuzz::run_case`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuzzHeader {
     /// Master seed the fuzzer ran with.
     pub master_seed: u64,
@@ -1073,12 +1049,14 @@ pub struct CellOutcome {
     pub rounds_per_trial: u64,
 }
 
-/// A runnable plan built from a concrete spec.
+/// A runnable plan built from a concrete spec: one variant per
+/// estimator, so executing a plan never re-decides what it runs.
 #[derive(Debug, Clone)]
 pub enum ExperimentPlan {
     /// A scenario Monte-Carlo fan-out.
     Scenario(ScenarioPlan),
-    /// A stationary fan-out with the bare adversary for `strategy`.
+    /// A stationary Wilson fan-out with the bare adversary for
+    /// `strategy`.
     Stationary {
         /// The trial plan (config, rounds, trials, thresholds).
         plan: TrialPlan,
@@ -1086,9 +1064,16 @@ pub enum ExperimentPlan {
         strategy: StrategyKind,
         /// Composition table for `composed(i)` strategies.
         compositions: Vec<Composition>,
-        /// The splitting plan when the spec selects
-        /// `estimator = "splitting"` (replaces the Wilson estimate).
-        splitting: Option<SplittingPlan>,
+    },
+    /// A stationary multilevel-splitting run with the bare adversary
+    /// for `strategy` (`estimator = "splitting"`).
+    Splitting {
+        /// The splitting plan (config, horizon, thresholds, levels).
+        plan: SplittingPlan,
+        /// Strategy each replica runs.
+        strategy: StrategyKind,
+        /// Composition table for `composed(i)` strategies.
+        compositions: Vec<Composition>,
     },
     /// An exact absorbing-race solve (`backend = "markov"`).
     Exact(ExactPlan),
@@ -1110,29 +1095,12 @@ impl ExperimentPlan {
         let estimate = match self {
             ExperimentPlan::Scenario(plan) => Estimate::Wilson(plan.run()),
             ExperimentPlan::Stationary {
-                splitting: Some(_), ..
-            } => Estimate::Splitting(self.run_splitting()),
-            ExperimentPlan::Stationary { .. } => Estimate::Wilson(self.run_montecarlo()),
-            ExperimentPlan::Exact(plan) => Estimate::Exact(plan.run()),
-        };
-        CellOutcome {
-            estimate,
-            rounds_per_trial: self.rounds_per_trial(),
-        }
-    }
-
-    /// The Wilson Monte-Carlo half of a sampling plan.
-    fn run_montecarlo(&self) -> MonteCarloRun {
-        match self {
-            ExperimentPlan::Scenario(plan) => plan.run(),
-            ExperimentPlan::Stationary {
                 plan,
                 strategy,
                 compositions,
-                ..
             } => {
                 let delta = plan.config.delta;
-                match *strategy {
+                Estimate::Wilson(match *strategy {
                     StrategyKind::Honest => plan.run(|_| ImmediateReleaseAdversary::new()),
                     StrategyKind::PrivateChain => {
                         plan.run(move |_| PrivateChainAdversary::new(delta))
@@ -1143,34 +1111,32 @@ impl ExperimentPlan {
                         let composition = compositions[i].clone();
                         plan.run(move |_| ComposedAdversary::new(delta, composition.clone()))
                     }
-                }
+                })
             }
-            ExperimentPlan::Exact(_) => unreachable!("exact plans never sample"), // detlint: allow(panic-macro) -- execute() routes Exact plans to ExactPlan::run, never here
-        }
-    }
-
-    /// The splitting half of a sampling plan, dispatching the strategy
-    /// exactly as [`ExperimentPlan::run_montecarlo`] does.
-    fn run_splitting(&self) -> SplittingRun {
-        let ExperimentPlan::Stationary {
-            strategy,
-            compositions,
-            splitting: Some(splitting),
-            ..
-        } = self
-        else {
-            unreachable!("execute() only routes splitting plans here"); // detlint: allow(panic-macro) -- sole caller matches Stationary with splitting Some first
+            ExperimentPlan::Splitting {
+                plan,
+                strategy,
+                compositions,
+            } => {
+                let delta = plan.config.delta;
+                Estimate::Splitting(match *strategy {
+                    StrategyKind::Honest => plan.run(|_| ImmediateReleaseAdversary::new()),
+                    StrategyKind::PrivateChain => {
+                        plan.run(move |_| PrivateChainAdversary::new(delta))
+                    }
+                    StrategyKind::Balance => plan.run(move |_| BalanceAdversary::new(delta)),
+                    StrategyKind::Selfish => plan.run(move |_| SelfishMiningAdversary::new(delta)),
+                    StrategyKind::Composed(i) => {
+                        let composition = compositions[i].clone();
+                        plan.run(move |_| ComposedAdversary::new(delta, composition.clone()))
+                    }
+                })
+            }
+            ExperimentPlan::Exact(plan) => Estimate::Exact(plan.run()),
         };
-        let delta = splitting.config.delta;
-        match *strategy {
-            StrategyKind::Honest => splitting.run(|_| ImmediateReleaseAdversary::new()),
-            StrategyKind::PrivateChain => splitting.run(move |_| PrivateChainAdversary::new(delta)),
-            StrategyKind::Balance => splitting.run(move |_| BalanceAdversary::new(delta)),
-            StrategyKind::Selfish => splitting.run(move |_| SelfishMiningAdversary::new(delta)),
-            StrategyKind::Composed(i) => {
-                let composition = compositions[i].clone();
-                splitting.run(move |_| ComposedAdversary::new(delta, composition.clone()))
-            }
+        CellOutcome {
+            estimate,
+            rounds_per_trial: self.rounds_per_trial(),
         }
     }
 
@@ -1181,124 +1147,63 @@ impl ExperimentPlan {
         match self {
             ExperimentPlan::Scenario(plan) => plan.scenario.total_rounds(),
             ExperimentPlan::Stationary { plan, .. } => plan.rounds,
+            ExperimentPlan::Splitting { plan, .. } => plan.rounds,
             ExperimentPlan::Exact(plan) => plan.rounds,
         }
     }
 }
 
-impl ScenarioPlan {
-    /// Builds the scenario Monte-Carlo plan a spec describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] if the spec is stationary-mode or its
-    /// scenario fails validation.
-    pub fn from_spec(spec: &ExperimentSpec) -> Result<Self, SpecError> {
-        let ExperimentMode::Scenario(_) = &spec.mode else {
-            return Err(SpecError::whole(
-                "ScenarioPlan::from_spec needs [[phase]] tables, found a [stationary] spec",
-            ));
-        };
-        let scenario = spec.scenario()?;
-        let plan = ScenarioPlan::new(scenario, spec.run.trials)
-            .map_err(|e| SpecError::whole(e.to_string()))?;
-        Ok(plan.thresholds(spec.run.thresholds.clone()))
+/// A rule violation, addressed by the dotted path of the field it
+/// rejects (`experiment.trials`, `phase.1.rounds`, `base`, …), with a
+/// message that starts with that path. [`ExperimentSpec::parse`] turns
+/// the path into the line it recorded for the field, or for the nearest
+/// enclosing table.
+struct Fault {
+    path: String,
+    message: String,
+}
+
+impl Fault {
+    fn new(path: impl Into<String>, message: impl fmt::Display) -> Self {
+        let path = path.into();
+        Fault {
+            message: format!("{path}: {message}"),
+            path,
+        }
     }
 }
 
-impl TrialPlan {
-    /// Builds the stationary trial plan a spec describes (the strategy
-    /// itself is carried by [`ExperimentPlan`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] if the spec is scenario-mode or the plan
-    /// fails validation.
-    pub fn from_spec(spec: &ExperimentSpec) -> Result<Self, SpecError> {
-        let ExperimentMode::Stationary { rounds, .. } = spec.mode else {
-            return Err(SpecError::whole(
-                "TrialPlan::from_spec needs a [stationary] table, found [[phase] ] tables",
-            ));
-        };
-        let plan = TrialPlan::new(spec.base, rounds, spec.run.trials)
-            .map_err(|e| SpecError::whole(e.to_string()))?;
-        let mut plan = plan.thresholds(spec.run.thresholds.clone());
-        if let Some(half_width) = spec.run.stop_half_width {
-            plan = plan.with_stopping(half_width, 0);
-        }
-        Ok(plan)
-    }
-}
+/// Where a parsed document gave a table (empty key) or one of its keys:
+/// `(section, table index, key, line)`.
+type Given = (Section, usize, &'static str, usize);
 
-impl SplittingPlan {
-    /// Builds the splitting plan a spec describes: the base config and
-    /// stationary horizon, the spec's thresholds, the
-    /// `splitting_levels` schedule, and `splitting_effort` replicas per
-    /// level (defaulting to `trials` when 0 so a bare
-    /// `estimator = "splitting"` line is runnable).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] for scenario-mode specs (the splitting
-    /// level function needs the stationary engine), missing thresholds,
-    /// or an invalid level schedule.
-    pub fn from_spec(spec: &ExperimentSpec) -> Result<Self, SpecError> {
-        let ExperimentMode::Stationary { rounds, .. } = spec.mode else {
-            return Err(SpecError::whole(
-                "the splitting estimator needs a [stationary] table; scenario specs only support `estimator = \"wilson\"`",
-            ));
-        };
-        let effort = if spec.run.splitting.effort == 0 {
-            spec.run.trials
-        } else {
-            spec.run.splitting.effort
-        };
-        SplittingPlan::new(spec.base, rounds, effort, spec.run.thresholds.clone())
-            .map_err(|e| SpecError::whole(e.to_string()))?
-            .with_levels(spec.run.splitting.levels.clone())
-            .map_err(|e| SpecError::whole(e.to_string()))
-    }
-}
-
-impl ExactPlan {
-    /// Builds the exact-backend plan a `backend = "markov"` spec
-    /// describes: the effective adversarial share from `[base]`, the
-    /// spec's thresholds, and a race cap of
-    /// `max(thresholds) + RACE_CAP_MARGIN`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] for scenario-mode specs, stationary
-    /// strategies other than `"private-chain"` (the race chain models
-    /// exactly that attack), a selected splitting estimator, missing or
-    /// out-of-range thresholds, and configurations outside the race
-    /// analysis (`ν = 0` or a convergence-rate underflow).
-    ///
-    /// [`RACE_CAP_MARGIN`]: crate::exact::RACE_CAP_MARGIN
-    pub fn from_spec(spec: &ExperimentSpec) -> Result<Self, SpecError> {
-        let ExperimentMode::Stationary { strategy, rounds } = &spec.mode else {
-            return Err(SpecError::whole(
-                "`backend = \"markov\"` needs a [stationary] table; scenario cells only support `backend = \"montecarlo\"`",
-            ));
-        };
-        if !matches!(strategy, StrategyKind::PrivateChain) {
-            return Err(SpecError::whole(format!(
-                "`backend = \"markov\"` models the private-chain race; strategy `{}` needs `backend = \"montecarlo\"`",
-                strategy_token(*strategy)
-            )));
+/// The line given for `path`, or for its nearest given ancestor.
+fn line_of(lines: &[Given], path: &str) -> usize {
+    let mut path = path;
+    loop {
+        let found = lines.iter().find(|&&(section, index, key, _)| {
+            let table = section.path(index);
+            path == if key.is_empty() {
+                table
+            } else {
+                format!("{table}.{key}")
+            }
+        });
+        if let Some(&(.., line)) = found {
+            return line;
         }
-        if spec.run.estimator != EstimatorKind::Wilson {
-            return Err(SpecError::whole(
-                "`backend = \"markov\"` computes exact probabilities; `estimator = \"splitting\"` needs `backend = \"montecarlo\"`",
-            ));
+        match path.rsplit_once('.') {
+            Some((parent, _)) => path = parent,
+            None => return 0,
         }
-        ExactPlan::new(spec.base, spec.run.thresholds.clone(), *rounds)
-            .map_err(|e| SpecError::whole(e.to_string()))
     }
 }
 
 impl ExperimentSpec {
-    /// Parses and validates a spec document.
+    /// Parses and validates a spec document. Every table is applied
+    /// through the field-table setters a sweep patch uses, then the
+    /// spec is validated and planned once, with each violation
+    /// positioned at the line of the field it names.
     ///
     /// # Errors
     ///
@@ -1306,487 +1211,118 @@ impl ExperimentSpec {
     /// or duplicate keys, and out-of-range values.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
         let mut root = parse_document(input)?;
-
-        // [experiment]
-        let mut run = RunSettings::default();
-        let mut backend_line = None;
-        if let Some((_, mut table)) = root.take_table("experiment")? {
-            if let Some((line, trials)) = table.take_u64("trials")? {
-                if trials == 0 {
-                    return Err(SpecError::new(line, "`trials` must be at least 1"));
-                }
-                run.trials = trials;
-            }
-            if let Some((line, items)) = table.take_array("thresholds")? {
-                run.thresholds = items
-                    .iter()
-                    .map(|item| match item {
-                        SpecValue::Int(i) => u64::try_from(*i).map_err(|_| {
-                            SpecError::new(line, "`thresholds` entries must be unsigned integers")
-                        }),
-                        other => Err(SpecError::new(
-                            line,
-                            format!(
-                                "`thresholds` entries must be integers, got a {}",
-                                other.type_name()
-                            ),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            if let Some((line, token)) = table.take_str("estimator")? {
-                run.estimator = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::new(line, e.to_string()))?;
-            }
-            if let Some((line, token)) = table.take_str("backend")? {
-                run.backend = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::new(line, e.to_string()))?;
-                backend_line = Some(line);
-            }
-            if let Some((line, items)) = table.take_array("splitting_levels")? {
-                let levels = items
-                    .iter()
-                    .map(|item| match item {
-                        SpecValue::Int(i) => u64::try_from(*i).map_err(|_| {
-                            SpecError::new(
-                                line,
-                                "`splitting_levels` entries must be unsigned integers",
-                            )
-                        }),
-                        other => Err(SpecError::new(
-                            line,
-                            format!(
-                                "`splitting_levels` entries must be integers, got a {}",
-                                other.type_name()
-                            ),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?;
-                run.splitting.levels = Some(levels);
-            }
-            if let Some((line, effort)) = table.take_u64("splitting_effort")? {
-                if effort == 0 {
-                    return Err(SpecError::new(
-                        line,
-                        "`splitting_effort` must be at least 1 (omit the key to reuse `trials`)",
-                    ));
-                }
-                run.splitting.effort = effort;
-            }
-            if let Some((line, half_width)) = table.take_f64("stop_half_width")? {
-                if !(half_width > 0.0 && half_width < 1.0) {
-                    return Err(SpecError::new(
-                        line,
-                        format!("`stop_half_width` must lie in (0, 1), got {half_width}"),
-                    ));
-                }
-                run.stop_half_width = Some(half_width);
-            }
-            table.expect_empty("[experiment]")?;
-        }
-
-        // [fuzz]
-        let fuzz = match root.take_table("fuzz")? {
-            None => None,
-            Some((line, mut table)) => {
-                let header = FuzzHeader {
-                    master_seed: table
-                        .take_u64("master_seed")?
-                        .ok_or_else(|| SpecError::new(line, "[fuzz] needs `master_seed`"))?
-                        .1,
-                    case: table
-                        .take_u64("case")?
-                        .ok_or_else(|| SpecError::new(line, "[fuzz] needs `case`"))?
-                        .1,
-                    invariant: table
-                        .take_str("invariant")?
-                        .map_or_else(String::new, |(_, s)| s),
-                    detail: table
-                        .take_str("detail")?
-                        .map_or_else(String::new, |(_, s)| s),
-                };
-                table.expect_empty("[fuzz]")?;
-                Some(header)
-            }
+        let mut spec = ExperimentSpec {
+            run: RunSettings::default(),
+            base: SimConfig {
+                n_miners: 0,
+                adversary_fraction: 0.0,
+                hardness: 0.0,
+                delta: 0,
+                seed: 0,
+            },
+            compositions: Vec::new(),
+            mode: ExperimentMode::Scenario(Vec::new()),
+            sweep: None,
+            fuzz: None,
         };
-
-        // [base]
-        let (base_line, mut base_table) = root
-            .take_table("base")?
-            .ok_or_else(|| SpecError::whole("spec needs a [base] table"))?;
-        let n_miners = base_table
-            .take_u64("n_miners")?
-            .ok_or_else(|| SpecError::new(base_line, "[base] needs `n_miners`"))?
-            .1;
-        let delta = base_table
-            .take_u64("delta")?
-            .ok_or_else(|| SpecError::new(base_line, "[base] needs `delta`"))?
-            .1;
-        let adversary_fraction = base_table
-            .take_f64("adversary_fraction")?
-            .ok_or_else(|| SpecError::new(base_line, "[base] needs `adversary_fraction`"))?
-            .1;
-        let seed = base_table.take_u64("seed")?.map_or(0, |(_, s)| s);
-        let hardness = base_table.take_f64("hardness")?;
-        let c = base_table.take_f64("c")?;
-        base_table.expect_empty("[base]")?;
-        let hardness = match (hardness, c) {
-            (Some((_, p)), None) => p,
-            #[allow(clippy::cast_precision_loss)]
-            (None, Some((line, c))) => {
-                if !(c > 0.0) || c.is_nan() {
-                    return Err(SpecError::new(
-                        line,
-                        format!("`c` must be positive, got {c}"),
-                    ));
-                }
-                1.0 / (c * n_miners as f64 * delta as f64)
+        let mut lines = Vec::with_capacity(64);
+        for section in Section::ALL {
+            let tables = root.take_tables(section.name(), section.repeated())?;
+            if tables.is_empty() && section == Section::Base {
+                return Err(SpecError::whole("spec needs a [base] table"));
             }
-            (Some(_), Some((line, _))) => {
-                return Err(SpecError::new(
-                    line,
-                    "[base] takes either `hardness` or `c`, not both",
-                ))
-            }
-            (None, None) => {
-                return Err(SpecError::new(base_line, "[base] needs `hardness` or `c`"))
-            }
-        };
-        let base = SimConfig {
-            n_miners,
-            adversary_fraction,
-            hardness,
-            delta,
-            seed,
-        };
-        base.validate()
-            .map_err(|e| SpecError::new(base_line, e.to_string()))?;
-
-        // [[composition]]
-        let mut compositions = Vec::new();
-        for (comp_line, mut table) in root.take_array_of_tables("composition")? {
-            let (subs_line, items) = table
-                .take_array("subs")?
-                .ok_or_else(|| SpecError::new(comp_line, "[[composition]] needs `subs`"))?;
-            let mut subs = Vec::with_capacity(items.len());
-            for item in items {
-                let SpecValue::Table(mut sub) = item else {
-                    return Err(SpecError::new(
-                        subs_line,
-                        "`subs` entries must be inline tables { strategy = \"…\", weight = N }",
-                    ));
-                };
-                let (strategy_line, token) = sub
-                    .take_str("strategy")?
-                    .ok_or_else(|| SpecError::new(subs_line, "every sub needs a `strategy`"))?;
-                let strategy = parse_strategy(&token).ok_or_else(|| {
-                    SpecError::new(strategy_line, format!("unknown strategy `{token}`"))
-                })?;
-                if matches!(strategy, StrategyKind::Composed(_)) {
-                    return Err(SpecError::new(
-                        strategy_line,
-                        "compositions cannot nest `composed(i)` subs",
-                    ));
-                }
-                let weight = sub
-                    .take_u64("weight")?
-                    .ok_or_else(|| SpecError::new(subs_line, "every sub needs a `weight`"))?
-                    .1;
-                sub.expect_empty("a composition sub")?;
-                subs.push(SubSpec::new(strategy, weight));
-            }
-            compositions.push(
-                Composition::new(subs).map_err(|e| SpecError::new(subs_line, e.to_string()))?,
-            );
-        }
-
-        // [[phase]]
-        let mut phases = Vec::new();
-        for (phase_line, mut table) in root.take_array_of_tables("phase")? {
-            let (rounds_line, rounds) = table
-                .take_u64("rounds")?
-                .ok_or_else(|| SpecError::new(phase_line, "[[phase]] needs `rounds`"))?;
-            if rounds == 0 {
-                return Err(SpecError::new(rounds_line, "`rounds` must be at least 1"));
-            }
-            let (strategy_line, token) = table
-                .take_str("strategy")?
-                .ok_or_else(|| SpecError::new(phase_line, "[[phase]] needs `strategy`"))?;
-            let strategy = parse_strategy(&token).ok_or_else(|| {
-                SpecError::new(strategy_line, format!("unknown strategy `{token}`"))
-            })?;
-            if let StrategyKind::Composed(i) = strategy {
-                if i >= compositions.len() {
-                    return Err(SpecError::new(
-                        strategy_line,
-                        format!(
-                            "`composed({i})` indexes past the composition table (len {})",
-                            compositions.len()
-                        ),
-                    ));
-                }
-            }
-            let (regime_line, token) = table
-                .take_str("regime")?
-                .ok_or_else(|| SpecError::new(phase_line, "[[phase]] needs `regime`"))?;
-            let regime = parse_regime(&token)
-                .ok_or_else(|| SpecError::new(regime_line, format!("unknown regime `{token}`")))?;
-            if let Regime::Eclipse { group } = regime {
-                if group >= 2 {
-                    return Err(SpecError::new(
-                        regime_line,
-                        format!("`eclipse({group})`: only groups 0 and 1 exist"),
-                    ));
-                }
-            }
-            let mut phase = PhaseSpec::new(rounds, strategy, regime);
-            if let Some((line, nu)) = table.take_f64("adversary_fraction")? {
-                let mut cfg = base;
-                cfg.adversary_fraction = nu;
-                cfg.validate()
-                    .map_err(|e| SpecError::new(line, e.to_string()))?;
-                phase = phase.with_power(nu);
-            }
-            if let Some((line, p)) = table.take_f64("hardness")? {
-                let mut cfg = base;
-                cfg.hardness = p;
-                cfg.validate()
-                    .map_err(|e| SpecError::new(line, e.to_string()))?;
-                phase = phase.with_hardness(p);
-            }
-            if let Some((line, d)) = table.take_u64("detector_delta")? {
-                if d == 0 || d > base.delta {
-                    return Err(SpecError::new(
-                        line,
-                        format!("`detector_delta` = {d} must lie in [1, Δ = {}]", base.delta),
-                    ));
-                }
-                phase = phase.with_detector_delta(d);
-            }
-            table.expect_empty("[[phase]]")?;
-            phases.push(phase);
-        }
-
-        // [stationary]
-        let stationary = match root.take_table("stationary")? {
-            None => None,
-            Some((line, mut table)) => {
-                let (strategy_line, token) = table
-                    .take_str("strategy")?
-                    .ok_or_else(|| SpecError::new(line, "[stationary] needs `strategy`"))?;
-                let strategy = parse_strategy(&token).ok_or_else(|| {
-                    SpecError::new(strategy_line, format!("unknown strategy `{token}`"))
-                })?;
-                if let StrategyKind::Composed(i) = strategy {
-                    if i >= compositions.len() {
-                        return Err(SpecError::new(
-                            strategy_line,
-                            format!(
-                                "`composed({i})` indexes past the composition table (len {})",
-                                compositions.len()
-                            ),
-                        ));
-                    }
-                }
-                let (rounds_line, rounds) = table
-                    .take_u64("rounds")?
-                    .ok_or_else(|| SpecError::new(line, "[stationary] needs `rounds`"))?;
-                if rounds == 0 {
-                    return Err(SpecError::new(rounds_line, "`rounds` must be at least 1"));
-                }
-                table.expect_empty("[stationary]")?;
-                Some((line, ExperimentMode::Stationary { strategy, rounds }))
-            }
-        };
-
-        let mode = match (phases.is_empty(), stationary) {
-            (false, None) => ExperimentMode::Scenario(phases),
-            (true, Some((_, mode))) => mode,
-            (true, None) => {
-                return Err(SpecError::whole(
-                    "spec needs either [[phase]] tables or a [stationary] table",
-                ))
-            }
-            (false, Some((line, _))) => {
-                return Err(SpecError::new(
-                    line,
-                    "spec has both [[phase]] tables and a [stationary] table; pick one",
-                ))
-            }
-        };
-
-        // Positioned rejection of the markov backend outside its
-        // tractable regime (validate() re-checks the same conditions
-        // without positions for patched specs).
-        if run.backend == BackendKind::Markov {
-            let line = backend_line.unwrap_or(0);
-            match &mode {
-                ExperimentMode::Scenario(_) => {
-                    return Err(SpecError::new(
-                        line,
-                        "`backend = \"markov\"` needs a [stationary] table; scenario cells only support `backend = \"montecarlo\"`",
-                    ))
-                }
-                ExperimentMode::Stationary { strategy, .. }
-                    if !matches!(strategy, StrategyKind::PrivateChain) =>
-                {
-                    return Err(SpecError::new(
-                        line,
-                        format!(
-                            "`backend = \"markov\"` models the private-chain race; strategy `{}` needs `backend = \"montecarlo\"`",
-                            strategy_token(*strategy)
-                        ),
-                    ))
-                }
-                ExperimentMode::Stationary { .. } => {}
+            for table in tables {
+                spec.assign(section, table, &mut lines)?;
             }
         }
-
-        // [sweep]
-        let sweep = match root.take_table("sweep")? {
-            None => None,
-            Some((line, mut table)) => {
-                let seed = table
-                    .take_u64("seed")?
-                    .ok_or_else(|| SpecError::new(line, "[sweep] needs `seed`"))?
-                    .1;
-                let mut axes = Vec::new();
-                for (axis_line, mut axis_table) in table.take_array_of_tables("axis")? {
-                    let label = axis_table
-                        .take_str("label")?
-                        .ok_or_else(|| SpecError::new(axis_line, "[[sweep.axis]] needs `label`"))?
-                        .1;
-                    let mut cells = Vec::new();
-                    for (cell_line, mut cell_table) in axis_table.take_array_of_tables("cell")? {
-                        let cell_label = cell_table
-                            .take_str("label")?
-                            .ok_or_else(|| {
-                                SpecError::new(cell_line, "[[sweep.axis.cell]] needs `label`")
-                            })?
-                            .1;
-                        let patches = match cell_table.take("patch") {
-                            None => Vec::new(),
-                            Some((_, SpecValue::Table(patch))) => patch
-                                .entries
-                                .into_iter()
-                                .map(|e| (e.key, e.value))
-                                .collect(),
-                            Some((patch_line, other)) => {
-                                return Err(SpecError::new(
-                                    patch_line,
-                                    format!(
-                                        "`patch` must be an inline table, got a {}",
-                                        other.type_name()
-                                    ),
-                                ))
-                            }
-                        };
-                        cell_table.expect_empty("[[sweep.axis.cell]]")?;
-                        cells.push(SweepCell {
-                            label: cell_label,
-                            patches,
-                        });
-                    }
-                    if cells.is_empty() {
-                        return Err(SpecError::new(
-                            axis_line,
-                            "every sweep axis needs at least one [[sweep.axis.cell]]",
-                        ));
-                    }
-                    axis_table.expect_empty("[[sweep.axis]]")?;
-                    axes.push(SweepAxis { label, cells });
-                }
-                if axes.is_empty() {
-                    return Err(SpecError::new(
-                        line,
-                        "[sweep] needs at least one [[sweep.axis]]",
-                    ));
-                }
-                table.expect_empty("[sweep]")?;
-                Some(SweepSpec { seed, axes })
-            }
-        };
-
+        if matches!(&spec.mode, ExperimentMode::Scenario(phases) if phases.is_empty()) {
+            return Err(SpecError::whole(
+                "spec needs either [[phase]] tables or a [stationary] table",
+            ));
+        }
+        if let Some(table) = root.take_tables("sweep", false)?.pop() {
+            spec.sweep = Some(SweepSpec::parse(table)?);
+        }
         root.expect_empty("the spec document")?;
-        let spec = ExperimentSpec {
-            run,
-            base,
-            compositions,
-            mode,
-            sweep,
-            fuzz,
-        };
-        spec.validate()?;
+        spec.build()
+            .map_err(|fault| SpecError::new(line_of(&lines, &fault.path), fault.message))?;
         Ok(spec)
     }
 
-    /// Re-checks the semantic invariants (used after programmatic
-    /// mutation or sweep patching; [`ExperimentSpec::parse`] reports
-    /// the same conditions with source positions).
+    /// Applies one document table of `section` through the field
+    /// setters, recording in `lines` where the table and each key were
+    /// given.
+    fn assign(
+        &mut self,
+        section: Section,
+        mut table: SpecTable,
+        lines: &mut Vec<Given>,
+    ) -> Result<(), SpecError> {
+        let index = section
+            .open(self)
+            .map_err(|message| SpecError::new(table.line, message))?;
+        lines.push((section, index, "", table.line));
+        let given = |lines: &[Given], key: &str| {
+            lines
+                .iter()
+                .any(|&(s, i, k, _)| (s, i, k) == (section, index, key))
+        };
+        for field in section.fields().iter().filter(|f| f.need != Need::Patch) {
+            let Some((line, value)) = table.take(field.key) else {
+                continue;
+            };
+            if let Need::Alias(of) = field.need {
+                if given(lines, of) {
+                    return Err(SpecError::new(
+                        line,
+                        format!(
+                            "{} takes either `{of}` or `{}`, not both",
+                            section.header(),
+                            field.key
+                        ),
+                    ));
+                }
+            }
+            self.set(section, field, index, &value)
+                .map_err(|message| SpecError::new(line, message))?;
+            lines.push((section, index, field.key, line));
+        }
+        for field in section.fields() {
+            if field.need != Need::Required || given(lines, field.key) {
+                continue;
+            }
+            let alias = section
+                .fields()
+                .iter()
+                .find(|f| f.need == Need::Alias(field.key));
+            let missing = match alias {
+                None => format!("`{}`", field.key),
+                Some(alias) if given(lines, alias.key) => continue,
+                Some(alias) => format!("`{}` or `{}`", field.key, alias.key),
+            };
+            return Err(SpecError::new(
+                table.line,
+                format!("{} needs {missing}", section.header()),
+            ));
+        }
+        if table.entries.is_empty() {
+            return Ok(());
+        }
+        table.expect_empty(&section.header())
+    }
+
+    /// Re-checks every rule of the schema — each field's range and
+    /// cross-field rules and the backend capabilities that
+    /// [`ExperimentSpec::plan`] checks — for a spec mutated in code or
+    /// patched by a sweep ([`ExperimentSpec::parse`] reports the same
+    /// conditions with source positions).
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] naming the violated constraint.
+    /// Returns [`SpecError`] naming the field path of the violated
+    /// rule.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.run.trials == 0 {
-            return Err(SpecError::whole("experiment.trials must be at least 1"));
-        }
-        self.base
-            .validate()
-            .map_err(|e| SpecError::whole(e.to_string()))?;
-        match &self.mode {
-            ExperimentMode::Scenario(_) => {
-                self.scenario()?;
-            }
-            ExperimentMode::Stationary { strategy, rounds } => {
-                if *rounds == 0 {
-                    return Err(SpecError::whole("stationary.rounds must be at least 1"));
-                }
-                if let StrategyKind::Composed(i) = strategy {
-                    if *i >= self.compositions.len() {
-                        return Err(SpecError::whole(format!(
-                            "stationary strategy `composed({i})` indexes past the composition table (len {})",
-                            self.compositions.len()
-                        )));
-                    }
-                }
-            }
-        }
-        if self.run.backend == BackendKind::Markov {
-            // Surfaces scenario-mode and strategy conflicts, estimator
-            // conflicts, and out-of-range thresholds with the exact
-            // plan's own checks.
-            ExactPlan::from_spec(self)?;
-        }
-        if self.run.estimator == EstimatorKind::Splitting {
-            // Surfaces scenario-mode conflicts, missing thresholds, and
-            // bad level schedules with the splitting plan's own checks.
-            SplittingPlan::from_spec(self)?;
-        } else if self.run.splitting != SplittingSettings::default() {
-            return Err(SpecError::whole(
-                "splitting_levels / splitting_effort need `estimator = \"splitting\"`",
-            ));
-        }
-        if let Some(half_width) = self.run.stop_half_width {
-            if !(half_width > 0.0 && half_width < 1.0) {
-                return Err(SpecError::whole(format!(
-                    "experiment.stop_half_width must lie in (0, 1), got {half_width}"
-                )));
-            }
-            if self.run.thresholds.is_empty() {
-                return Err(SpecError::whole(
-                    "experiment.stop_half_width needs at least one consistency threshold",
-                ));
-            }
-            if !matches!(self.mode, ExperimentMode::Stationary { .. }) {
-                return Err(SpecError::whole(
-                    "experiment.stop_half_width needs a [stationary] table; scenario cells run their fixed budget",
-                ));
-            }
-        }
-        Ok(())
+        self.plan().map(drop)
     }
 
     /// Builds the validated [`Scenario`] of a scenario-mode spec.
@@ -1798,7 +1334,7 @@ impl ExperimentSpec {
     pub fn scenario(&self) -> Result<Scenario, SpecError> {
         let ExperimentMode::Scenario(phases) = &self.mode else {
             return Err(SpecError::whole(
-                "a stationary spec has no scenario; use TrialPlan::from_spec",
+                "a stationary spec has no scenario; use ExperimentSpec::plan",
             ));
         };
         Scenario::with_compositions(self.base, phases.clone(), self.compositions.clone())
@@ -1811,25 +1347,97 @@ impl ExperimentSpec {
     ///
     /// Returns [`SpecError`] if validation fails.
     pub fn plan(&self) -> Result<ExperimentPlan, SpecError> {
-        match &self.mode {
-            ExperimentMode::Scenario(_) => {
-                self.validate()?;
-                Ok(ExperimentPlan::Scenario(ScenarioPlan::from_spec(self)?))
-            }
-            ExperimentMode::Stationary { strategy, .. } => {
-                self.validate()?;
-                if self.run.backend == BackendKind::Markov {
-                    return Ok(ExperimentPlan::Exact(ExactPlan::from_spec(self)?));
+        self.build()
+            .map_err(|fault| SpecError::whole(fault.message))
+    }
+
+    /// Runs every field rule, then builds the one plan the spec's
+    /// backend and estimator select: the single place that decides
+    /// which engine can answer which cell.
+    fn build(&self) -> Result<ExperimentPlan, Fault> {
+        self.base
+            .validate()
+            .map_err(|e| Fault::new(Section::Base.name(), e))?;
+        for section in Section::ALL {
+            for index in 0..section.count(self) {
+                for field in section.fields() {
+                    if let Some(rule) = field.rule {
+                        let path = || format!("{}.{}", section.path(index), field.key);
+                        rule(self, index).map_err(|message| Fault::new(path(), message))?;
+                    }
                 }
-                let splitting = match self.run.estimator {
-                    EstimatorKind::Wilson => None,
-                    EstimatorKind::Splitting => Some(SplittingPlan::from_spec(self)?),
+            }
+        }
+        let run = &self.run;
+        let Some((strategy, rounds)) = stationary(self) else {
+            let refuse = |key: &str, only: &str| {
+                let message =
+                    format!("needs a [stationary] table; scenario specs only support {only}");
+                Err(Fault::new(format!("experiment.{key}"), message))
+            };
+            if run.backend == BackendKind::Markov {
+                return refuse("backend", "`backend = \"montecarlo\"`");
+            }
+            if run.estimator == EstimatorKind::Splitting {
+                return refuse("estimator", "`estimator = \"wilson\"`");
+            }
+            if run.stop_half_width.is_some() {
+                return refuse("stop_half_width", "a fixed trial budget");
+            }
+            let scenario = self
+                .scenario()
+                .map_err(|e| Fault::new("phase", e.message))?;
+            let plan = ScenarioPlan::new(scenario, run.trials)
+                .map_err(|e| Fault::new("experiment.trials", e))?;
+            return Ok(ExperimentPlan::Scenario(
+                plan.thresholds(run.thresholds.clone()),
+            ));
+        };
+        let compositions = self.compositions.clone();
+        match (run.backend, run.estimator) {
+            (BackendKind::Markov, _) if strategy != StrategyKind::PrivateChain => Err(Fault::new(
+                "experiment.backend",
+                format!(
+                    "`backend = \"markov\"` models the private-chain race; strategy `{}` needs `backend = \"montecarlo\"`",
+                    strategy_token(strategy)
+                ),
+            )),
+            (BackendKind::Markov, EstimatorKind::Splitting) => Err(Fault::new(
+                "experiment.backend",
+                "`backend = \"markov\"` computes exact probabilities; `estimator = \"splitting\"` needs `backend = \"montecarlo\"`",
+            )),
+            (BackendKind::Markov, EstimatorKind::Wilson) => {
+                ExactPlan::new(self.base, run.thresholds.clone(), rounds)
+                    .map(ExperimentPlan::Exact)
+                    .map_err(|e| Fault::new("experiment.backend", e))
+            }
+            (BackendKind::MonteCarlo, EstimatorKind::Splitting) => {
+                // Effort 0 (the key omitted) reuses the trial budget.
+                let effort = match run.splitting.effort {
+                    0 => run.trials,
+                    effort => effort,
                 };
+                let plan = SplittingPlan::new(self.base, rounds, effort, run.thresholds.clone())
+                    .map_err(|e| Fault::new("experiment.estimator", e))?
+                    .with_levels(run.splitting.levels.clone())
+                    .map_err(|e| Fault::new("experiment.splitting_levels", e))?;
+                Ok(ExperimentPlan::Splitting {
+                    plan,
+                    strategy,
+                    compositions,
+                })
+            }
+            (BackendKind::MonteCarlo, EstimatorKind::Wilson) => {
+                let mut plan = TrialPlan::new(self.base, rounds, run.trials)
+                    .map_err(|e| Fault::new("stationary", e))?
+                    .thresholds(run.thresholds.clone());
+                if let Some(half_width) = run.stop_half_width {
+                    plan = plan.with_stopping(half_width, 0);
+                }
                 Ok(ExperimentPlan::Stationary {
-                    plan: TrialPlan::from_spec(self)?,
-                    strategy: *strategy,
-                    compositions: self.compositions.clone(),
-                    splitting,
+                    plan,
+                    strategy,
+                    compositions,
                 })
             }
         }
@@ -1856,12 +1464,20 @@ impl ExperimentSpec {
     /// Returns [`SpecError`] if a patch path is unknown or a patched
     /// cell fails validation.
     pub fn expand(&self) -> Result<Vec<ExperimentCell>, SpecError> {
+        // Every cell starts from this sweep-free copy, so expansion
+        // costs O(cells), not O(cells × sweep size).
+        let template = ExperimentSpec {
+            run: self.run.clone(),
+            base: self.base,
+            compositions: self.compositions.clone(),
+            mode: self.mode.clone(),
+            sweep: None,
+            fuzz: None,
+        };
         let Some(sweep) = &self.sweep else {
-            let mut spec = self.clone();
-            spec.fuzz = None;
             return Ok(vec![ExperimentCell {
                 labels: Vec::new(),
-                spec,
+                spec: template,
             }]);
         };
         let shape: Vec<usize> = sweep.axes.iter().map(|a| a.cells.len()).collect();
@@ -1869,9 +1485,7 @@ impl ExperimentSpec {
         let mut cells = Vec::new();
         let mut idx = vec![0usize; shape.len()];
         loop {
-            let mut spec = self.clone();
-            spec.sweep = None;
-            spec.fuzz = None;
+            let mut spec = template.clone();
             let mut labels = Vec::with_capacity(idx.len());
             for (axis, &i) in sweep.axes.iter().zip(&idx) {
                 let cell = &axis.cells[i];
@@ -1907,361 +1521,751 @@ impl ExperimentSpec {
         }
     }
 
-    /// Applies one dotted-path patch (`base.adversary_fraction`,
-    /// `phase.1.strategy`, `composition.0.weights`,
-    /// `stationary.strategy`, `experiment.trials`, …) to this spec.
+    /// Applies one dotted-path patch to this spec through the same
+    /// setter that parses the key from a document: `table.key` for
+    /// `[experiment]`, `[base]` and `[stationary]`, `phase.N.key` and
+    /// `composition.N.key` for the N-th `[[phase]]` or
+    /// `[[composition]]` (whose patch-only `weights` and `strategies`
+    /// keys rewrite one value per sub). `[fuzz]` and `[sweep]` are not
+    /// patchable: [`ExperimentSpec::expand`] clears them.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] (line 0) for unknown paths or
-    /// type-mismatched values.
+    /// Returns [`SpecError`] (line 0) for unknown paths, missing
+    /// tables and the values the key's setter rejects.
     pub fn apply_patch(&mut self, path: &str, value: &SpecValue) -> Result<(), SpecError> {
-        let segments: Vec<&str> = path.split('.').collect();
-        let bad_path = || SpecError::whole(format!("unknown patch path `{path}`"));
-        let bad_value = |want: &str| {
-            SpecError::whole(format!(
-                "patch `{path}` needs a {want}, got a {}",
-                value.type_name()
-            ))
+        let unknown = || SpecError::whole(format!("unknown patch path `{path}`"));
+        let mut segments = path.split('.');
+        let section = segments
+            .next()
+            .and_then(|name| Section::ALL.into_iter().find(|s| s.name() == name))
+            .filter(|&section| section != Section::Fuzz)
+            .ok_or_else(unknown)?;
+        let index = if section.repeated() {
+            segments
+                .next()
+                .and_then(|index| index.parse().ok())
+                .ok_or_else(unknown)?
+        } else {
+            0
         };
-        match segments.as_slice() {
-            ["base", field] => {
-                match *field {
-                    "n_miners" => {
-                        self.base.n_miners =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "delta" => {
-                        self.base.delta =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "seed" => {
-                        self.base.seed =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "adversary_fraction" => {
-                        self.base.adversary_fraction =
-                            value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                    }
-                    "hardness" => {
-                        self.base.hardness =
-                            value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                    }
-                    #[allow(clippy::cast_precision_loss)]
-                    "c" => {
-                        let c = value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                        if !(c > 0.0) || c.is_nan() {
-                            return Err(SpecError::whole(format!(
-                                "patch `{path}`: c must be positive, got {c}"
-                            )));
-                        }
-                        self.base.hardness =
-                            1.0 / (c * self.base.n_miners as f64 * self.base.delta as f64);
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["experiment", "trials"] => {
-                let trials = patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                self.run.trials = trials;
-                Ok(())
-            }
-            ["experiment", "estimator"] => {
-                let SpecValue::Str(token) = value else {
-                    return Err(bad_value("estimator string"));
-                };
-                self.run.estimator = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            ["experiment", "backend"] => {
-                let SpecValue::Str(token) = value else {
-                    return Err(bad_value("backend string"));
-                };
-                self.run.backend = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            ["experiment", "splitting_effort"] => {
-                self.run.splitting.effort =
-                    patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                Ok(())
-            }
-            ["experiment", "stop_half_width"] => {
-                self.run.stop_half_width =
-                    Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                Ok(())
-            }
-            ["experiment", "splitting_levels"] => {
-                let SpecValue::Array(items) = value else {
-                    return Err(bad_value("array of integers"));
-                };
-                let levels = items
-                    .iter()
-                    .map(|item| patch_u64(item).ok_or_else(|| bad_value("array of integers")))
-                    .collect::<Result<_, _>>()?;
-                self.run.splitting.levels = Some(levels);
-                Ok(())
-            }
-            ["stationary", field] => {
-                let ExperimentMode::Stationary { strategy, rounds } = &mut self.mode else {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}` needs a [stationary] spec"
-                    )));
-                };
-                match *field {
-                    "strategy" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("strategy string"));
-                        };
-                        *strategy = parse_strategy(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown strategy `{token}`"))
-                        })?;
-                    }
-                    "rounds" => {
-                        *rounds =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["phase", index, field] => {
-                let i: usize = index.parse().map_err(|_| bad_path())?;
-                let ExperimentMode::Scenario(phases) = &mut self.mode else {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}` needs [[phase]] tables"
-                    )));
-                };
-                let phase = phases.get_mut(i).ok_or_else(|| {
-                    SpecError::whole(format!("patch `{path}`: phase index {i} out of range"))
-                })?;
-                match *field {
-                    "rounds" => {
-                        phase.rounds =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                    }
-                    "strategy" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("strategy string"));
-                        };
-                        phase.strategy = parse_strategy(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown strategy `{token}`"))
-                        })?;
-                    }
-                    "regime" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("regime string"));
-                        };
-                        phase.regime = parse_regime(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown regime `{token}`"))
-                        })?;
-                    }
-                    "adversary_fraction" => {
-                        phase.adversary_fraction =
-                            Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                    }
-                    "hardness" => {
-                        phase.hardness =
-                            Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                    }
-                    "detector_delta" => {
-                        phase.detector_delta = Some(
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?,
-                        );
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["composition", index, field] => {
-                let i: usize = index.parse().map_err(|_| bad_path())?;
-                let composition = self.compositions.get(i).ok_or_else(|| {
-                    SpecError::whole(format!(
-                        "patch `{path}`: composition index {i} out of range"
-                    ))
-                })?;
-                let mut subs = composition.subs().to_vec();
-                let SpecValue::Array(items) = value else {
-                    return Err(bad_value("array"));
-                };
-                if items.len() != subs.len() {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}`: {} entries for {} subs",
-                        items.len(),
-                        subs.len()
-                    )));
-                }
-                match *field {
-                    "weights" => {
-                        for (sub, item) in subs.iter_mut().zip(items) {
-                            sub.weight =
-                                patch_u64(item).ok_or_else(|| bad_value("array of integers"))?;
-                        }
-                    }
-                    "strategies" => {
-                        for (sub, item) in subs.iter_mut().zip(items) {
-                            let SpecValue::Str(token) = item else {
-                                return Err(bad_value("array of strategy strings"));
-                            };
-                            let strategy = parse_strategy(token).ok_or_else(|| {
-                                SpecError::whole(format!(
-                                    "patch `{path}`: unknown strategy `{token}`"
-                                ))
-                            })?;
-                            if matches!(strategy, StrategyKind::Composed(_)) {
-                                return Err(SpecError::whole(format!(
-                                    "patch `{path}`: compositions cannot nest `composed(i)`"
-                                )));
-                            }
-                            sub.strategy = strategy;
-                        }
-                    }
-                    _ => return Err(bad_path()),
-                }
-                self.compositions[i] = Composition::new(subs)
-                    .map_err(|e| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            _ => Err(bad_path()),
+        let key = segments.next().ok_or_else(unknown)?;
+        let field = section
+            .fields()
+            .iter()
+            .find(|f| f.key == key)
+            .filter(|_| segments.next().is_none())
+            .ok_or_else(unknown)?;
+        self.set(section, field, index, value)
+            .map_err(SpecError::whole)
+    }
+
+    /// Writes `value` to `field` of table `index` of `section`: the one
+    /// write path of both parsing and patching. Errors start with the
+    /// field's canonical path.
+    fn set(
+        &mut self,
+        section: Section,
+        field: &Field,
+        index: usize,
+        value: &SpecValue,
+    ) -> Result<(), String> {
+        let path = || format!("{}.{}", section.path(index), field.key);
+        match (field.locate)(self, index) {
+            Some(slot) => slot
+                .set(value)
+                .map_err(|message| format!("{}: {message}", path())),
+            None => Err(format!(
+                "{}: the spec has no `{}` table",
+                path(),
+                section.path(index)
+            )),
         }
     }
 
-    /// Serializes the spec into its canonical TOML document;
-    /// [`ExperimentSpec::parse`] of the output yields an equal spec.
+    /// Serializes the spec into its canonical TOML document by walking
+    /// the field table; [`ExperimentSpec::parse`] of the output yields
+    /// an equal spec.
     #[must_use]
     pub fn to_toml(&self) -> String {
+        // Slots borrow mutably, so emission reads them from a copy.
+        let mut spec = self.clone();
         let mut out = String::new();
-        out.push_str("[experiment]\n");
-        out.push_str(&format!("trials = {}\n", self.run.trials));
-        if !self.run.thresholds.is_empty() {
-            let list: Vec<String> = self.run.thresholds.iter().map(u64::to_string).collect();
-            out.push_str(&format!("thresholds = [{}]\n", list.join(", ")));
-        }
-        if self.run.backend != BackendKind::MonteCarlo {
-            out.push_str(&format!(
-                "backend = {}\n",
-                emit_str(&self.run.backend.to_string())
-            ));
-        }
-        if self.run.estimator != EstimatorKind::Wilson {
-            out.push_str(&format!(
-                "estimator = {}\n",
-                emit_str(&self.run.estimator.to_string())
-            ));
-        }
-        if let Some(levels) = &self.run.splitting.levels {
-            let list: Vec<String> = levels.iter().map(u64::to_string).collect();
-            out.push_str(&format!("splitting_levels = [{}]\n", list.join(", ")));
-        }
-        if self.run.splitting.effort != 0 {
-            out.push_str(&format!(
-                "splitting_effort = {}\n",
-                self.run.splitting.effort
-            ));
-        }
-        if let Some(half_width) = self.run.stop_half_width {
-            out.push_str(&format!("stop_half_width = {}\n", emit_f64(half_width)));
-        }
-        if let Some(fuzz) = &self.fuzz {
-            out.push_str("\n[fuzz]\n");
-            out.push_str(&format!("master_seed = {}\n", fuzz.master_seed));
-            out.push_str(&format!("case = {}\n", fuzz.case));
-            out.push_str(&format!("invariant = {}\n", emit_str(&fuzz.invariant)));
-            out.push_str(&format!("detail = {}\n", emit_str(&fuzz.detail)));
-        }
-        out.push_str("\n[base]\n");
-        out.push_str(&format!("n_miners = {}\n", self.base.n_miners));
-        out.push_str(&format!(
-            "adversary_fraction = {}\n",
-            emit_f64(self.base.adversary_fraction)
-        ));
-        out.push_str(&format!("hardness = {}\n", emit_f64(self.base.hardness)));
-        out.push_str(&format!("delta = {}\n", self.base.delta));
-        out.push_str(&format!("seed = {}\n", self.base.seed));
-        match &self.mode {
-            ExperimentMode::Stationary { strategy, rounds } => {
-                out.push_str("\n[stationary]\n");
-                out.push_str(&format!(
-                    "strategy = {}\n",
-                    emit_str(&strategy_token(*strategy))
-                ));
-                out.push_str(&format!("rounds = {rounds}\n"));
-            }
-            ExperimentMode::Scenario(_) => {}
-        }
-        for composition in &self.compositions {
-            out.push_str("\n[[composition]]\nsubs = [");
-            for (i, sub) in composition.subs().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
+        for section in Section::ALL {
+            for index in 0..section.count(self) {
+                if !out.is_empty() {
+                    out.push('\n');
                 }
-                out.push_str(&format!(
-                    "{{ strategy = {}, weight = {} }}",
-                    emit_str(&strategy_token(sub.strategy)),
-                    sub.weight
-                ));
-            }
-            out.push_str("]\n");
-        }
-        if let ExperimentMode::Scenario(phases) = &self.mode {
-            for phase in phases {
-                out.push_str("\n[[phase]]\n");
-                out.push_str(&format!("rounds = {}\n", phase.rounds));
-                out.push_str(&format!(
-                    "strategy = {}\n",
-                    emit_str(&strategy_token(phase.strategy))
-                ));
-                out.push_str(&format!(
-                    "regime = {}\n",
-                    emit_str(&regime_token(phase.regime))
-                ));
-                if let Some(nu) = phase.adversary_fraction {
-                    out.push_str(&format!("adversary_fraction = {}\n", emit_f64(nu)));
-                }
-                if let Some(p) = phase.hardness {
-                    out.push_str(&format!("hardness = {}\n", emit_f64(p)));
-                }
-                if let Some(d) = phase.detector_delta {
-                    out.push_str(&format!("detector_delta = {d}\n"));
+                out.push_str(&section.header());
+                out.push('\n');
+                for field in section.fields() {
+                    if let Some(value) = (field.locate)(&mut spec, index).and_then(Slot::get) {
+                        out.push_str(&format!("{} = {}\n", field.key, emit_value(&value)));
+                    }
                 }
             }
         }
         if let Some(sweep) = &self.sweep {
-            out.push_str("\n[sweep]\n");
-            out.push_str(&format!("seed = {}\n", sweep.seed));
-            for axis in &sweep.axes {
-                out.push_str("\n[[sweep.axis]]\n");
-                out.push_str(&format!("label = {}\n", emit_str(&axis.label)));
-                for cell in &axis.cells {
-                    out.push_str("\n[[sweep.axis.cell]]\n");
-                    out.push_str(&format!("label = {}\n", emit_str(&cell.label)));
-                    if !cell.patches.is_empty() {
-                        out.push_str("patch = { ");
-                        for (i, (path, value)) in cell.patches.iter().enumerate() {
-                            if i > 0 {
-                                out.push_str(", ");
-                            }
-                            out.push_str(&format!("{} = {}", emit_str(path), emit_value(value)));
-                        }
-                        out.push_str(" }\n");
-                    }
-                }
-            }
+            sweep.emit(&mut out);
         }
         out
     }
 }
 
-fn patch_u64(value: &SpecValue) -> Option<u64> {
-    match value {
-        SpecValue::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
+impl SweepSpec {
+    /// Reads a `[sweep]` table: its seed, then each `[[sweep.axis]]`
+    /// with its `[[sweep.axis.cell]]` tables. Patches stay raw values
+    /// until [`ExperimentSpec::expand`] applies them.
+    fn parse(mut table: SpecTable) -> Result<Self, SpecError> {
+        let seed = table.need("seed", "[sweep]", int)?;
+        let mut axes = Vec::new();
+        for mut axis in table.take_tables("axis", true)? {
+            let label = axis.need("label", "[[sweep.axis]]", owned_text)?;
+            let mut cells = Vec::new();
+            for mut cell in axis.take_tables("cell", true)? {
+                let label = cell.need("label", "[[sweep.axis.cell]]", owned_text)?;
+                let patches = match cell.take("patch") {
+                    None => Vec::new(),
+                    Some((_, SpecValue::Table(patch))) => patch
+                        .entries
+                        .into_iter()
+                        .map(|e| (e.key, e.value))
+                        .collect(),
+                    Some((line, other)) => {
+                        return Err(SpecError::new(
+                            line,
+                            format!(
+                                "`patch` must be an inline table, got a {}",
+                                other.type_name()
+                            ),
+                        ))
+                    }
+                };
+                cell.expect_empty("[[sweep.axis.cell]]")?;
+                cells.push(SweepCell { label, patches });
+            }
+            if cells.is_empty() {
+                return Err(SpecError::new(
+                    axis.line,
+                    "every sweep axis needs at least one [[sweep.axis.cell]]",
+                ));
+            }
+            axis.expect_empty("[[sweep.axis]]")?;
+            axes.push(SweepAxis { label, cells });
+        }
+        if axes.is_empty() {
+            return Err(SpecError::new(
+                table.line,
+                "[sweep] needs at least one [[sweep.axis]]",
+            ));
+        }
+        table.expect_empty("[sweep]")?;
+        Ok(SweepSpec { seed, axes })
+    }
+
+    fn emit(&self, out: &mut String) {
+        out.push_str(&format!("\n[sweep]\nseed = {}\n", self.seed));
+        for axis in &self.axes {
+            out.push_str(&format!(
+                "\n[[sweep.axis]]\nlabel = {}\n",
+                emit_str(&axis.label)
+            ));
+            for cell in &axis.cells {
+                out.push_str(&format!(
+                    "\n[[sweep.axis.cell]]\nlabel = {}\n",
+                    emit_str(&cell.label)
+                ));
+                if !cell.patches.is_empty() {
+                    let patches = cell.patches.iter().map(|(path, v)| (path.as_str(), v));
+                    out.push_str(&format!("patch = {}\n", emit_inline(patches)));
+                }
+            }
+        }
     }
 }
+
+// ---------------------------------------------------------------------
+// The schema: one field table drives parse, patch, emit and validate
+// ---------------------------------------------------------------------
+
+/// The tables of a spec document that hold fields, in canonical
+/// document order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Section {
+    Experiment,
+    Fuzz,
+    Base,
+    Stationary,
+    Composition,
+    Phase,
+}
+
+impl Section {
+    const ALL: [Section; 6] = [
+        Section::Experiment,
+        Section::Fuzz,
+        Section::Base,
+        Section::Stationary,
+        Section::Composition,
+        Section::Phase,
+    ];
+
+    /// The section's name and its fields, in canonical order.
+    fn schema(self) -> (&'static str, &'static [Field]) {
+        match self {
+            Section::Experiment => ("experiment", EXPERIMENT),
+            Section::Fuzz => ("fuzz", FUZZ),
+            Section::Base => ("base", BASE),
+            Section::Stationary => ("stationary", STATIONARY),
+            Section::Composition => ("composition", COMPOSITION),
+            Section::Phase => ("phase", PHASE),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        self.schema().0
+    }
+
+    fn fields(self) -> &'static [Field] {
+        self.schema().1
+    }
+
+    /// Whether the document repeats the section as `[[name]]` tables,
+    /// addressed as `name.N` in paths.
+    fn repeated(self) -> bool {
+        matches!(self, Section::Composition | Section::Phase)
+    }
+
+    fn header(self) -> String {
+        if self.repeated() {
+            format!("[[{}]]", self.name())
+        } else {
+            format!("[{}]", self.name())
+        }
+    }
+
+    /// The dotted path of table `index` (`base`, `phase.1`).
+    fn path(self, index: usize) -> String {
+        if self.repeated() {
+            format!("{}.{index}", self.name())
+        } else {
+            self.name().to_owned()
+        }
+    }
+
+    /// How many tables of this section `spec` holds.
+    fn count(self, spec: &ExperimentSpec) -> usize {
+        match (self, &spec.mode) {
+            (Section::Experiment | Section::Base, _) => 1,
+            (Section::Fuzz, _) => usize::from(spec.fuzz.is_some()),
+            (Section::Stationary, mode) => {
+                usize::from(matches!(mode, ExperimentMode::Stationary { .. }))
+            }
+            (Section::Composition, _) => spec.compositions.len(),
+            (Section::Phase, ExperimentMode::Scenario(phases)) => phases.len(),
+            (Section::Phase, ExperimentMode::Stationary { .. }) => 0,
+        }
+    }
+
+    /// Adds the blank table a parsed document fills in, returning its
+    /// index; required keys overwrite every placeholder.
+    fn open(self, spec: &mut ExperimentSpec) -> Result<usize, String> {
+        match (self, &mut spec.mode) {
+            (Section::Experiment | Section::Base, _) => {}
+            (Section::Fuzz, _) => spec.fuzz = Some(FuzzHeader::default()),
+            (Section::Stationary, mode) => {
+                *mode = ExperimentMode::Stationary {
+                    strategy: StrategyKind::Honest,
+                    rounds: 0,
+                };
+            }
+            (Section::Composition, _) => spec.compositions.push(
+                Composition::new(vec![SubSpec::new(StrategyKind::Honest, 1)])
+                    .map_err(|e| e.to_string())?,
+            ),
+            (Section::Phase, ExperimentMode::Scenario(phases)) => {
+                phases.push(PhaseSpec::new(0, StrategyKind::Honest, Regime::Calm));
+            }
+            (Section::Phase, ExperimentMode::Stationary { .. }) => {
+                return Err(
+                    "spec has both [[phase]] tables and a [stationary] table; pick one".into(),
+                )
+            }
+        }
+        Ok(self.count(spec) - 1)
+    }
+}
+
+/// Whether a document table must, may, or cannot give a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// The key may be omitted.
+    Optional,
+    /// Every table of the section gives the key (or its alias).
+    Required,
+    /// A write-only spelling of the named required key: a table gives
+    /// one of the two, never both.
+    Alias(&'static str),
+    /// Only a sweep patch sets the key; documents never carry it.
+    Patch,
+}
+
+/// Where a field's value lives in table `index` (`None` when the spec
+/// has no such table).
+type Locate = for<'a> fn(&'a mut ExperimentSpec, usize) -> Option<Slot<'a>>;
+
+/// A field's range or cross-field rule over table `index`.
+type Rule = fn(&ExperimentSpec, usize) -> Result<(), String>;
+
+/// One key of the schema. Parsing a document and patching a sweep cell
+/// both write through [`Slot::set`], so they accept and reject the same
+/// values with the same message; `to_toml` emits [`Slot::get`], and
+/// validation runs `rule` on every table of the section.
+struct Field {
+    key: &'static str,
+    need: Need,
+    locate: Locate,
+    rule: Option<Rule>,
+}
+
+impl Field {
+    const fn new(key: &'static str, need: Need, locate: Locate) -> Self {
+        Field {
+            key,
+            need,
+            locate,
+            rule: None,
+        }
+    }
+
+    const fn optional(key: &'static str, locate: Locate) -> Self {
+        Field::new(key, Need::Optional, locate)
+    }
+
+    const fn required(key: &'static str, locate: Locate) -> Self {
+        Field::new(key, Need::Required, locate)
+    }
+
+    const fn rule(self, rule: Rule) -> Self {
+        Field {
+            rule: Some(rule),
+            ..self
+        }
+    }
+}
+
+const EXPERIMENT: &[Field] = &[
+    Field::optional("trials", |s, _| Some(Slot::Uint(&mut s.run.trials)))
+        .rule(|s, _| at_least_one(s.run.trials)),
+    Field::optional("thresholds", |s, _| {
+        Some(Slot::Uints(&mut s.run.thresholds))
+    }),
+    Field::optional("backend", |s, _| Some(Slot::Backend(&mut s.run.backend))),
+    Field::optional("estimator", |s, _| {
+        Some(Slot::Estimator(&mut s.run.estimator))
+    }),
+    Field::optional("splitting_levels", |s, _| {
+        Some(Slot::Levels(&mut s.run.splitting.levels))
+    })
+    .rule(|s, _| needs_splitting(s, s.run.splitting.levels.is_some())),
+    Field::optional("splitting_effort", |s, _| {
+        Some(Slot::Effort(&mut s.run.splitting.effort))
+    })
+    .rule(|s, _| needs_splitting(s, s.run.splitting.effort != 0)),
+    Field::optional("stop_half_width", |s, _| {
+        Some(Slot::MaybeFloat(&mut s.run.stop_half_width))
+    })
+    .rule(|s, _| match s.run.stop_half_width {
+        Some(half_width) if !(half_width > 0.0 && half_width < 1.0) => {
+            Err(format!("must lie in (0, 1), got {half_width}"))
+        }
+        Some(_) if s.run.thresholds.is_empty() => {
+            Err("needs at least one consistency threshold".into())
+        }
+        _ => Ok(()),
+    }),
+];
+
+const FUZZ: &[Field] = &[
+    Field::required("master_seed", |s, _| {
+        Some(Slot::Uint(&mut s.fuzz.as_mut()?.master_seed))
+    }),
+    Field::required("case", |s, _| Some(Slot::Uint(&mut s.fuzz.as_mut()?.case))),
+    Field::optional("invariant", |s, _| {
+        Some(Slot::Text(&mut s.fuzz.as_mut()?.invariant))
+    }),
+    Field::optional("detail", |s, _| {
+        Some(Slot::Text(&mut s.fuzz.as_mut()?.detail))
+    }),
+];
+
+/// `c` follows `n_miners` and `delta` because a table's keys are applied
+/// in this order and `c` reads both.
+const BASE: &[Field] = &[
+    Field::required("n_miners", |s, _| Some(Slot::Uint(&mut s.base.n_miners))),
+    Field::required("adversary_fraction", |s, _| {
+        Some(Slot::Float(&mut s.base.adversary_fraction))
+    }),
+    Field::required("hardness", |s, _| Some(Slot::Float(&mut s.base.hardness))),
+    Field::required("delta", |s, _| Some(Slot::Uint(&mut s.base.delta))),
+    Field::optional("seed", |s, _| Some(Slot::Uint(&mut s.base.seed))),
+    Field::new("c", Need::Alias("hardness"), |s, _| {
+        Some(Slot::C(&mut s.base))
+    }),
+];
+
+const STATIONARY: &[Field] = &[
+    Field::required("strategy", |s, _| {
+        Some(Slot::Strategy(stationary_mut(s)?.0))
+    })
+    .rule(|s, _| composed_in_table(s, stationary(s).map(|(kind, _)| kind))),
+    Field::required("rounds", |s, _| Some(Slot::Uint(stationary_mut(s)?.1)))
+        .rule(|s, _| stationary(s).map_or(Ok(()), |(_, rounds)| at_least_one(rounds))),
+];
+
+const COMPOSITION: &[Field] = &[
+    Field::required("subs", |s, i| Some(Slot::Subs(s.compositions.get_mut(i)?))),
+    Field::new("weights", Need::Patch, |s, i| {
+        Some(Slot::Weights(s.compositions.get_mut(i)?))
+    }),
+    Field::new("strategies", Need::Patch, |s, i| {
+        Some(Slot::Strategies(s.compositions.get_mut(i)?))
+    }),
+];
+
+const PHASE: &[Field] = &[
+    Field::required("rounds", |s, i| {
+        Some(Slot::Uint(&mut phase_mut(s, i)?.rounds))
+    })
+    .rule(|s, i| phase(s, i).map_or(Ok(()), |p| at_least_one(p.rounds))),
+    Field::required("strategy", |s, i| {
+        Some(Slot::Strategy(&mut phase_mut(s, i)?.strategy))
+    })
+    .rule(|s, i| composed_in_table(s, phase(s, i).map(|p| p.strategy))),
+    Field::required("regime", |s, i| {
+        Some(Slot::Regime(&mut phase_mut(s, i)?.regime))
+    })
+    .rule(|s, i| match phase(s, i).map(|p| p.regime) {
+        Some(Regime::Eclipse { group }) if group >= 2 => {
+            Err(format!("`eclipse({group})`: only groups 0 and 1 exist"))
+        }
+        _ => Ok(()),
+    }),
+    Field::optional("adversary_fraction", |s, i| {
+        Some(Slot::MaybeFloat(&mut phase_mut(s, i)?.adversary_fraction))
+    })
+    .rule(
+        |s, i| match phase(s, i).and_then(|p| p.adversary_fraction) {
+            Some(nu) => config_valid(SimConfig {
+                adversary_fraction: nu,
+                ..s.base
+            }),
+            None => Ok(()),
+        },
+    ),
+    Field::optional("hardness", |s, i| {
+        Some(Slot::MaybeFloat(&mut phase_mut(s, i)?.hardness))
+    })
+    .rule(|s, i| match phase(s, i).and_then(|p| p.hardness) {
+        Some(hardness) => config_valid(SimConfig { hardness, ..s.base }),
+        None => Ok(()),
+    }),
+    Field::optional("detector_delta", |s, i| {
+        Some(Slot::MaybeUint(&mut phase_mut(s, i)?.detector_delta))
+    })
+    .rule(|s, i| match phase(s, i).and_then(|p| p.detector_delta) {
+        Some(d) if d == 0 || d > s.base.delta => {
+            Err(format!("must lie in [1, Δ = {}], got {d}", s.base.delta))
+        }
+        _ => Ok(()),
+    }),
+];
+
+/// A typed place in a spec: how one field converts a document value on
+/// the way in and emits its canonical value on the way out.
+enum Slot<'a> {
+    Uint(&'a mut u64),
+    /// Omitted when empty.
+    Uints(&'a mut Vec<u64>),
+    /// `None` (omitted) selects the automatic ladder; `Some([])` is
+    /// emitted as `[]`.
+    Levels(&'a mut Option<Vec<u64>>),
+    /// 0 stands for the omitted key (reuse `trials`), so no value spells
+    /// it.
+    Effort(&'a mut u64),
+    Float(&'a mut f64),
+    MaybeFloat(&'a mut Option<f64>),
+    MaybeUint(&'a mut Option<u64>),
+    Text(&'a mut String),
+    /// Omitted at the default.
+    Backend(&'a mut BackendKind),
+    /// Omitted at the default.
+    Estimator(&'a mut EstimatorKind),
+    Strategy(&'a mut StrategyKind),
+    Regime(&'a mut Regime),
+    /// The paper's axis `c`, stored as hardness p = 1/(c·n·Δ) from the
+    /// config's current `n_miners` and `delta`; never emitted.
+    C(&'a mut SimConfig),
+    /// `[{ strategy = "…", weight = N }, …]`: a whole composition.
+    Subs(&'a mut Composition),
+    /// One weight per sub of the composition (patch only).
+    Weights(&'a mut Composition),
+    /// One strategy per sub of the composition (patch only).
+    Strategies(&'a mut Composition),
+}
+
+impl Slot<'_> {
+    fn set(self, value: &SpecValue) -> Result<(), String> {
+        match self {
+            Slot::Uint(slot) => *slot = int(value)?,
+            Slot::Uints(slot) => *slot = ints(value)?,
+            Slot::Levels(slot) => *slot = Some(ints(value)?),
+            Slot::Effort(slot) => match int(value)? {
+                0 => return Err("must be at least 1 (omit the key to reuse `trials`)".into()),
+                effort => *slot = effort,
+            },
+            Slot::Float(slot) => *slot = num(value)?,
+            Slot::MaybeFloat(slot) => *slot = Some(num(value)?),
+            Slot::MaybeUint(slot) => *slot = Some(int(value)?),
+            Slot::Text(slot) => *slot = owned_text(value)?,
+            Slot::Backend(slot) => *slot = text(value)?.parse().map_err(token_error)?,
+            Slot::Estimator(slot) => *slot = text(value)?.parse().map_err(token_error)?,
+            Slot::Strategy(slot) => *slot = strategy(value)?,
+            Slot::Regime(slot) => {
+                let token = text(value)?;
+                *slot = parse_regime(token).ok_or_else(|| format!("unknown regime `{token}`"))?;
+            }
+            Slot::C(config) => {
+                let c = num(value)?;
+                if !(c > 0.0) {
+                    return Err(format!("must be positive, got {c}"));
+                }
+                #[allow(clippy::cast_precision_loss)]
+                let (n, delta) = (config.n_miners as f64, config.delta as f64);
+                config.hardness = 1.0 / (c * n * delta);
+            }
+            Slot::Subs(slot) => {
+                let subs = list(value)?
+                    .iter()
+                    .map(read_sub)
+                    .collect::<Result<_, _>>()?;
+                *slot = Composition::new(subs).map_err(|e| e.to_string())?;
+            }
+            Slot::Weights(slot) => resub(slot, value, |sub, weight| {
+                sub.weight = int(weight)?;
+                Ok(())
+            })?,
+            Slot::Strategies(slot) => resub(slot, value, |sub, kind| {
+                sub.strategy = strategy(kind)?;
+                Ok(())
+            })?,
+        }
+        Ok(())
+    }
+
+    /// The canonical value, or `None` to leave the key out.
+    fn get(self) -> Option<SpecValue> {
+        let text = |s: String| Some(SpecValue::Str(s));
+        match self {
+            Slot::Uint(slot) => Some(uint(*slot)),
+            Slot::Uints(slot) => (!slot.is_empty()).then(|| uints(slot)),
+            Slot::Levels(slot) => slot.as_deref().map(uints),
+            Slot::Effort(slot) => (*slot != 0).then(|| uint(*slot)),
+            Slot::Float(slot) => Some(SpecValue::Float(*slot)),
+            Slot::MaybeFloat(slot) => slot.map(SpecValue::Float),
+            Slot::MaybeUint(slot) => slot.map(uint),
+            Slot::Text(slot) => text(slot.clone()),
+            Slot::Backend(slot) => {
+                (*slot != BackendKind::default()).then(|| SpecValue::Str(slot.to_string()))
+            }
+            Slot::Estimator(slot) => {
+                (*slot != EstimatorKind::default()).then(|| SpecValue::Str(slot.to_string()))
+            }
+            Slot::Strategy(slot) => text(strategy_token(*slot)),
+            Slot::Regime(slot) => text(regime_token(*slot)),
+            Slot::Subs(slot) => Some(SpecValue::Array(
+                slot.subs().iter().map(sub_value).collect(),
+            )),
+            Slot::C(_) | Slot::Weights(_) | Slot::Strategies(_) => None,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Field accessors, value conversions, and rules
+// ---------------------------------------------------------------------
+
+fn phase(spec: &ExperimentSpec, index: usize) -> Option<&PhaseSpec> {
+    match &spec.mode {
+        ExperimentMode::Scenario(phases) => phases.get(index),
+        ExperimentMode::Stationary { .. } => None,
+    }
+}
+
+fn phase_mut(spec: &mut ExperimentSpec, index: usize) -> Option<&mut PhaseSpec> {
+    match &mut spec.mode {
+        ExperimentMode::Scenario(phases) => phases.get_mut(index),
+        ExperimentMode::Stationary { .. } => None,
+    }
+}
+
+fn stationary(spec: &ExperimentSpec) -> Option<(StrategyKind, u64)> {
+    match spec.mode {
+        ExperimentMode::Stationary { strategy, rounds } => Some((strategy, rounds)),
+        ExperimentMode::Scenario(_) => None,
+    }
+}
+
+fn stationary_mut(spec: &mut ExperimentSpec) -> Option<(&mut StrategyKind, &mut u64)> {
+    match &mut spec.mode {
+        ExperimentMode::Stationary { strategy, rounds } => Some((strategy, rounds)),
+        ExperimentMode::Scenario(_) => None,
+    }
+}
+
+/// One `{ strategy = "…", weight = N }` entry of `subs`.
+fn read_sub(value: &SpecValue) -> Result<SubSpec, String> {
+    let SpecValue::Table(sub) = value else {
+        return Err("entries must be inline tables { strategy = \"…\", weight = N }".into());
+    };
+    let mut sub = sub.clone();
+    let kind = sub
+        .need("strategy", "every sub", strategy)
+        .map_err(|e| e.message)?;
+    let weight = sub
+        .need("weight", "every sub", int)
+        .map_err(|e| e.message)?;
+    sub.expect_empty("a composition sub")
+        .map_err(|e| e.message)?;
+    Ok(SubSpec::new(kind, weight))
+}
+
+fn sub_value(sub: &SubSpec) -> SpecValue {
+    let entry = |key: &str, value| SpecEntry {
+        key: key.into(),
+        line: 0,
+        value,
+    };
+    SpecValue::Table(SpecTable {
+        line: 0,
+        entries: vec![
+            entry("strategy", SpecValue::Str(strategy_token(sub.strategy))),
+            entry("weight", uint(sub.weight)),
+        ],
+    })
+}
+
+/// Rebuilds `composition` with `update` applied to each sub and the
+/// matching entry of the array `value`.
+fn resub(
+    composition: &mut Composition,
+    value: &SpecValue,
+    update: fn(&mut SubSpec, &SpecValue) -> Result<(), String>,
+) -> Result<(), String> {
+    let items = list(value)?;
+    let mut subs = composition.subs().to_vec();
+    if items.len() != subs.len() {
+        return Err(format!("{} entries for {} subs", items.len(), subs.len()));
+    }
+    for (sub, item) in subs.iter_mut().zip(items) {
+        update(sub, item)?;
+    }
+    *composition = Composition::new(subs).map_err(|e| e.to_string())?;
+    Ok(())
+}
+
+fn int(value: &SpecValue) -> Result<u64, String> {
+    match value {
+        SpecValue::Int(i) => {
+            u64::try_from(*i).map_err(|_| format!("must fit an unsigned 64-bit integer, got {i}"))
+        }
+        other => Err(format!("must be an integer, got a {}", other.type_name())),
+    }
+}
+
+fn num(value: &SpecValue) -> Result<f64, String> {
+    match value {
+        SpecValue::Float(f) => Ok(*f),
+        #[allow(clippy::cast_precision_loss)]
+        SpecValue::Int(i) => Ok(*i as f64),
+        other => Err(format!("must be a number, got a {}", other.type_name())),
+    }
+}
+
+fn text(value: &SpecValue) -> Result<&str, String> {
+    match value {
+        SpecValue::Str(s) => Ok(s),
+        other => Err(format!("must be a string, got a {}", other.type_name())),
+    }
+}
+
+fn owned_text(value: &SpecValue) -> Result<String, String> {
+    text(value).map(str::to_owned)
+}
+
+fn list(value: &SpecValue) -> Result<&[SpecValue], String> {
+    match value {
+        SpecValue::Array(items) => Ok(items),
+        other => Err(format!("must be an array, got a {}", other.type_name())),
+    }
+}
+
+fn ints(value: &SpecValue) -> Result<Vec<u64>, String> {
+    list(value)?.iter().map(int).collect()
+}
+
+fn strategy(value: &SpecValue) -> Result<StrategyKind, String> {
+    let token = text(value)?;
+    parse_strategy(token).ok_or_else(|| format!("unknown strategy `{token}`"))
+}
+
+fn token_error(e: UnknownToken) -> String {
+    e.to_string()
+}
+
+fn uint(value: u64) -> SpecValue {
+    SpecValue::Int(i128::from(value))
+}
+
+fn uints(values: &[u64]) -> SpecValue {
+    SpecValue::Array(values.iter().copied().map(uint).collect())
+}
+
+fn at_least_one(value: u64) -> Result<(), String> {
+    if value == 0 {
+        return Err("must be at least 1".into());
+    }
+    Ok(())
+}
+
+fn config_valid(config: SimConfig) -> Result<(), String> {
+    config.validate().map_err(|e| e.to_string())
+}
+
+/// The one check that a `composed(i)` strategy indexes the composition
+/// table.
+fn composed_in_table(spec: &ExperimentSpec, kind: Option<StrategyKind>) -> Result<(), String> {
+    match kind {
+        Some(StrategyKind::Composed(i)) if i >= spec.compositions.len() => Err(format!(
+            "`composed({i})` indexes past the composition table (len {})",
+            spec.compositions.len()
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// A splitting-schedule key only means something to the splitting
+/// estimator.
+fn needs_splitting(spec: &ExperimentSpec, set: bool) -> Result<(), String> {
+    if set && spec.run.estimator != EstimatorKind::Splitting {
+        return Err("the splitting settings need `estimator = \"splitting\"`".into());
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
+// Canonical emission
+// ---------------------------------------------------------------------
 
 fn emit_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -2292,6 +2296,19 @@ fn emit_f64(v: f64) -> String {
     }
 }
 
+/// An inline table: bare keys stay bare, others (dotted patch paths)
+/// are quoted.
+fn emit_inline<'a>(entries: impl Iterator<Item = (&'a str, &'a SpecValue)>) -> String {
+    let inner: Vec<String> = entries
+        .map(|(key, value)| {
+            let bare = !key.is_empty() && key.chars().all(is_bare_key_char);
+            let key = if bare { key.to_owned() } else { emit_str(key) };
+            format!("{key} = {}", emit_value(value))
+        })
+        .collect();
+    format!("{{ {} }}", inner.join(", "))
+}
+
 fn emit_value(value: &SpecValue) -> String {
     match value {
         SpecValue::Int(i) => i.to_string(),
@@ -2303,12 +2320,7 @@ fn emit_value(value: &SpecValue) -> String {
             format!("[{}]", inner.join(", "))
         }
         SpecValue::Table(table) => {
-            let inner: Vec<String> = table
-                .entries
-                .iter()
-                .map(|e| format!("{} = {}", emit_str(&e.key), emit_value(&e.value)))
-                .collect();
-            format!("{{ {} }}", inner.join(", "))
+            emit_inline(table.entries.iter().map(|e| (e.key.as_str(), &e.value)))
         }
     }
 }
@@ -2394,7 +2406,9 @@ mod tests {
         assert_eq!(spec.run.estimator, EstimatorKind::Splitting);
         assert_eq!(spec.run.splitting.levels, Some(vec![2, 5]));
         assert_eq!(spec.run.splitting.effort, 16);
-        let plan = SplittingPlan::from_spec(&spec).unwrap();
+        let ExperimentPlan::Splitting { plan, .. } = spec.plan().unwrap() else {
+            panic!("splitting estimator selected")
+        };
         assert_eq!(plan.effort, 16);
         assert_eq!(plan.thresholds, vec![4, 8]);
         assert_eq!(plan.stage_levels(), vec![2, 5, 9]);
@@ -2405,7 +2419,9 @@ mod tests {
         let source = SPLITTING_SPEC.replace("splitting_effort = 16\n", "");
         let spec = ExperimentSpec::parse(&source).unwrap();
         assert_eq!(spec.run.splitting.effort, 0);
-        let plan = SplittingPlan::from_spec(&spec).unwrap();
+        let ExperimentPlan::Splitting { plan, .. } = spec.plan().unwrap() else {
+            panic!("splitting estimator selected")
+        };
         assert_eq!(plan.effort, spec.run.trials);
     }
 
@@ -2541,7 +2557,10 @@ mod tests {
     #[test]
     fn scenario_spec_plan_matches_hand_built_plan() {
         let spec = ExperimentSpec::parse(SCENARIO_SPEC).unwrap();
-        let from_spec = ScenarioPlan::from_spec(&spec).unwrap().run();
+        let ExperimentPlan::Scenario(plan) = spec.plan().unwrap() else {
+            panic!("scenario spec")
+        };
+        let from_spec = plan.run();
         let scenario = Scenario::with_compositions(
             spec.base,
             vec![
@@ -2889,6 +2908,148 @@ mod tests {
         assert_eq!(ExperimentSpec::parse(bad_syntax).unwrap_err().line, 1);
         let trailing = "[base]\nn_miners = 100 100\n";
         assert_eq!(ExperimentSpec::parse(trailing).unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_positioned_error() {
+        let depth = 100_000;
+        let source = format!(
+            "[experiment]\nthresholds = {}{}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let err = ExperimentSpec::parse(&source).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("nest deeper"), "{err}");
+    }
+
+    #[test]
+    fn array_table_errors_point_at_their_own_header() {
+        // Lines 1-5; line 6 is the blank line each suffix starts with.
+        let base = "[base]\nn_miners = 100\ndelta = 4\nc = 1.0\nadversary_fraction = 0.1\n";
+        let err = ExperimentSpec::parse(&format!("{base}\n[[phase]]\n")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (7, "[[phase]] needs `rounds`")
+        );
+
+        // Lines 6-9.
+        let stationary = format!("{base}\n[stationary]\nstrategy = \"honest\"\nrounds = 5\n");
+        let err = ExperimentSpec::parse(&format!("{stationary}\n[[composition]]\n")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (11, "[[composition]] needs `subs`")
+        );
+
+        let sweep = "\n[sweep]\nseed = 1\n\n[[sweep.axis]]\n\n[[sweep.axis.cell]]\nlabel = \"a\"\n";
+        let err = ExperimentSpec::parse(&format!("{stationary}{sweep}")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (14, "[[sweep.axis]] needs `label`")
+        );
+
+        let sweep = "\n[sweep]\nseed = 1\n\n[[sweep.axis]]\nlabel = \"x\"\n\n[[sweep.axis.cell]]\n";
+        let err = ExperimentSpec::parse(&format!("{stationary}{sweep}")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (17, "[[sweep.axis.cell]] needs `label`")
+        );
+    }
+
+    /// `canonical` with `key = value` in the first table of `section`,
+    /// replacing the key (and, for an alias, the key it spells).
+    fn with_assignment(
+        canonical: &str,
+        section: Section,
+        field: &Field,
+        value: &SpecValue,
+    ) -> String {
+        let header = section.header();
+        let displaced = |line: &str| {
+            let key = line.split(" = ").next();
+            key == Some(field.key) || matches!(field.need, Need::Alias(of) if key == Some(of))
+        };
+        let (mut seen, mut inside) = (false, false);
+        let mut lines = Vec::new();
+        for line in canonical.lines() {
+            if line.starts_with('[') {
+                inside = line == header && !seen;
+                seen |= inside;
+            }
+            if inside && displaced(line) {
+                continue;
+            }
+            lines.push(line.to_owned());
+            if inside && line == header {
+                lines.push(format!("{} = {}", field.key, emit_value(value)));
+            }
+        }
+        lines.join("\n")
+    }
+
+    /// Parsing a key and patching it share one setter and one set of
+    /// rules, so every field accepts and rejects the same values with
+    /// the same message either way.
+    #[test]
+    fn parse_and_patch_agree_on_every_field() {
+        let subs = SpecValue::Array(vec![
+            sub_value(&SubSpec::new(StrategyKind::Selfish, 2)),
+            sub_value(&SubSpec::new(StrategyKind::Balance, 0)),
+        ]);
+        let values = [
+            SpecValue::Int(0),
+            SpecValue::Int(2),
+            SpecValue::Int(-1),
+            SpecValue::Float(0.25),
+            SpecValue::Float(7.5),
+            SpecValue::Bool(true),
+            SpecValue::Str("private-chain".into()),
+            SpecValue::Str("composed(3)".into()),
+            SpecValue::Str("eclipse(1)".into()),
+            SpecValue::Str("eclipse(2)".into()),
+            SpecValue::Str("markov".into()),
+            SpecValue::Str("splitting".into()),
+            SpecValue::Str("bogus".into()),
+            SpecValue::Array(Vec::new()),
+            SpecValue::Array(vec![SpecValue::Int(2)]),
+            subs,
+        ];
+        let mut checked = 0;
+        for section in Section::ALL {
+            if section == Section::Fuzz {
+                continue;
+            }
+            let source = if section.repeated() {
+                SCENARIO_SPEC
+            } else {
+                STATIONARY_SPEC
+            };
+            let base = ExperimentSpec::parse(source).unwrap();
+            let canonical = base.to_toml();
+            for field in section.fields() {
+                let document = |value| with_assignment(&canonical, section, field, value);
+                if field.need == Need::Patch {
+                    let err = ExperimentSpec::parse(&document(&SpecValue::Int(1))).unwrap_err();
+                    assert!(err.message.contains("unknown key"), "{}: {err}", field.key);
+                    continue;
+                }
+                let path = format!("{}.{}", section.path(0), field.key);
+                for value in &values {
+                    let mut patched = base.clone();
+                    let by_patch = patched
+                        .apply_patch(&path, value)
+                        .and_then(|()| patched.validate())
+                        .map(|()| patched.to_toml())
+                        .map_err(|e| e.message);
+                    let by_parse = ExperimentSpec::parse(&document(value))
+                        .map(|spec| spec.to_toml())
+                        .map_err(|e| e.message);
+                    assert_eq!(by_parse, by_patch, "{path} = {}", emit_value(value));
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 300, "only {checked} field/value pairs checked");
     }
 
     #[test]
