@@ -1,11 +1,12 @@
 //! **Extension experiment**: the catch-up race behind the attack lines —
-//! Nakamoto-style confirmation tables computed closed-form, cross-
-//! validated on an absorbing Markov chain, and measured against the
-//! private-chain attack in the simulator.
+//! Nakamoto-style confirmation tables computed closed-form, set beside
+//! the race capped at `z + 100`, and measured against the private-chain
+//! attack in the simulator.
 //!
 //! `cargo run --release -p consistency-bench --bin catchup_table [rounds]`
 
 use consistency_core::catchup;
+use markov::race;
 use nakamoto_sim::adversary::PrivateChainAdversary;
 use nakamoto_sim::config::SimConfig;
 use nakamoto_sim::execution::run_simulation;
@@ -14,14 +15,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = consistency_bench::cli::Args::parse("catchup_table [rounds]", 1, &[])?;
     let rounds = args.pos_u64(0)?.unwrap_or(300_000);
 
-    consistency_bench::section("Catch-up probability: closed form vs absorbing-chain solver");
-    println!("{:>6} {:>4} {:>16} {:>16}", "q", "z", "closed", "markov");
+    consistency_bench::section("Catch-up probability: closed form vs capped at z + h");
+    println!(
+        "{:>6} {:>4} {:>16} {:>16}",
+        "q", "z", "closed", "capped (h=100)"
+    );
     for &q in &[0.1, 0.3, 0.45] {
         for &z in &[1u32, 3, 6, 10] {
             println!(
                 "{q:>6} {z:>4} {:>16.6e} {:>16.6e}",
                 catchup::catchup_probability(q, z)?,
-                catchup::catchup_probability_markov(q, z, z + 100)?,
+                race::violation_probability(q, u64::from(z), u64::from(z) + 100)?.probability,
             );
         }
     }

@@ -11,8 +11,8 @@
 //! `compose_sweep` harnesses; the binaries only differ in how they
 //! pivot the flat cell list for display.
 
-use consistency_core::analytic::{self, AnalyticBounds, BoundComparison, BoundVerdict};
-use nakamoto_sim::exact::{ExactEstimate, ExactRun};
+use consistency_core::analytic::{self, AnalyticBounds, BoundVerdict};
+use nakamoto_sim::exact::ExactRun;
 use nakamoto_sim::executor::{self, TaskKind};
 use nakamoto_sim::montecarlo::MonteCarloRun;
 use nakamoto_sim::spec::{Estimate, ExperimentCell, ExperimentMode, ExperimentSpec, SpecError};
@@ -238,17 +238,16 @@ pub fn apply_budget(
 /// a Wilson 95% CI, a splitting estimate with its relative error, or
 /// the exact probability with its additive truncation bound — and the
 /// theorem-1 margin / consistency verdict columns of the analytic
-/// overlay. Splitting and exact cells get an extra `vs race bound`
-/// column holding the verdict against the race-analysis failure scale
-/// at the largest threshold.
+/// overlay. When a splitting cell is present, a `vs race bound` column
+/// holds its verdict against the race-analysis failure scale at the
+/// largest threshold. When an exact cell is present, a line under the
+/// table says what its value is.
 pub fn print_table(results: &[CellResult]) {
     let thresholds: Vec<u64> = results
         .first()
         .map(|r| r.spec.run.thresholds.clone())
         .unwrap_or_default();
-    let has_race_column = results
-        .iter()
-        .any(|r| !matches!(r.estimate, Estimate::Wilson(_)));
+    let has_race_column = results.iter().any(|r| r.splitting().is_some());
     let label_width = results
         .iter()
         .map(|r| cell_name(r).len())
@@ -284,6 +283,12 @@ pub fn print_table(results: &[CellResult]) {
             None => println!(" {:>13} {:>10}", "—", "ν=0"),
         }
     }
+    if results.iter().any(|r| r.exact().is_some()) {
+        println!(
+            "exact cells: the race-model probability that a deficit of T blocks \
+             reaches 0 at q_eff; it does not depend on `rounds`"
+        );
+    }
 }
 
 /// One threshold's estimate as a table cell, in the backend the cell
@@ -315,57 +320,21 @@ fn threshold_cell(result: &CellResult, t: u64) -> String {
     }
 }
 
-/// The bound-vs-estimate verdict at the *largest* threshold — the cell
-/// the race-analysis comparison is about; `—` for Wilson cells or when
-/// no race bound applies. Splitting estimates are judged under the
-/// three-standard-error rule; exact answers under the sharper
-/// truncation-bound rule of [`compare_exact`].
+/// The splitting estimate's verdict at the *largest* threshold — the
+/// cell the race-analysis comparison is about — under the
+/// three-standard-error rule; `—` for other cells or when no race bound
+/// applies.
 fn race_verdict_cell(result: &CellResult, thresholds: &[u64]) -> String {
-    let (Some(&t), Some(bounds)) = (thresholds.iter().max(), result.analytic.as_ref()) else {
+    let (Some(&t), Some(bounds), Some(run)) = (
+        thresholds.iter().max(),
+        &result.analytic,
+        result.splitting(),
+    ) else {
         return "—".into();
     };
-    let comparison = match &result.estimate {
-        Estimate::Wilson(_) => return "—".into(),
-        Estimate::Splitting(run) => run.estimate_at(t).and_then(|estimate| {
-            bounds.compare_race_estimate(t, estimate.probability, estimate.standard_error())
-        }),
-        Estimate::Exact(run) => run
-            .estimate_at(t)
-            .and_then(|estimate| compare_exact(bounds, estimate)),
-    };
-    match comparison {
-        Some(cmp) => verdict_token(cmp.verdict).into(),
-        None => "—".into(),
-    }
-}
-
-/// Relative float tolerance granted when comparing an exact solve
-/// against the closed-form race scale: the two compute the same
-/// quantity along different arithmetic routes (a linear solve vs a
-/// direct power), so they agree only to rounding — observed at a few
-/// ulps, bounded generously here.
-const EXACT_COMPARE_RTOL: f64 = 1e-9;
-
-/// The race-analysis comparison for an exact estimate. The capped
-/// solve provably under-counts the closed-form scale by at most the
-/// truncation bound, so no statistical hedge applies: after allowing
-/// that bound plus [`EXACT_COMPARE_RTOL`] of float slack, anything
-/// above the scale is a genuine disagreement (`ExceedsBound`), and
-/// everything else is `WithinBound` — never `Inconclusive`.
-fn compare_exact(bounds: &AnalyticBounds, estimate: &ExactEstimate) -> Option<BoundComparison> {
-    let bound = bounds.race_failure_scale(estimate.threshold)?;
-    let tolerance = estimate.truncation_error + EXACT_COMPARE_RTOL * bound;
-    let verdict = if estimate.probability <= bound + tolerance {
-        BoundVerdict::WithinBound
-    } else {
-        BoundVerdict::ExceedsBound
-    };
-    Some(BoundComparison {
-        bound,
-        estimate: estimate.probability,
-        standard_error: None,
-        verdict,
-    })
+    run.estimate_at(t)
+        .and_then(|e| bounds.compare_race_estimate(t, e.probability, e.standard_error()))
+        .map_or_else(|| "—".into(), |cmp| verdict_token(cmp.verdict).into())
 }
 
 /// The JSON/table token for a [`BoundVerdict`].
@@ -561,24 +530,13 @@ pub fn to_json(name: &str, results: &[CellResult]) -> String {
                     if j > 0 {
                         out.push_str(", ");
                     }
-                    let comparison = result
-                        .analytic
-                        .as_ref()
-                        .and_then(|b| compare_exact(b, estimate));
                     out.push_str(&format!(
                         "{{\"threshold\": {}, \"probability\": {}, \"truncation_error\": {}, \
-                         \"upper\": {}, \"expected_race_steps\": {}, \"race_bound\": {}, \
-                         \"race_verdict\": {}}}",
+                         \"upper\": {}}}",
                         estimate.threshold,
                         json_f64(estimate.probability),
                         json_f64(estimate.truncation_error),
                         json_f64(estimate.probability + estimate.truncation_error),
-                        json_f64(estimate.expected_race_steps),
-                        comparison.map_or("null".into(), |c| json_f64(c.bound)),
-                        comparison.map_or("null".into(), |c| format!(
-                            "\"{}\"",
-                            verdict_token(c.verdict)
-                        )),
                     ));
                 }
                 out.push_str("]\n");
@@ -1053,25 +1011,21 @@ mod tests {
     "#;
 
     #[test]
-    fn markov_cells_carry_the_exact_solve_with_a_within_bound_verdict() {
+    fn markov_cells_carry_the_exact_solve() {
         let spec = ExperimentSpec::parse(MARKOV_SPEC).unwrap();
         let results = run_spec(&spec).unwrap();
         let cell = &results[0];
         assert!(cell.wilson().is_none(), "exact cells never sample");
         let exact = cell.exact().expect("markov backend selected");
         assert_eq!(exact.estimates.len(), 2);
-        // The capped solve under-counts the closed-form race scale, so
-        // the analytic comparison must come back within-bound.
-        assert_eq!(
-            race_verdict_cell(cell, &cell.spec.run.thresholds),
-            "within-bound"
-        );
+        // Exact cells carry no race verdict: it could never fail.
+        assert_eq!(race_verdict_cell(cell, &cell.spec.run.thresholds), "—");
         let json = to_json("markov", &results);
         assert!(json_is_well_formed(&json), "malformed:\n{json}");
         assert!(json.contains("\"backend\": \"markov\""));
         assert!(json.contains("\"montecarlo\": null"));
         assert!(json.contains("\"truncation_error\""));
-        assert!(json.contains("\"race_verdict\": \"within-bound\""));
+        assert!(!json.contains("\"race_verdict\""));
         print_table(&results); // must not panic
     }
 

@@ -1,11 +1,10 @@
-//! Cross-backend agreement: the exact Markov backend against the
-//! Monte-Carlo backend it replaces, on the committed
-//! `examples/specs/markov_exact.toml` grid. Where both backends can
-//! see the event, the sampled Wilson 95% interval must contain the
-//! exact answer — the analytic backend may sharpen the sampler, never
-//! contradict it. The suite also pins the truncation-error bound to
-//! observed cap sensitivity: doubling the race cap must move the
-//! answer by no more than the bound claimed at the smaller cap.
+//! Cross-backend agreement: the exact Markov backend beside the
+//! Monte-Carlo backend on the committed
+//! `examples/specs/markov_exact.toml` grid, plus the exact cell against
+//! the race module and the analytic scale. The suite also pins the
+//! truncation-error bound to observed cap sensitivity: doubling the
+//! race cap must move the answer by no more than the bound claimed at
+//! the smaller cap.
 
 use consistency_bench::experiment;
 use markov::race;
@@ -17,6 +16,13 @@ const GOLDEN_SPEC: &str = include_str!("../../../examples/specs/markov_exact.tom
 /// against one `backend = "montecarlo"` cell of the same base
 /// parameters. On every threshold the exact answer must fall inside
 /// the sampled Wilson 95% interval.
+///
+/// This is a smoke check, not a calibration: at 32 trials with no
+/// failure the interval is [0, 0.107], so any exact value below 0.107
+/// passes. It cannot tell a right answer from a wrong one, and the two
+/// backends do not answer the same question (the exact value does not
+/// depend on the horizon; the sampled rate does, see METHODOLOGY's
+/// model gap).
 #[test]
 fn wilson_interval_contains_the_exact_answer_on_the_golden_grid() {
     let mut spec = ExperimentSpec::parse(GOLDEN_SPEC).expect("committed spec parses");
@@ -68,7 +74,7 @@ fn exact_cell_matches_the_race_solve_and_the_analytic_scale() {
             .race_failure_scale(estimate.threshold)
             .expect("q < ½ on the golden grid");
         // Allow the truncation bound plus float noise between the
-        // linear solve and the closed-form power.
+        // capped closed form and the uncapped power.
         assert!(
             estimate.probability <= scale + estimate.truncation_error + 1e-9 * scale,
             "exact answer {:e} above the closed-form scale {scale:e}",

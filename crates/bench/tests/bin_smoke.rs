@@ -208,6 +208,7 @@ fn experiment_entry_runs_every_committed_spec() {
         "attack_window",
         "compose_sweep",
         "markov_exact",
+        "model_gap",
         "rare_event",
         "scenario_sweep",
         "theorem1_check",
@@ -370,12 +371,13 @@ fn kiffer_ablation_entry() {
     assert!(corrected > 0.0 && incorrect > 0.0);
 }
 
-/// `catchup_table`: closed-form catch-up probability vs absorbing chain.
+/// `catchup_table`: closed-form catch-up probability vs the race capped
+/// at z + h.
 #[test]
 fn catchup_table_entry() {
     let closed = consistency_core::catchup::catchup_probability(0.3, 3).unwrap();
-    let markov = consistency_core::catchup::catchup_probability_markov(0.3, 3, 103).unwrap();
-    assert!((closed - markov).abs() < 1e-6);
+    let capped = markov::race::violation_probability(0.3, 3, 103).unwrap();
+    assert!((closed - capped.probability).abs() < 1e-6);
     let cfg = SimConfig::from_c(50, 2, 1.0, 0.3, 9).unwrap();
     let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(2)), ROUNDS);
     assert_eq!(report.rounds, ROUNDS);

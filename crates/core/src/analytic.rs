@@ -32,6 +32,7 @@
 use crate::catchup;
 use crate::params::ProtocolParams;
 use crate::{numax, pss, theorem1, theorem2, theorem3};
+use markov::race;
 use nakamoto_sim::config::SimConfig;
 
 /// Reference `(ε₁, ε₂)` used for the Theorem-3 split-condition check
@@ -119,8 +120,7 @@ impl AnalyticBounds {
     #[must_use]
     pub fn race_failure_scale(&self, threshold: u64) -> Option<f64> {
         let q = catchup::effective_adversary_share(&self.params)?;
-        let z = u32::try_from(threshold).ok()?;
-        catchup::catchup_probability(q, z).ok()
+        (q < 0.5).then(|| race::rho_pow(q, threshold))
     }
 
     /// Compares an empirical failure estimate against
@@ -241,33 +241,6 @@ pub fn for_sim_config(cfg: &SimConfig) -> Option<AnalyticBounds> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The simulator's exact `markov` backend duplicates this crate's
-    /// `effective_adversary_share` derivation (the dependency graph
-    /// runs core → sim, so the simulator cannot call it); this pins
-    /// the two implementations to each other across the parameter
-    /// space so the duplicated formula cannot drift.
-    #[test]
-    fn sim_exact_backend_shares_the_effective_adversary_derivation() {
-        for (n, delta, c, nu) in [
-            (100u64, 4u64, 3.0, 0.15),
-            (100, 4, 1.0, 0.3),
-            (50, 2, 0.5, 0.45),
-            (1_000, 8, 10.0, 0.05),
-        ] {
-            let cfg = SimConfig::from_c(n, delta, c, nu, 7).unwrap();
-            let q_sim = nakamoto_sim::exact::effective_adversary_share(&cfg)
-                .expect("ν > 0 stays inside the race analysis here");
-            let bounds = for_sim_config(&cfg).expect("ν > 0 carries bounds");
-            let q_core = catchup::effective_adversary_share(&bounds.params)
-                .expect("same analysis, core route");
-            assert!(
-                (q_sim - q_core).abs() <= 1e-14 * q_core,
-                "n={n} Δ={delta} c={c} ν={nu}: sim q_eff {q_sim:.17} drifted from \
-                 core q_eff {q_core:.17}"
-            );
-        }
-    }
 
     #[test]
     fn consistent_point_certified_by_all_bounds() {

@@ -5,17 +5,16 @@
 //! This quantifies the attack side of the paper's Figure 1: the
 //! consistency bound guarantees convergence opportunities outpace
 //! adversary blocks; when they do not, the adversary wins this race.
-//! The closed form is Nakamoto's `(q/p)^z` random-walk result; we also
-//! compute it exactly on a truncated birth–death chain via
-//! `markov::absorption` as a cross-validation of both components.
+//! The closed form is Nakamoto's `(q/p)^z` random-walk result; the race
+//! itself, capped or not, lives in [`markov::race`].
 
 use crate::{Error, Result};
-use markov::absorption::analyze;
-use markov::chain::MarkovChainBuilder;
+use markov::race;
 
 /// Probability that the adversary, currently `z` blocks behind, ever
 /// catches up, when each next block is adversarial with probability
-/// `q` and honest with `1 − q` (`q < ½`): `(q/(1−q))^z`.
+/// `q` and honest with `1 − q` (`q < ½`): `(q/(1−q))^z`
+/// ([`race::rho_pow`]).
 ///
 /// # Errors
 ///
@@ -29,44 +28,7 @@ use markov::chain::MarkovChainBuilder;
 /// ```
 pub fn catchup_probability(q: f64, z: u32) -> Result<f64> {
     validate_q(q)?;
-    Ok((q / (1.0 - q)).powi(z as i32))
-}
-
-/// Catch-up probability computed on a truncated birth–death chain with
-/// states `{caught-up, 1 behind, …, horizon behind}`, absorbed at both
-/// "caught up" (deficit 0) and "hopelessly behind" (deficit = horizon).
-/// The absorbing far barrier kills trajectories that wander past the
-/// horizon, so the result *under*-estimates the closed form and
-/// converges to it geometrically as `horizon − z` grows (gambler's
-/// ruin: `((µ'/ν')^{h−z} − 1)/((µ'/ν')^h − 1) → (ν'/µ')^z`).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] for out-of-domain `q`, `z = 0`
-/// or `z ≥ horizon`; propagates linear-algebra failures.
-pub fn catchup_probability_markov(q: f64, z: u32, horizon: u32) -> Result<f64> {
-    validate_q(q)?;
-    if z == 0 {
-        return Err(Error::invalid("z", "deficit must be at least 1"));
-    }
-    if z >= horizon {
-        return Err(Error::invalid(
-            "z",
-            format!("deficit {z} must be below the horizon {horizon}"),
-        ));
-    }
-    let h = horizon as usize;
-    let mut b = MarkovChainBuilder::new(h + 1);
-    b.add(0, 0, 1.0).map_err(Error::from)?; // caught up: absorbing
-    b.add(h, h, 1.0).map_err(Error::from)?; // hopeless: absorbing
-    for d in 1..h {
-        // Adversary block: deficit −1; honest block: deficit +1.
-        b.add(d, d - 1, q).map_err(Error::from)?;
-        b.add(d, d + 1, 1.0 - q).map_err(Error::from)?;
-    }
-    let chain = b.build().map_err(Error::from)?;
-    let analysis = analyze(&chain).map_err(Error::from)?;
-    Ok(analysis.probability(z as usize, 0))
+    Ok(race::rho_pow(q, u64::from(z)))
 }
 
 /// Smallest confirmation depth `z` with catch-up probability at most
@@ -89,23 +51,17 @@ pub fn confirmations_for_risk(q: f64, target: f64) -> Result<u32> {
     Ok((target.ln() / per_block).ceil().max(1.0) as u32)
 }
 
-/// The effective adversarial block share in the Δ-delay model: honest
+/// The effective adversarial block share in the Δ-delay model,
+/// `q_eff = pνn / (pνn + ᾱ^{2Δ}α₁)` ([`race::effective_share`]): honest
 /// blocks only contribute to the race when they arrive in convergence-
 /// opportunity-like slots, so the race ratio the paper's Lemma 1
-/// implies is `q_eff = pνn / (pνn + ᾱ^{2Δ}α₁)` — adversary rate vs
-/// convergence-opportunity rate.
+/// implies is adversary rate vs convergence-opportunity rate.
 ///
 /// Returns `None` when the convergence rate underflows relative to the
 /// adversary rate (race hopeless for honest parties).
 #[must_use]
 pub fn effective_adversary_share(params: &crate::params::ProtocolParams) -> Option<f64> {
-    let ln_conv = crate::theorem1::ln_convergence_rate(params);
-    let adv = crate::theorem1::adversary_rate(params);
-    let conv = ln_conv.exp();
-    if conv == 0.0 {
-        return None;
-    }
-    Some(adv / (adv + conv))
+    race::effective_share(params.n(), params.nu(), params.p(), params.delta())
 }
 
 fn validate_q(q: f64) -> Result<()> {
@@ -132,13 +88,20 @@ mod tests {
         assert!(p < 2e-5 && p > 1e-5);
     }
 
+    /// The race of `markov::race` from deficit `z`, capped at `h`.
+    fn capped(q: f64, z: u32, h: u32) -> f64 {
+        race::violation_probability(q, u64::from(z), u64::from(h))
+            .unwrap()
+            .probability
+    }
+
     #[test]
     fn markov_truncation_converges_to_closed_form() {
         for &q in &[0.1, 0.3, 0.45] {
             for z in [1u32, 3, 6] {
                 let closed = catchup_probability(q, z).unwrap();
-                let coarse = catchup_probability_markov(q, z, z + 10).unwrap();
-                let fine = catchup_probability_markov(q, z, z + 80).unwrap();
+                let coarse = capped(q, z, z + 10);
+                let fine = capped(q, z, z + 80);
                 // Absorbing truncation underestimates, and refining the
                 // horizon shrinks the error.
                 assert!(coarse <= closed + 1e-12, "q={q}, z={z}");
@@ -162,7 +125,7 @@ mod tests {
         let r = (1.0 - q) / q;
         for (z, h) in [(2u32, 7u32), (3, 12), (5, 9)] {
             let expected = (r.powi((h - z) as i32) - 1.0) / (r.powi(h as i32) - 1.0);
-            let got = catchup_probability_markov(q, z, h).unwrap();
+            let got = capped(q, z, h);
             assert!(
                 (got - expected).abs() < 1e-10,
                 "z={z}, h={h}: {got} vs {expected}"
@@ -172,10 +135,10 @@ mod tests {
 
     #[test]
     fn markov_validation_rejects_bad_inputs() {
-        assert!(catchup_probability_markov(0.3, 0, 10).is_err());
-        assert!(catchup_probability_markov(0.3, 10, 10).is_err());
-        assert!(catchup_probability_markov(0.3, 11, 10).is_err());
-        assert!(catchup_probability_markov(0.6, 1, 10).is_err());
+        assert!(race::violation_probability(0.3, 0, 10).is_err());
+        assert!(race::violation_probability(0.3, 10, 10).is_err());
+        assert!(race::violation_probability(0.3, 11, 10).is_err());
+        assert!(catchup_probability(0.6, 1).is_err());
         assert!(catchup_probability(0.0, 1).is_err());
     }
 

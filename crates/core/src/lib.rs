@@ -53,7 +53,6 @@
 
 pub mod analytic;
 pub mod catchup;
-pub mod chain_metrics;
 pub mod convergence;
 pub mod extended_chain;
 pub mod figure1;

@@ -1,1 +1,4 @@
-fn main() {}
+fn main() {
+    // fixture_lib::unused::f() in a comment is not a use,
+    let _ = "fixture_lib::unused::f"; // and neither is a string.
+}

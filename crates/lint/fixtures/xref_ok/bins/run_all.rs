@@ -1,1 +1,5 @@
-fn main() {}
+use umbrella::fixture_lib::{grouped};
+
+fn main() {
+    grouped::go();
+}

@@ -30,7 +30,7 @@
 //!   `#![forbid(unsafe_code)]`.
 //! * **X — cross-artifact** ([`xref`]): bench binaries need smoke
 //!   tests, committed specs need users, the documented spec schema
-//!   must match the codec.
+//!   must match the codec, library modules need a user.
 //!
 //! Violations are suppressed per line with a justified waiver
 //! ([`waiver`]): `// detlint: allow(<rule>) -- <why>`. Unused waivers

@@ -31,6 +31,7 @@ pub const RULE_IDS: &[&str] = &[
     "xref-bin-smoke",
     "xref-spec-used",
     "xref-doc-schema",
+    "xref-mod-used",
     // Meta.
     "waiver-syntax",
     "waiver-unknown-rule",

@@ -10,11 +10,15 @@
 //! * `xref-doc-schema` — every key in the EXPERIMENTS.md spec-schema
 //!   TOML block must exist in `crates/sim/src/spec.rs`; doc drift is a
 //!   build failure.
+//! * `xref-mod-used` — every `pub mod` of a library crate must be named
+//!   from a file other than its own, so no module exists that nothing
+//!   uses.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::diag::Finding;
+use crate::lexer::{self, Tok, TokKind};
 
 /// Where the cross-artifact rule inputs live, workspace-relative.
 #[derive(Debug, Clone)]
@@ -34,6 +38,12 @@ pub struct XrefConfig {
     pub schema_heading: String,
     /// The spec codec source the schema keys must exist in.
     pub spec_rs: String,
+    /// Library crates whose every `pub mod` must be named from another
+    /// file: `(crate name, crate-root file)`.
+    pub lib_roots: Vec<(String, String)>,
+    /// Path prefixes whose `.rs` files never count as naming a module
+    /// (build output, fixtures that hold seeded violations).
+    pub mod_ref_exclude: Vec<String>,
 }
 
 impl XrefConfig {
@@ -54,17 +64,30 @@ impl XrefConfig {
             experiments_md: "EXPERIMENTS.md".into(),
             schema_heading: "## Spec-driven experiments".into(),
             spec_rs: "crates/sim/src/spec.rs".into(),
+            lib_roots: [
+                ("blockchain_consistency", "src"),
+                ("probability", "crates/probability/src"),
+                ("markov", "crates/markov/src"),
+                ("nakamoto_sim", "crates/sim/src"),
+                ("consistency_core", "crates/core/src"),
+                ("consistency_bench", "crates/bench/src"),
+                ("consistency_lint", "crates/lint/src"),
+            ]
+            .map(|(name, src)| (name.into(), format!("{src}/lib.rs")))
+            .to_vec(),
+            mod_ref_exclude: vec!["target".into(), "crates/lint/fixtures".into()],
         }
     }
 }
 
-/// Runs all three X rules rooted at `root`.
+/// Runs all four X rules rooted at `root`.
 #[must_use]
 pub fn check(root: &Path, cfg: &XrefConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     check_bin_smoke(root, cfg, &mut out);
     check_specs_used(root, cfg, &mut out);
     check_doc_schema(root, cfg, &mut out);
+    check_mods_used(root, cfg, &mut out);
     out
 }
 
@@ -198,6 +221,105 @@ fn check_doc_schema(root: &Path, cfg: &XrefConfig, out: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+fn check_mods_used(root: &Path, cfg: &XrefConfig, out: &mut Vec<Finding>) {
+    let mut files = Vec::new();
+    if crate::collect_rs_files(root, root, &cfg.mod_ref_exclude, &mut files).is_err() {
+        return;
+    }
+    let names: Vec<(String, Vec<(String, String)>)> = files
+        .into_iter()
+        .filter_map(|rel| {
+            let source = fs::read_to_string(root.join(&rel)).ok()?;
+            let pairs = qualified_names(&lexer::lex(&source).tokens);
+            Some((rel, pairs))
+        })
+        .collect();
+    for (krate, lib_rs) in &cfg.lib_roots {
+        let Some(source) = read(root, lib_rs) else {
+            continue;
+        };
+        let src = lib_rs
+            .rsplit_once('/')
+            .map_or(String::new(), |(dir, _)| format!("{dir}/"));
+        for (module, line, col) in file_modules(&lexer::lex(&source).tokens) {
+            let (own, own_dir) = (format!("{src}{module}.rs"), format!("{src}{module}/"));
+            let named = names.iter().any(|(rel, pairs)| {
+                let local = rel.starts_with(&src);
+                *rel != own
+                    && !rel.starts_with(&own_dir)
+                    && pairs.iter().any(|(owner, name)| {
+                        *name == module
+                            && (owner == krate || (local && (owner == "crate" || owner == "super")))
+                    })
+            });
+            if !named {
+                out.push(Finding::new(
+                    "xref-mod-used",
+                    lib_rs,
+                    line,
+                    col,
+                    format!(
+                        "library module `{krate}::{module}` is named from no file but its \
+                         own; use it or delete it"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+/// `(name, line, column)` of every `pub mod name;` declaration.
+fn file_modules(toks: &[Tok]) -> Vec<(String, u32, u32)> {
+    toks.windows(4)
+        .filter(|w| {
+            w[0].is_ident("pub")
+                && w[1].is_ident("mod")
+                && w[2].kind == TokKind::Ident
+                && w[3].is_punct(';')
+        })
+        .map(|w| (w[2].text.clone(), w[2].line, w[2].col))
+        .collect()
+}
+
+/// Every `(owner, name)` a file names: `owner::name` path segments, and
+/// each entry of a `owner::{…}` use group (nested groups name their
+/// own owner), so `use a::b::{c, d::e}` yields `(a, b)`, `(b, c)` and
+/// `(b, d)`.
+fn qualified_names(toks: &[Tok]) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for (i, owner) in toks.iter().enumerate() {
+        let path = toks
+            .get(i + 1..i + 3)
+            .is_some_and(|w| w.iter().all(|t| t.is_punct(':')));
+        if owner.kind != TokKind::Ident || !path {
+            continue;
+        }
+        match toks.get(i + 3) {
+            Some(t) if t.kind == TokKind::Ident => out.push((owner.text.clone(), t.text.clone())),
+            Some(t) if t.is_punct('{') => {
+                let mut depth = 0usize;
+                for (j, t) in toks.iter().enumerate().skip(i + 3) {
+                    if t.is_punct('{') {
+                        depth += 1;
+                    } else if t.is_punct('}') {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    } else if depth == 1
+                        && t.kind == TokKind::Ident
+                        && (toks[j - 1].is_punct('{') || toks[j - 1].is_punct(','))
+                    {
+                        out.push((owner.text.clone(), t.text.clone()));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// Extracts `(key, markdown line)` pairs from the first ```toml fence
@@ -359,6 +481,33 @@ patch = { \"base.adversary_fraction\" = 0.15 }
         assert!(
             !keys.contains(&"hardness".to_string()),
             "comment-only mention: {keys:?}"
+        );
+    }
+
+    #[test]
+    fn qualified_names_cover_paths_and_use_groups() {
+        let toks = lexer::lex(
+            "use blockchain_consistency::markov::{hitting, mixing::tv};\n\
+             fn f() { crate::race::go(); } // probability::poisson",
+        )
+        .tokens;
+        let names = qualified_names(&toks);
+        for (owner, name) in [
+            ("blockchain_consistency", "markov"),
+            ("markov", "hitting"),
+            ("markov", "mixing"),
+            ("mixing", "tv"),
+            ("crate", "race"),
+            ("race", "go"),
+        ] {
+            assert!(
+                names.contains(&(owner.into(), name.into())),
+                "{owner}::{name}: {names:?}"
+            );
+        }
+        assert!(
+            !names.iter().any(|(_, n)| n == "poisson"),
+            "comments name nothing"
         );
     }
 

@@ -168,6 +168,8 @@ fn mini_xref_config() -> xref::XrefConfig {
         experiments_md: "DOC.md".into(),
         schema_heading: "## Schema".into(),
         spec_rs: "spec.rs".into(),
+        lib_roots: vec![("fixture_lib".into(), "lib/src/lib.rs".into())],
+        mod_ref_exclude: Vec::new(),
     }
 }
 
@@ -178,13 +180,21 @@ fn xref_ok_tree_is_clean() {
 }
 
 #[test]
-fn xref_bad_tree_fires_all_three_rules() {
+fn xref_bad_tree_fires_every_x_rule() {
     let findings = xref::check(&fixture_dir().join("xref_bad"), &mini_xref_config());
     let mut fired: Vec<&str> = findings.iter().map(|f| f.rule).collect();
     fired.sort_unstable();
     assert_eq!(
         fired,
-        ["xref-bin-smoke", "xref-doc-schema", "xref-spec-used"],
+        [
+            "xref-bin-smoke",
+            "xref-doc-schema",
+            "xref-mod-used",
+            "xref-spec-used"
+        ],
         "{findings:#?}"
     );
+    // The unused module is reported at its declaration.
+    let unused = findings.iter().find(|f| f.rule == "xref-mod-used").unwrap();
+    assert_eq!((unused.path.as_str(), unused.line), ("lib/src/lib.rs", 1));
 }

@@ -157,6 +157,10 @@ pub fn analyze(chain: &MarkovChain) -> Result<AbsorbingAnalysis> {
             let row_vals = &mut tail[0];
             let factor = row_vals[col] / pivot;
             row_vals[col] = factor;
+            if factor == 0.0 {
+                // Nothing to eliminate: banded chains stay O(m²).
+                continue;
+            }
             for (x, &upper) in row_vals[col + 1..].iter_mut().zip(&pivot_vals[col + 1..]) {
                 *x -= factor * upper;
             }

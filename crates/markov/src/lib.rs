@@ -20,9 +20,10 @@
 //!   behind the paper's Inequality (19).
 //! * [`hitting`] — expected hitting and return times.
 //! * [`walk`] — random-walk sampling with occupancy statistics.
-//! * [`race`] — the exact private-chain-race backend of the
-//!   spec-driven experiment layer: capped absorbing-race solves, each
-//!   carrying a provable truncation-error bound.
+//! * [`race`] — the private-chain race behind the exact backend of the
+//!   spec-driven experiment layer: the effective share `q_eff` and the
+//!   closed-form capped race, each answer carrying a provable
+//!   truncation-error bound.
 //!
 //! # Example
 //!

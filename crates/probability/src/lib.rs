@@ -9,8 +9,8 @@
 //! * [`logfloat`] — [`LogFloat`](logfloat::LogFloat), a non-negative real
 //!   stored as its natural logarithm, for quantities like `ᾱ^{2Δ}` with
 //!   `Δ = 10¹³` that underflow `f64`.
-//! * [`binomial`], [`bernoulli`], [`geometric`] — the distributions the
-//!   paper's round model is built from (Eqs. 7–9 of the paper).
+//! * [`binomial`], [`geometric`] — the distributions the paper's round
+//!   model is built from (Eqs. 7–9 of the paper).
 //! * [`chernoff`] — relative entropy and the binomial tail bounds used in
 //!   Inequality (49) (Arratia–Gordon) plus standard multiplicative
 //!   Chernoff and Hoeffding bounds.
@@ -34,13 +34,10 @@
 //! # Ok::<(), probability::Error>(())
 //! ```
 
-pub mod bernoulli;
 pub mod binomial;
 pub mod chernoff;
-pub mod discrete;
 pub mod geometric;
 pub mod logfloat;
-pub mod poisson;
 pub mod rare_event;
 pub mod rng;
 pub mod rootfind;

@@ -1,82 +1,41 @@
 //! The exact `markov` backend of the spec-driven experiment layer.
 //!
 //! Instead of sampling trials, this backend models the stationary
-//! private-chain cell as the absorbing race of [`markov::race`]: each
-//! new block extends the adversary's private chain with the *effective*
-//! adversarial share `q_eff = pνn / (pνn + ᾱ^{2Δ}α₁)` (adversary block
-//! rate vs convergence-opportunity rate, the ratio the paper's Lemma 1
-//! implies for the Δ-delay model) and the honest chain otherwise. A
-//! `T`-consistency failure is absorption at deficit 0, solved exactly
-//! on a chain capped at `max(T) + RACE_CAP_MARGIN`, and every answer
-//! carries the race module's provable truncation-error bound — the
-//! capped solve under-counts the infinite race by at most that much.
-//!
-//! The derivation of `q_eff` duplicates `consistency_core`'s
-//! `effective_adversary_share` (the core crate sits *above* this one in
-//! the dependency graph, so the simulator cannot call it); a
-//! cross-check test in `consistency_core` pins the two implementations
-//! to each other.
+//! private-chain cell as the capped race of [`markov::race`]: each new
+//! block extends the adversary's private chain with the *effective*
+//! adversarial share [`markov::race::effective_share`] and the honest
+//! chain otherwise. A `T`-consistency failure is the race reaching
+//! deficit 0, solved in closed form on a race capped at
+//! `max(T) + RACE_CAP_MARGIN`, and every answer carries the race
+//! module's provable truncation-error bound — the capped race
+//! under-counts the infinite one by at most that much. The answer is
+//! the race-model probability: it does not depend on the spec's
+//! `rounds`.
 
 use crate::config::{ConfigError, SimConfig};
 use markov::race;
-use std::time::Instant; // detlint: allow(det-wallclock) -- elapsed feeds the per-cell timing diagnostic only, never an estimate
 
-/// How far past the largest threshold the race chain's safe-side
-/// absorbing barrier sits. In any consistent regime (`q_eff` well below
-/// ½) the omitted tail `(q/(1−q))^cap` at 64 extra states is far below
-/// `f64` resolution, so the default cap never dominates an answer.
+/// How far past the largest threshold the race's safe-side absorbing
+/// barrier sits. In any consistent regime (`q_eff` well below ½) the
+/// omitted tail `(q/(1−q))^cap` at 64 extra states is far below `f64`
+/// resolution, so the default cap never dominates an answer.
 pub const RACE_CAP_MARGIN: u64 = 64;
 
 /// Largest threshold the exact backend accepts: the cap must stay
 /// within [`markov::race::MAX_CAP`] after adding [`RACE_CAP_MARGIN`].
 pub const MAX_THRESHOLD: u64 = race::MAX_CAP - RACE_CAP_MARGIN;
 
-/// The effective adversarial block share `q_eff = pνn / (pνn +
-/// ᾱ^{2Δ}α₁)` for a simulator configuration, mirroring
-/// `consistency_core::catchup::effective_adversary_share` on
-/// [`ProtocolParams`]-equivalent inputs.
-///
-/// Returns `None` when the configuration is outside the race analysis:
-/// an adversary-free baseline (`ν = 0`) or a convergence rate that
-/// underflows to zero relative to the adversary rate.
-///
-/// [`ProtocolParams`]: SimConfig
-#[must_use]
-pub fn effective_adversary_share(cfg: &SimConfig) -> Option<f64> {
-    let nu = cfg.adversary_fraction;
-    if nu <= 0.0 {
-        return None;
-    }
-    let n = cfg.n_miners as f64;
-    let p = cfg.hardness;
-    let mu_n = (1.0 - nu) * n;
-    let nu_n = nu * n;
-    // Theorem 1's rates, in log space (Eqs. 27 and 44): ln ᾱ = µn·ln(1−p),
-    // ln α₁ = ln(pµn) + (µn−1)·ln(1−p), conv = ᾱ^{2Δ}·α₁, adv = pνn.
-    let ln_alpha_bar = mu_n * (-p).ln_1p();
-    let ln_alpha1 = (p * mu_n).ln() + (mu_n - 1.0) * (-p).ln_1p();
-    let ln_conv = 2.0 * cfg.delta as f64 * ln_alpha_bar + ln_alpha1;
-    let adv = p * nu_n;
-    let conv = ln_conv.exp();
-    if conv == 0.0 {
-        return None;
-    }
-    Some(adv / (adv + conv))
-}
-
 /// One threshold's exact answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactEstimate {
     /// The consistency threshold `T`.
     pub threshold: u64,
-    /// Exact `T`-violation probability on the capped race chain.
+    /// Exact `T`-violation probability on the capped race.
     pub probability: f64,
     /// Provable upper bound on the violation mass the cap truncates
     /// away (the un-truncated probability lies in
     /// `[probability, probability + truncation_error]`).
     pub truncation_error: f64,
-    /// Expected race length (blocks until either absorption).
-    pub expected_race_steps: f64,
 }
 
 /// Result of one exact-backend cell: per-threshold answers plus the
@@ -85,12 +44,10 @@ pub struct ExactEstimate {
 pub struct ExactRun {
     /// The effective adversarial share the race ran at.
     pub q: f64,
-    /// The capped chain's safe-side absorbing deficit.
+    /// The capped race's safe-side absorbing deficit.
     pub cap: u64,
     /// Per-threshold answers, in the spec's threshold order.
     pub estimates: Vec<ExactEstimate>,
-    /// Wall-clock seconds the solve took (diagnostic only).
-    pub elapsed_secs: f64,
 }
 
 impl ExactRun {
@@ -111,7 +68,7 @@ pub struct ExactPlan {
     pub config: SimConfig,
     /// The effective adversarial share `q_eff`.
     pub q: f64,
-    /// The race chain's cap (`max(thresholds) + RACE_CAP_MARGIN`).
+    /// The race's cap (`max(thresholds) + RACE_CAP_MARGIN`).
     pub cap: u64,
     /// Thresholds to answer, in spec order.
     pub thresholds: Vec<u64>,
@@ -127,11 +84,17 @@ impl ExactPlan {
     ///
     /// Returns [`ConfigError`] for an invalid configuration, a
     /// configuration outside the race analysis (`ν = 0` or a
-    /// convergence-rate underflow — see [`effective_adversary_share`]),
+    /// convergence-rate underflow — see [`race::effective_share`]),
     /// no thresholds, or a threshold outside `[1, MAX_THRESHOLD]`.
     pub fn new(config: SimConfig, thresholds: Vec<u64>, rounds: u64) -> Result<Self, ConfigError> {
         config.validate()?;
-        let q = effective_adversary_share(&config).ok_or_else(|| {
+        let q = race::effective_share(
+            config.n_miners,
+            config.adversary_fraction,
+            config.hardness,
+            config.delta,
+        )
+        .ok_or_else(|| {
             ConfigError::new(
                 "the markov backend needs an adversary inside the race analysis \
                  (ν > 0 and a non-underflowing convergence rate)",
@@ -157,7 +120,7 @@ impl ExactPlan {
         })
     }
 
-    /// Solves every threshold exactly on the capped race chain.
+    /// Solves every threshold exactly on the capped race.
     ///
     /// # Panics
     ///
@@ -166,8 +129,6 @@ impl ExactPlan {
     /// error.
     #[must_use]
     pub fn run(&self) -> ExactRun {
-        // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-        let started = Instant::now();
         let estimates = self
             .thresholds
             .iter()
@@ -178,7 +139,6 @@ impl ExactPlan {
                     threshold,
                     probability: race.probability,
                     truncation_error: race.truncation_error,
-                    expected_race_steps: race.expected_steps,
                 }
             })
             .collect();
@@ -186,7 +146,6 @@ impl ExactPlan {
             q: self.q,
             cap: self.cap,
             estimates,
-            elapsed_secs: started.elapsed().as_secs_f64(),
         }
     }
 }
@@ -201,14 +160,17 @@ mod tests {
 
     #[test]
     fn effective_share_is_subcritical_in_the_consistent_region() {
-        let q = effective_adversary_share(&consistent_config()).unwrap();
+        let q = ExactPlan::new(consistent_config(), vec![6], 1000)
+            .unwrap()
+            .q;
         assert!(q > 0.0 && q < 0.5, "q_eff = {q}");
     }
 
     #[test]
     fn effective_share_is_none_without_an_adversary() {
         let cfg = SimConfig::from_c(100, 4, 3.0, 0.0, 7).unwrap();
-        assert!(effective_adversary_share(&cfg).is_none());
+        assert!(race::effective_share(cfg.n_miners, 0.0, cfg.hardness, cfg.delta).is_none());
+        assert!(ExactPlan::new(cfg, vec![6], 1000).is_err());
     }
 
     #[test]

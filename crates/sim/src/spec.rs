@@ -15,7 +15,7 @@
 //!   estimator of [`crate::splitting`], tuned by `splitting_levels`
 //!   and `splitting_effort` and restricted to `[stationary]` specs),
 //!   and the backend: `backend = "montecarlo"` (default, sampling) or
-//!   `"markov"` (the exact absorbing-race solver of [`crate::exact`],
+//!   `"markov"` (the exact capped-race solve of [`crate::exact`],
 //!   restricted to stationary private-chain cells);
 //! * `[base]` — the [`SimConfig`] every cell starts from (`c` may be
 //!   given instead of `hardness`, mirroring the paper's axis);
@@ -826,9 +826,9 @@ pub enum BackendKind {
     /// Wilson or splitting estimator.
     #[default]
     MonteCarlo,
-    /// The exact absorbing-race solver of [`crate::exact`]: no
-    /// sampling, a provable truncation-error bound beside every
-    /// answer. Stationary private-chain cells only.
+    /// The exact capped-race solve of [`crate::exact`]: no sampling,
+    /// a provable truncation-error bound beside every answer.
+    /// Stationary private-chain cells only.
     Markov,
 }
 
@@ -1002,7 +1002,7 @@ pub enum Estimate {
     Wilson(MonteCarloRun),
     /// The multilevel-splitting rare-event estimator.
     Splitting(SplittingRun),
-    /// The exact absorbing-race solve, with per-threshold truncation
+    /// The exact capped-race solve, with per-threshold truncation
     /// bounds.
     Exact(ExactRun),
 }
@@ -1017,13 +1017,14 @@ impl Estimate {
         }
     }
 
-    /// Wall-clock seconds the estimate took to compute.
+    /// Wall-clock seconds the estimate took to compute (0 for the
+    /// exact backend, whose closed-form solve is not timed).
     #[must_use]
     pub fn elapsed_secs(&self) -> f64 {
         match self {
             Estimate::Wilson(run) => run.elapsed_secs,
             Estimate::Splitting(run) => run.elapsed_secs,
-            Estimate::Exact(run) => run.elapsed_secs,
+            Estimate::Exact(_) => 0.0,
         }
     }
 
@@ -1075,7 +1076,7 @@ pub enum ExperimentPlan {
         /// Composition table for `composed(i)` strategies.
         compositions: Vec<Composition>,
     },
-    /// An exact absorbing-race solve (`backend = "markov"`).
+    /// An exact capped-race solve (`backend = "markov"`).
     Exact(ExactPlan),
 }
 
