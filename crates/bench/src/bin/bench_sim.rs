@@ -1,7 +1,8 @@
 //! Simulator throughput baseline: measures the round-loop hot path on
-//! three workloads, compares against the recorded pre-overhaul seed
-//! numbers, and maintains the machine-readable `BENCH_sim.json`
-//! baseline the CI smoke guards against regressions.
+//! two single-run workloads and the end-to-end spec grid, compares the
+//! single runs against the recorded pre-overhaul seed numbers, and
+//! maintains the machine-readable `BENCH_sim.json` baseline the CI
+//! smoke guards against regressions.
 //!
 //! Modes:
 //!
@@ -24,13 +25,11 @@
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
 use consistency_bench::experiment;
-use nakamoto_sim::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+use nakamoto_sim::adversary::{ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
-use nakamoto_sim::execution::run_simulation_with;
+use nakamoto_sim::execution::run_simulation;
 use nakamoto_sim::executor;
-use nakamoto_sim::montecarlo::TrialPlan;
 use nakamoto_sim::spec::ExperimentSpec;
-use probability::rng::{RandomSource, SplitMix64};
 use std::time::Instant;
 
 /// The committed golden spec the end-to-end grid row runs.
@@ -42,7 +41,6 @@ const GRID_SPEC: &str = include_str!("../../../../examples/specs/attack_sweep.to
 /// still shows the before/after story.
 const SEED_PRIVATE_C3_RPS: f64 = 10_261_647.0;
 const SEED_IMMEDIATE_N1000_RPS: f64 = 17_542_993.0;
-const SEED_SWEEP_WALL_SECS: f64 = 0.942;
 
 /// Fraction of the committed check throughput below which `--check`
 /// fails (i.e. a >25% regression). Scalar and grid rows share the
@@ -58,7 +56,7 @@ fn best_of<F: FnMut() -> f64>(reps: u32, mut f: F) -> f64 {
 fn private_chain_c3(rounds: u64) -> f64 {
     let cfg = SimConfig::from_c(100, 4, 3.0, 0.25, 42).unwrap();
     let t = Instant::now();
-    let report = run_simulation_with(cfg, PrivateChainAdversary::new(4), rounds);
+    let report = run_simulation(cfg, PrivateChainAdversary::new(4), rounds);
     let dt = t.elapsed().as_secs_f64();
     assert_eq!(report.rounds, rounds);
     dt
@@ -68,32 +66,10 @@ fn private_chain_c3(rounds: u64) -> f64 {
 fn immediate_n1000(rounds: u64) -> f64 {
     let cfg = SimConfig::new(1_000, 0.25, 1.0 / (3.0 * 1_000.0 * 4.0), 4, 1).unwrap();
     let t = Instant::now();
-    let report = run_simulation_with(cfg, ImmediateReleaseAdversary::new(), rounds);
+    let report = run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds);
     let dt = t.elapsed().as_secs_f64();
     assert_eq!(report.rounds, rounds);
     dt
-}
-
-/// The attack-sweep grid (27 cells × 2 adversaries, 8.1M total rounds,
-/// the workload of the seed's `attack_sweep` binary) on the trial
-/// engine. Returns (wall seconds, total rounds).
-fn attack_sweep_grid() -> (f64, u64) {
-    let mut cell_seeds = SplitMix64::new(0x000B_EAC4);
-    let t = Instant::now();
-    let mut total = 0u64;
-    for &c in &[0.5f64, 1.0, 2.0] {
-        for &nu in &[0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45] {
-            let mk = |seed: u64| {
-                TrialPlan::new(SimConfig::from_c(100, 4, c, nu, seed).unwrap(), 30_000, 5)
-                    .unwrap()
-                    .thresholds(vec![12])
-            };
-            let p = mk(cell_seeds.next_u64()).run(|_| PrivateChainAdversary::new(4));
-            let b = mk(cell_seeds.next_u64()).run(|_| BalanceAdversary::new(4));
-            total += p.aggregate.total_rounds() + b.aggregate.total_rounds();
-        }
-    }
-    (t.elapsed().as_secs_f64(), total)
 }
 
 /// The end-to-end grid workload: the committed `attack_sweep.toml`
@@ -134,8 +110,6 @@ fn check_grid_throughput() -> f64 {
 struct Baseline {
     private_rps: f64,
     immediate_rps: f64,
-    sweep_wall: f64,
-    sweep_rounds: u64,
     grid_wall: f64,
     grid_cells: usize,
     grid_rounds: u64,
@@ -149,12 +123,6 @@ fn measure() -> Baseline {
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let private_rps = ROUNDS as f64 / best_of(3, || private_chain_c3(ROUNDS));
     let immediate_rps = ROUNDS as f64 / best_of(3, || immediate_n1000(ROUNDS));
-    let mut sweep_rounds = 0;
-    let sweep_wall = best_of(2, || {
-        let (w, r) = attack_sweep_grid();
-        sweep_rounds = r;
-        w
-    });
     let mut grid_cells = 0;
     let mut grid_rounds = 0;
     let grid_wall = best_of(2, || {
@@ -168,8 +136,6 @@ fn measure() -> Baseline {
     Baseline {
         private_rps,
         immediate_rps,
-        sweep_wall,
-        sweep_rounds,
         grid_wall,
         grid_cells,
         grid_rounds,
@@ -203,13 +169,6 @@ fn print_table(b: &Baseline) {
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS
     );
     println!(
-        "{:<28} {:>15.3}s {:>15.3}s {:>8.1}x",
-        "attack_sweep (1 thread)",
-        b.sweep_wall,
-        SEED_SWEEP_WALL_SECS,
-        SEED_SWEEP_WALL_SECS / b.sweep_wall
-    );
-    println!(
         "{:<28} {:>15.3}s {:>16.0} {:>9}",
         format!("spec grid ({} cells, e2e)", b.grid_cells),
         b.grid_wall,
@@ -228,19 +187,18 @@ fn print_table(b: &Baseline) {
 
 fn to_json(b: &Baseline) -> String {
     format!(
-        "{{\n  \"schema\": \"bench_sim/v4\",\n  \"regenerate\": \"cargo run --release -p \
+        "{{\n  \"schema\": \"bench_sim/v5\",\n  \"regenerate\": \"cargo run --release -p \
          consistency_bench --bin bench_sim -- --write BENCH_sim.json\",\n  \"host_cpus\": {},\n  \
          \"pool_width\": 1,\n  \
          \"seed_baseline\": {{\n    \"description\": \"pre-overhaul engine: boxed dispatch, \
          per-round sampling, unbounded arena (commit 3627bf5, same container)\",\n    \
          \"private_chain_c3_rounds_per_sec\": {:.0},\n    \
-         \"immediate_n1000_rounds_per_sec\": {:.0},\n    \"attack_sweep_wall_secs\": {:.3}\n  \
+         \"immediate_n1000_rounds_per_sec\": {:.0}\n  \
          }},\n  \"private_chain_c3_rounds_per_sec\": {:.0},\n  \
          \"private_chain_c3_speedup_vs_seed\": {:.2},\n  \
          \"immediate_n1000_rounds_per_sec\": {:.0},\n  \
-         \"immediate_n1000_speedup_vs_seed\": {:.2},\n  \"attack_sweep\": {{\n    \
-         \"wall_secs\": {:.4},\n    \"total_rounds\": {},\n    \"speedup_vs_seed\": {:.2}\n  \
-         }},\n  \"grid_attack_sweep\": {{\n    \"spec\": \"examples/specs/attack_sweep.toml\",\n    \
+         \"immediate_n1000_speedup_vs_seed\": {:.2},\n  \
+         \"grid_attack_sweep\": {{\n    \"spec\": \"examples/specs/attack_sweep.toml\",\n    \
          \"cells\": {},\n    \"wall_secs\": {:.4},\n    \"total_rounds\": {},\n    \
          \"rounds_per_sec\": {:.0}\n  }},\n  \
          \"check_rounds_per_sec\": {:.0},\n  \
@@ -249,14 +207,10 @@ fn to_json(b: &Baseline) -> String {
         b.cpus,
         SEED_PRIVATE_C3_RPS,
         SEED_IMMEDIATE_N1000_RPS,
-        SEED_SWEEP_WALL_SECS,
         b.private_rps,
         b.private_rps / SEED_PRIVATE_C3_RPS,
         b.immediate_rps,
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS,
-        b.sweep_wall,
-        b.sweep_rounds,
-        SEED_SWEEP_WALL_SECS / b.sweep_wall,
         b.grid_cells,
         b.grid_wall,
         b.grid_rounds,

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for &nu in &[0.15, 0.25, 0.35, 0.45] {
         let cfg = SimConfig::from_c(100, 4, 1.0, nu, 9_999)?;
-        let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(4)), rounds);
+        let report = run_simulation(cfg, PrivateChainAdversary::new(4), rounds);
         // Geometric reference: P[depth ≥ z] ≈ (ν/µ)^{z−1}; mean ≈ 1/(1−ν/µ).
         let ratio = nu / (1.0 - nu);
         let mean_ref = 1.0 / (1.0 - ratio);

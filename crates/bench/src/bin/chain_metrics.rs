@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &c in &[0.5f64, 1.0, 3.0, 10.0] {
         for &nu in &[0.1, 0.3] {
             let cfg = SimConfig::from_c(n, delta, c, nu, 555)?;
-            let report = run_simulation(cfg, Box::new(ImmediateReleaseAdversary::new()), rounds);
+            let report = run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds);
             // With immediate (1-round) release and a single honest group
             // there is no propagation shadow: height grows by 1 per
             // H-round (α_h = 1−(1−p)^{n_honest}) plus the adversary's
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &c in &[0.5f64, 1.0, 3.0] {
         for &nu in &[0.1, 0.3, 0.45] {
             let cfg = SimConfig::from_c(n, delta, c, nu, 556)?;
-            let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(delta)), rounds);
+            let report = run_simulation(cfg, PrivateChainAdversary::new(delta), rounds);
             println!(
                 "{:>6} {:>6} {:>12.6} {:>12.4}",
                 nu,
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for &nu in &[0.1, 0.2, 0.3, 0.35, 0.4, 0.45] {
         let cfg = SimConfig::from_c(n, 2, 2.0, nu, 557)?;
-        let report = run_simulation(cfg, Box::new(SelfishMiningAdversary::new(2)), rounds);
+        let report = run_simulation(cfg, SelfishMiningAdversary::new(2), rounds);
         let mu = 1.0 - nu;
         println!(
             "{:>6} {:>12.4} {:>14.4} {:>14}",

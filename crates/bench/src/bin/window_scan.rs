@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let params = ProtocolParams::from_c(100, 2, neat * factor, nu)?;
             let reports = simulate_and_scan(
                 &params,
-                Box::new(PrivateChainAdversary::new(2)),
+                PrivateChainAdversary::new(2),
                 rounds,
                 &windows,
                 88_000 + (nu * 100.0) as u64,

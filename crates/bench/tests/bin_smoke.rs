@@ -6,7 +6,7 @@
 use consistency_core::params::ProtocolParams;
 use nakamoto_sim::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
-use nakamoto_sim::execution::{run_simulation, run_simulation_with};
+use nakamoto_sim::execution::run_simulation;
 use nakamoto_sim::montecarlo::TrialPlan;
 use nakamoto_sim::selfish::SelfishMiningAdversary;
 
@@ -286,12 +286,12 @@ fn experiment_entry_runs_every_committed_spec() {
     }
 }
 
-/// `bench_sim`: the throughput harness's workloads at tiny budgets —
-/// a statically dispatched single run plus a parallel trial fan-out.
+/// `bench_sim`: the throughput harness's single-run workload at a tiny
+/// budget, plus the trial fan-out each cell of its grid row runs.
 #[test]
 fn bench_sim_entry() {
     let cfg = SimConfig::from_c(100, 4, 3.0, 0.25, 42).unwrap();
-    let report = run_simulation_with(cfg, PrivateChainAdversary::new(4), ROUNDS);
+    let report = run_simulation(cfg, PrivateChainAdversary::new(4), ROUNDS);
     assert_eq!(report.rounds, ROUNDS);
     let run = TrialPlan::new(cfg, 500, 4)
         .expect("non-empty plan")
@@ -379,7 +379,7 @@ fn catchup_table_entry() {
     let capped = markov::race::violation_probability(0.3, 3, 103).unwrap();
     assert!((closed - capped.probability).abs() < 1e-6);
     let cfg = SimConfig::from_c(50, 2, 1.0, 0.3, 9).unwrap();
-    let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(2)), ROUNDS);
+    let report = run_simulation(cfg, PrivateChainAdversary::new(2), ROUNDS);
     assert_eq!(report.rounds, ROUNDS);
 }
 
@@ -388,9 +388,9 @@ fn catchup_table_entry() {
 fn chain_metrics_entry() {
     let cfg = SimConfig::from_c(50, 2, 2.0, 0.2, 555).unwrap();
     for adversary in [
-        run_simulation(cfg, Box::new(ImmediateReleaseAdversary::new()), ROUNDS),
-        run_simulation(cfg, Box::new(PrivateChainAdversary::new(2)), ROUNDS),
-        run_simulation(cfg, Box::new(SelfishMiningAdversary::new(2)), ROUNDS),
+        run_simulation(cfg, ImmediateReleaseAdversary::new(), ROUNDS),
+        run_simulation(cfg, PrivateChainAdversary::new(2), ROUNDS),
+        run_simulation(cfg, SelfishMiningAdversary::new(2), ROUNDS),
     ] {
         assert!(adversary.chain_growth_rate() > 0.0);
         assert!(adversary.chain_quality() > 0.0 && adversary.chain_quality() <= 1.0);
@@ -402,7 +402,7 @@ fn chain_metrics_entry() {
 fn window_scan_entry() {
     let reports = consistency_core::window::simulate_and_scan(
         &tiny_params(),
-        Box::new(PrivateChainAdversary::new(2)),
+        PrivateChainAdversary::new(2),
         ROUNDS,
         &[500],
         88,

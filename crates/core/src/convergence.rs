@@ -104,7 +104,7 @@ fn integer_population_expectations(
 /// Propagates parameter validation failures.
 pub fn validate(params: &ProtocolParams, rounds: u64, seed: u64) -> Result<ValidationRow> {
     let cfg = params.to_sim_config(seed);
-    let report = run_simulation(cfg, Box::new(ImmediateReleaseAdversary::new()), rounds);
+    let report = run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds);
 
     let IntegerPopulationExpectations {
         alpha,

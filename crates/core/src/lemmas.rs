@@ -9,12 +9,6 @@
 
 use crate::params::ProtocolParams;
 
-/// `(ν/µ)^{1/(2Δ)}`, computed as `exp(−L/(2Δ))`.
-#[must_use]
-pub fn nu_over_mu_root(params: &ProtocolParams) -> f64 {
-    (-params.ln_mu_over_nu() / (2.0 * params.delta() as f64)).exp()
-}
-
 /// `1 − (ν/µ)^{1/(2Δ)}` without cancellation (`−expm1(−L/(2Δ))`).
 #[must_use]
 pub fn one_minus_nu_over_mu_root(params: &ProtocolParams) -> f64 {

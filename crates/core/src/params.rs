@@ -170,12 +170,6 @@ impl ProtocolParams {
         LogFloat::from_ln(self.ln_alpha_bar())
     }
 
-    /// `α₁` as a [`LogFloat`].
-    #[must_use]
-    pub fn alpha1_log(&self) -> LogFloat {
-        LogFloat::from_ln(self.ln_alpha1())
-    }
-
     /// The paper's headline check: `c > 2µ/ln(µ/ν)` (the asymptotic
     /// form of Theorem 2's bound, Figure 1's magenta line).
     #[must_use]

@@ -89,9 +89,9 @@ pub fn worst_window(log: &[RoundRecord], window: u64) -> Result<WindowReport> {
 /// # Errors
 ///
 /// Propagates [`worst_window`] errors (window longer than the run).
-pub fn simulate_and_scan(
+pub fn simulate_and_scan<A: nakamoto_sim::adversary::Adversary>(
     params: &crate::params::ProtocolParams,
-    adversary: Box<dyn nakamoto_sim::adversary::Adversary>,
+    adversary: A,
     rounds: u64,
     windows: &[u64],
     seed: u64,
@@ -155,7 +155,7 @@ mod tests {
         let params = ProtocolParams::from_c(100, 2, 20.0, 0.1).unwrap();
         let reports = simulate_and_scan(
             &params,
-            Box::new(PrivateChainAdversary::new(2)),
+            PrivateChainAdversary::new(2),
             300_000,
             &[50_000, 100_000],
             404,
@@ -179,7 +179,7 @@ mod tests {
         let params = ProtocolParams::from_c(100, 2, 20.0, 0.3).unwrap();
         let reports = simulate_and_scan(
             &params,
-            Box::new(ImmediateReleaseAdversary::new()),
+            ImmediateReleaseAdversary::new(),
             100_000,
             &[10],
             405,
@@ -193,7 +193,7 @@ mod tests {
         let params = ProtocolParams::from_c(100, 4, 0.2, 0.45).unwrap();
         let reports = simulate_and_scan(
             &params,
-            Box::new(PrivateChainAdversary::new(4)),
+            PrivateChainAdversary::new(4),
             200_000,
             &[100_000],
             406,

@@ -9,7 +9,7 @@
 //! * where its own PoW successes mine and when/to whom blocks are
 //!   released ([`Adversary::act`]).
 //!
-//! Three strategies are provided:
+//! Five strategies are provided, one per [`StrategyKind`]:
 //!
 //! * [`ImmediateReleaseAdversary`] — behaves honestly; the baseline.
 //! * [`PrivateChainAdversary`] — max-delays honest blocks and mines a
@@ -19,8 +19,19 @@
 //!   max-delays cross-group traffic, and spends its own blocks keeping
 //!   both branches level (the PSS-style attack of Remark 8.5 that
 //!   motivates the paper's red line in Figure 1).
+//! * [`SelfishMiningAdversary`] — Eyal–Sirer selfish mining.
+//! * [`ComposedAdversary`] — several of the above at once over a shared
+//!   mining-power budget.
+//!
+//! [`Strategy`] is the run-time choice among them: specs, scenario
+//! phases and composition subs all build their strategy through
+//! [`Strategy::new`], the one place a [`StrategyKind`] maps to a state
+//! machine.
 
 use crate::block::{BlockId, Provenance, Round};
+use crate::compose::{ComposedAdversary, Composition};
+use crate::scenario::StrategyKind;
+use crate::selfish::SelfishMiningAdversary;
 use crate::tree::BlockTree;
 
 /// A directive to deliver `block` to honest group `group` after `delay`
@@ -67,6 +78,18 @@ pub trait Adversary {
     /// the per-round hot path never allocates; it arrives empty).
     /// `group_tips` holds each honest group's current tip (duplicated
     /// for single-group strategies).
+    ///
+    /// Every strategy must be *round-invariant*, because the engine
+    /// skips quiet rounds (no PoW success, no delivery) without calling
+    /// `act`:
+    ///
+    /// * its decisions depend only on the observable state (group tips,
+    ///   tree, successes) and its own accumulated state — never on the
+    ///   round number itself (using the round merely to stamp mined
+    ///   blocks is fine), and
+    /// * a call with zero successes and unchanged tips/tree, right
+    ///   after a call that scheduled no releases, is a no-op that
+    ///   schedules nothing.
     fn act(
         &mut self,
         round: Round,
@@ -112,82 +135,12 @@ pub trait Adversary {
         self.act(round, group_tips, tree, successes.iter().sum(), releases);
     }
 
-    /// `true` iff the strategy is *round-invariant*, which lets the
-    /// engine fast-forward quiet gaps (rounds with no PoW success and
-    /// no delivery) in O(1) instead of calling [`Adversary::act`] once
-    /// per round. A strategy may declare this when:
-    ///
-    /// * its decisions depend only on the observable state (group tips,
-    ///   tree, successes) and its own accumulated state — never on the
-    ///   round number itself (using the round merely to stamp mined
-    ///   blocks is fine), and
-    /// * an [`Adversary::act`] call with zero successes and unchanged
-    ///   tips/tree, immediately after a call that scheduled no
-    ///   releases, is a no-op that schedules nothing.
-    ///
-    /// Defaults to `false`: unknown strategies keep the exact
-    /// call-every-round semantics.
-    fn supports_fast_forward(&self) -> bool {
-        false
-    }
-
     /// Blocks the strategy still holds references to (e.g. the tip of a
     /// withheld fork). The engine keeps the ancestor closure of these
     /// alive when pruning the block tree; everything else below the
     /// finalized common prefix may be discarded. Defaults to none.
     fn live_blocks(&self) -> Vec<BlockId> {
         Vec::new()
-    }
-}
-
-/// Boxed strategies forward every method, so `Box<dyn Adversary>` (and
-/// `Box<ConcreteAdversary>`) can drive the generic, statically
-/// dispatched engine.
-impl<A: Adversary + ?Sized> Adversary for Box<A> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn group_count(&self) -> usize {
-        (**self).group_count()
-    }
-
-    fn honest_delay(&mut self, round: Round, from_group: usize, to_group: usize) -> u64 {
-        (**self).honest_delay(round, from_group, to_group)
-    }
-
-    fn act(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: u64,
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        (**self).act(round, group_tips, tree, successes, releases);
-    }
-
-    fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
-        (**self).sub_miner_counts(n_adversary)
-    }
-
-    fn act_split(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: &[u64],
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        (**self).act_split(round, group_tips, tree, successes, releases);
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        (**self).supports_fast_forward()
-    }
-
-    fn live_blocks(&self) -> Vec<BlockId> {
-        (**self).live_blocks()
     }
 }
 
@@ -207,10 +160,6 @@ impl ImmediateReleaseAdversary {
 impl Adversary for ImmediateReleaseAdversary {
     fn name(&self) -> &'static str {
         "immediate-release"
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        true
     }
 
     fn honest_delay(&mut self, _round: Round, _from: usize, _to: usize) -> u64 {
@@ -272,25 +221,14 @@ impl PrivateChainAdversary {
         self.withheld.len()
     }
 
-    /// Restarts the private fork from `tip` (the scenario layer's
-    /// phase-transition hook: while the strategy is dormant its fork
-    /// base tracks the public tip, so it never references a block the
-    /// tree may have pruned). Only meaningful when nothing is withheld;
-    /// a frozen non-empty fork is kept alive across phases instead.
-    pub(crate) fn rebase(&mut self, tip: BlockId) {
-        debug_assert!(self.withheld.is_empty(), "rebase would drop a live fork");
-        self.private_tip = tip;
-        self.withheld.clear();
-    }
-
-    /// Adopts `public_tip` and drops the withheld fork iff the fork has
-    /// strictly fallen behind — exactly the strategy's own first move
-    /// on its next [`Adversary::act`]. The scenario layer applies this
-    /// to *dormant* forks every round so an overtaken frozen fork stops
-    /// pinning the tree pruner for the rest of its dormant phase.
-    pub(crate) fn abandon_if_behind(&mut self, public_tip: BlockId, tree: &BlockTree) {
-        if tree.height(self.private_tip) < tree.height(public_tip) {
-            self.private_tip = public_tip;
+    /// Dormant-fork bookkeeping (see [`Strategy`]): adopts `best` and
+    /// drops the withheld fork iff the fork has strictly fallen behind
+    /// — exactly the strategy's own first move on its next
+    /// [`Adversary::act`] — and otherwise lets an empty fork follow
+    /// `best`, so a dormant fork never pins the tree pruner.
+    pub(crate) fn track_dormant(&mut self, best: BlockId, tree: &BlockTree) {
+        if self.withheld.is_empty() || tree.height(self.private_tip) < tree.height(best) {
+            self.private_tip = best;
             self.withheld.clear();
         }
     }
@@ -299,10 +237,6 @@ impl PrivateChainAdversary {
 impl Adversary for PrivateChainAdversary {
     fn name(&self) -> &'static str {
         "private-chain"
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        true
     }
 
     fn live_blocks(&self) -> Vec<BlockId> {
@@ -334,8 +268,8 @@ impl Adversary for PrivateChainAdversary {
             (group_tips[1], h1)
         };
 
-        // Abandon a fallen-behind private fork (same move as
-        // `abandon_if_behind`, reusing the heights already in hand).
+        // Abandon a fallen-behind private fork (the move
+        // `track_dormant` makes, reusing the heights already in hand).
         let mut private_height = tree.height(self.private_tip);
         if private_height < public_height {
             self.private_tip = public_tip;
@@ -394,10 +328,6 @@ impl Adversary for BalanceAdversary {
         "balance"
     }
 
-    fn supports_fast_forward(&self) -> bool {
-        true
-    }
-
     fn group_count(&self) -> usize {
         2
     }
@@ -437,9 +367,129 @@ impl Adversary for BalanceAdversary {
     }
 }
 
+/// A strategy chosen at run time: one variant per [`StrategyKind`],
+/// each wrapping the state machine that plays it. Stationary plans
+/// clone the wrapped state machine per trial, scenario phases keep one
+/// strategy per kind they run, and composition subs are built the same
+/// way, so [`Strategy::new`] is the one place a kind maps to an
+/// adversary.
+///
+/// Its [`Adversary`] impl dispatches every call with a `match`, which
+/// costs a few percent of the round loop against the bare type.
+#[derive(Debug, Clone)]
+pub enum Strategy {
+    /// [`StrategyKind::Honest`].
+    Honest(ImmediateReleaseAdversary),
+    /// [`StrategyKind::PrivateChain`].
+    PrivateChain(PrivateChainAdversary),
+    /// [`StrategyKind::Balance`].
+    Balance(BalanceAdversary),
+    /// [`StrategyKind::Selfish`].
+    Selfish(SelfishMiningAdversary),
+    /// [`StrategyKind::Composed`].
+    Composed(ComposedAdversary),
+}
+
+impl Strategy {
+    /// Builds a fresh `kind` strategy for delay bound `delta`;
+    /// `composed(i)` runs `compositions[i]`. Returns `None` only for a
+    /// `composed(i)` past the table.
+    #[must_use]
+    pub fn new(kind: StrategyKind, delta: u64, compositions: &[Composition]) -> Option<Self> {
+        Some(match kind {
+            StrategyKind::Honest => Strategy::Honest(ImmediateReleaseAdversary::new()),
+            StrategyKind::PrivateChain => Strategy::PrivateChain(PrivateChainAdversary::new(delta)),
+            StrategyKind::Balance => Strategy::Balance(BalanceAdversary::new(delta)),
+            StrategyKind::Selfish => Strategy::Selfish(SelfishMiningAdversary::new(delta)),
+            StrategyKind::Composed(i) => {
+                Strategy::Composed(ComposedAdversary::new(delta, compositions.get(i)?.clone()))
+            }
+        })
+    }
+
+    /// Dormant-fork bookkeeping, applied every round another strategy
+    /// is active (idempotent under unchanged tips, so the fast-forward
+    /// no-op contract holds): an idle fork strategy abandons a fork the
+    /// public chain `best` has strictly overtaken — the move it would
+    /// make itself on resume — and otherwise lets an empty fork follow
+    /// `best`, so it never pins the tree pruner. A frozen fork still
+    /// ahead stays alive through [`Adversary::live_blocks`].
+    pub(crate) fn track_dormant(&mut self, best: BlockId, tree: &BlockTree) {
+        match self {
+            Strategy::PrivateChain(a) => a.track_dormant(best, tree),
+            Strategy::Selfish(a) => a.track_dormant(best, tree),
+            Strategy::Composed(a) => a.track_dormant(best, tree),
+            Strategy::Honest(_) | Strategy::Balance(_) => {}
+        }
+    }
+}
+
+/// Evaluates `$call` with `$a` bound to the state machine `$strategy`
+/// wraps. `$call` is compiled once per wrapped type, so an engine run
+/// inside it is monomorphized for that type.
+macro_rules! delegate {
+    ($strategy:expr, $a:ident => $call:expr) => {
+        match $strategy {
+            $crate::adversary::Strategy::Honest($a) => $call,
+            $crate::adversary::Strategy::PrivateChain($a) => $call,
+            $crate::adversary::Strategy::Balance($a) => $call,
+            $crate::adversary::Strategy::Selfish($a) => $call,
+            $crate::adversary::Strategy::Composed($a) => $call,
+        }
+    };
+}
+pub(crate) use delegate;
+
+impl Adversary for Strategy {
+    fn name(&self) -> &'static str {
+        delegate!(self, a => a.name())
+    }
+
+    fn group_count(&self) -> usize {
+        delegate!(self, a => a.group_count())
+    }
+
+    fn honest_delay(&mut self, round: Round, from_group: usize, to_group: usize) -> u64 {
+        delegate!(self, a => a.honest_delay(round, from_group, to_group))
+    }
+
+    fn act(
+        &mut self,
+        round: Round,
+        group_tips: &[BlockId; 2],
+        tree: &mut BlockTree,
+        successes: u64,
+        releases: &mut Vec<ReleaseDirective>,
+    ) {
+        delegate!(self, a => a.act(round, group_tips, tree, successes, releases));
+    }
+
+    fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
+        delegate!(self, a => a.sub_miner_counts(n_adversary))
+    }
+
+    fn act_split(
+        &mut self,
+        round: Round,
+        group_tips: &[BlockId; 2],
+        tree: &mut BlockTree,
+        successes: &[u64],
+        releases: &mut Vec<ReleaseDirective>,
+    ) {
+        delegate!(self, a => a.act_split(round, group_tips, tree, successes, releases));
+    }
+
+    fn live_blocks(&self) -> Vec<BlockId> {
+        delegate!(self, a => a.live_blocks())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::SubSpec;
+    use crate::config::SimConfig;
+    use crate::execution::run_simulation;
 
     fn tree_with_public_chain(len: u64) -> (BlockTree, BlockId) {
         let mut tree = BlockTree::new();
@@ -551,5 +601,48 @@ mod tests {
             "second success balances the other branch"
         );
         assert_ne!(first, second);
+    }
+
+    /// `Strategy` only dispatches: a run on `Strategy::new(kind, …)`
+    /// equals the run on the bare type it wraps, for every kind.
+    #[test]
+    fn strategy_runs_equal_bare_runs() {
+        let rounds = 20_000;
+        let cfg = SimConfig::from_c(100, 4, 1.0, 0.4, 17).unwrap();
+        let composition = Composition::new(vec![
+            SubSpec::new(StrategyKind::Balance, 3),
+            SubSpec::new(StrategyKind::Selfish, 1),
+        ])
+        .unwrap();
+        let table = [composition.clone()];
+        let d = cfg.delta;
+        let cases = [
+            (
+                StrategyKind::Honest,
+                run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds),
+            ),
+            (
+                StrategyKind::PrivateChain,
+                run_simulation(cfg, PrivateChainAdversary::new(d), rounds),
+            ),
+            (
+                StrategyKind::Balance,
+                run_simulation(cfg, BalanceAdversary::new(d), rounds),
+            ),
+            (
+                StrategyKind::Selfish,
+                run_simulation(cfg, SelfishMiningAdversary::new(d), rounds),
+            ),
+            (
+                StrategyKind::Composed(0),
+                run_simulation(cfg, ComposedAdversary::new(d, composition), rounds),
+            ),
+        ];
+        for (kind, bare) in cases {
+            let strategy = Strategy::new(kind, d, &table).unwrap();
+            assert_eq!(run_simulation(cfg, strategy, rounds), bare, "{kind:?}");
+        }
+        assert!(Strategy::new(StrategyKind::Composed(1), d, &table).is_none());
+        assert!(Strategy::new(StrategyKind::Composed(0), d, &[]).is_none());
     }
 }

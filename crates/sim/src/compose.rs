@@ -64,7 +64,7 @@
 //! ```
 //! use nakamoto_sim::compose::{ComposedAdversary, Composition, SubSpec};
 //! use nakamoto_sim::config::SimConfig;
-//! use nakamoto_sim::execution::run_simulation_with;
+//! use nakamoto_sim::execution::run_simulation;
 //! use nakamoto_sim::scenario::StrategyKind;
 //!
 //! let cfg = SimConfig::from_c(100, 4, 1.0, 0.4, 7)?;
@@ -72,7 +72,7 @@
 //!     SubSpec::new(StrategyKind::Balance, 3),
 //!     SubSpec::new(StrategyKind::Selfish, 1),
 //! ])?;
-//! let report = run_simulation_with(
+//! let report = run_simulation(
 //!     cfg,
 //!     ComposedAdversary::new(cfg.delta, composition),
 //!     50_000,
@@ -81,13 +81,10 @@
 //! # Ok::<(), nakamoto_sim::config::ConfigError>(())
 //! ```
 
-use crate::adversary::{
-    Adversary, BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary, ReleaseDirective,
-};
+use crate::adversary::{Adversary, ReleaseDirective, Strategy};
 use crate::block::{BlockId, Round};
 use crate::config::ConfigError;
 use crate::scenario::StrategyKind;
-use crate::selfish::SelfishMiningAdversary;
 use crate::tree::BlockTree;
 
 /// One sub-strategy of a composition: a base strategy plus its share of
@@ -154,15 +151,6 @@ impl Composition {
     pub fn subs(&self) -> &[SubSpec] {
         &self.subs
     }
-
-    /// Whether any *active* (positive-weight) sub-strategy needs two
-    /// honest delivery groups.
-    #[must_use]
-    pub fn needs_two_groups(&self) -> bool {
-        self.subs
-            .iter()
-            .any(|s| s.weight > 0 && matches!(s.strategy, StrategyKind::Balance))
-    }
 }
 
 /// Apportions `total` miners across integer `weights` by largest
@@ -195,90 +183,18 @@ pub fn apportion_miners(total: u64, weights: &[u64]) -> Vec<u64> {
     counts
 }
 
-/// Per-sub persistent strategy state.
-#[derive(Debug, Clone)]
-enum SubState {
-    Honest(ImmediateReleaseAdversary),
-    Private(PrivateChainAdversary),
-    Balance(BalanceAdversary),
-    Selfish(SelfishMiningAdversary),
-}
-
-impl SubState {
-    fn new(kind: StrategyKind, delta: u64) -> Self {
-        match kind {
-            StrategyKind::Honest => SubState::Honest(ImmediateReleaseAdversary::new()),
-            StrategyKind::PrivateChain => SubState::Private(PrivateChainAdversary::new(delta)),
-            StrategyKind::Balance => SubState::Balance(BalanceAdversary::new(delta)),
-            StrategyKind::Selfish => SubState::Selfish(SelfishMiningAdversary::new(delta)),
-            StrategyKind::Composed(_) => unreachable!("rejected by Composition::new"), // detlint: allow(panic-macro) -- Composition::new rejects nested Composed kinds
-        }
-    }
-
-    fn act(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: u64,
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        match self {
-            SubState::Honest(a) => a.act(round, group_tips, tree, successes, releases),
-            SubState::Private(a) => a.act(round, group_tips, tree, successes, releases),
-            SubState::Balance(a) => a.act(round, group_tips, tree, successes, releases),
-            SubState::Selfish(a) => a.act(round, group_tips, tree, successes, releases),
-        }
-    }
-
-    fn honest_delay(&mut self, round: Round, from: usize, to: usize) -> u64 {
-        match self {
-            SubState::Honest(a) => a.honest_delay(round, from, to),
-            SubState::Private(a) => a.honest_delay(round, from, to),
-            SubState::Balance(a) => a.honest_delay(round, from, to),
-            SubState::Selfish(a) => a.honest_delay(round, from, to),
-        }
-    }
-
-    fn live_blocks(&self) -> Vec<BlockId> {
-        match self {
-            SubState::Honest(a) => a.live_blocks(),
-            SubState::Private(a) => a.live_blocks(),
-            SubState::Balance(a) => a.live_blocks(),
-            SubState::Selfish(a) => a.live_blocks(),
-        }
-    }
-
-    /// Dormant-fork bookkeeping (see the scenario layer): abandon an
-    /// overtaken fork and track the public tip while nothing is
-    /// withheld, so a dormant composition never pins the tree pruner.
-    fn track_dormant(&mut self, best: BlockId, tree: &BlockTree) {
-        match self {
-            SubState::Private(a) => {
-                a.abandon_if_behind(best, tree);
-                if a.withheld_len() == 0 {
-                    a.rebase(best);
-                }
-            }
-            SubState::Selfish(a) => {
-                a.abandon_if_behind(best, tree);
-                if a.withheld_len() == 0 {
-                    a.rebase(best, tree);
-                }
-            }
-            SubState::Honest(_) | SubState::Balance(_) => {}
-        }
-    }
-}
-
 /// N sub-strategies running concurrently over a shared mining-power
 /// budget, with oracle-level hypergeometric success allocation and a
 /// priority-ordered release arbiter (see the [module docs](self)).
+///
+/// It is round-invariant (see [`Adversary::act`]): every sub is, a
+/// quiet round allocates and draws nothing, and the arbiter reads only
+/// observable state.
 #[derive(Debug, Clone)]
 pub struct ComposedAdversary {
     delta: u64,
     weights: Vec<u64>,
-    subs: Vec<SubState>,
+    subs: Vec<Strategy>,
     /// Priority index of the first active Balance sub, if any — the
     /// boundary below which rule 2 of the arbiter applies.
     first_balance: Option<usize>,
@@ -289,16 +205,17 @@ impl ComposedAdversary {
     /// Builds the composed adversary for delay bound `delta`.
     #[must_use]
     pub fn new(delta: u64, composition: Composition) -> Self {
-        let weights: Vec<u64> = composition.subs().iter().map(|s| s.weight).collect();
-        let subs: Vec<SubState> = composition
+        // `Composition::new` rejects nested compositions, so every sub
+        // is monolithic and builds without a table.
+        let (weights, subs): (Vec<u64>, Vec<Strategy>) = composition
             .subs()
             .iter()
-            .map(|s| SubState::new(s.strategy, delta))
-            .collect();
-        let first_balance = composition
-            .subs()
+            .filter_map(|s| Some((s.weight, Strategy::new(s.strategy, delta, &[])?)))
+            .unzip();
+        let first_balance = subs
             .iter()
-            .position(|s| s.weight > 0 && matches!(s.strategy, StrategyKind::Balance));
+            .zip(&weights)
+            .position(|(sub, &w)| w > 0 && matches!(sub, Strategy::Balance(_)));
         ComposedAdversary {
             delta,
             weights,
@@ -315,10 +232,10 @@ impl ComposedAdversary {
         self.throttled_releases
     }
 
-    /// Dormant-phase hook for the scenario layer: applied every round
-    /// a *different* strategy is active, so frozen sub-forks are
-    /// abandoned once overtaken and empty fork bases track the public
-    /// tip instead of pinning the pruner.
+    /// Dormant-fork bookkeeping (see [`Strategy`]), applied to every
+    /// active sub: frozen sub-forks are abandoned once overtaken and
+    /// empty fork bases follow the public tip instead of pinning the
+    /// pruner.
     pub(crate) fn track_dormant(&mut self, best: BlockId, tree: &BlockTree) {
         for (sub, &w) in self.subs.iter_mut().zip(&self.weights) {
             if w > 0 {
@@ -452,14 +369,6 @@ impl Adversary for ComposedAdversary {
         self.arbitrate(group_tips, tree, releases, start, guard_start);
     }
 
-    fn supports_fast_forward(&self) -> bool {
-        // Every sub-strategy is round-invariant, the allocation is
-        // oracle-level (a quiet round allocates nothing and draws
-        // nothing), and the arbiter depends only on observable state —
-        // an all-zero act_split after a no-release call is a no-op.
-        true
-    }
-
     fn live_blocks(&self) -> Vec<BlockId> {
         let mut blocks = Vec::new();
         for (sub, &w) in self.subs.iter().zip(&self.weights) {
@@ -474,10 +383,12 @@ impl Adversary for ComposedAdversary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
     use crate::config::SimConfig;
-    use crate::execution::{run_simulation_with, Simulation};
+    use crate::execution::{run_simulation, Simulation};
     use crate::metrics::SimReport;
     use crate::montecarlo::{aggregate_reports, trial_streams, TrialPlan};
+    use crate::selfish::SelfishMiningAdversary;
 
     fn composition(specs: &[(StrategyKind, u64)]) -> Composition {
         Composition::new(
@@ -501,9 +412,13 @@ mod tests {
             "nested composition"
         );
         let c = composition(&[(StrategyKind::Balance, 2), (StrategyKind::Selfish, 1)]);
-        assert!(c.needs_two_groups());
+        assert_eq!(ComposedAdversary::new(4, c).group_count(), 2);
         let c = composition(&[(StrategyKind::Balance, 0), (StrategyKind::Selfish, 1)]);
-        assert!(!c.needs_two_groups(), "zero-weight balance forces nothing");
+        assert_eq!(
+            ComposedAdversary::new(4, c).group_count(),
+            1,
+            "zero-weight balance forces nothing"
+        );
     }
 
     #[test]
@@ -591,23 +506,23 @@ mod tests {
         ];
         for (kind, seed) in cases {
             let cfg = SimConfig::from_c(100, 4, 1.0, 0.35, seed).unwrap();
-            let composed = run_simulation_with(
+            let composed = run_simulation(
                 cfg,
                 ComposedAdversary::new(cfg.delta, composition(&[(kind, 7)])),
                 rounds,
             );
             let bare = match kind {
                 StrategyKind::Honest => {
-                    run_simulation_with(cfg, ImmediateReleaseAdversary::new(), rounds)
+                    run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds)
                 }
                 StrategyKind::PrivateChain => {
-                    run_simulation_with(cfg, PrivateChainAdversary::new(cfg.delta), rounds)
+                    run_simulation(cfg, PrivateChainAdversary::new(cfg.delta), rounds)
                 }
                 StrategyKind::Balance => {
-                    run_simulation_with(cfg, BalanceAdversary::new(cfg.delta), rounds)
+                    run_simulation(cfg, BalanceAdversary::new(cfg.delta), rounds)
                 }
                 StrategyKind::Selfish => {
-                    run_simulation_with(cfg, SelfishMiningAdversary::new(cfg.delta), rounds)
+                    run_simulation(cfg, SelfishMiningAdversary::new(cfg.delta), rounds)
                 }
                 StrategyKind::Composed(_) => unreachable!(),
             };
@@ -622,7 +537,7 @@ mod tests {
     fn zero_power_sub_adversary_is_a_noop() {
         let rounds = 30_000;
         let cfg = SimConfig::from_c(100, 4, 1.0, 0.4, 41).unwrap();
-        let reference = run_simulation_with(
+        let reference = run_simulation(
             cfg,
             ComposedAdversary::new(cfg.delta, composition(&[(StrategyKind::PrivateChain, 3)])),
             rounds,
@@ -637,7 +552,7 @@ mod tests {
                 &[(StrategyKind::PrivateChain, 3), (passenger, 0)][..],
                 &[(passenger, 0), (StrategyKind::PrivateChain, 3)][..],
             ] {
-                let padded = run_simulation_with(
+                let padded = run_simulation(
                     cfg,
                     ComposedAdversary::new(cfg.delta, composition(specs)),
                     rounds,
@@ -646,7 +561,7 @@ mod tests {
             }
         }
         // And against the bare strategy itself.
-        let bare = run_simulation_with(cfg, PrivateChainAdversary::new(cfg.delta), rounds);
+        let bare = run_simulation(cfg, PrivateChainAdversary::new(cfg.delta), rounds);
         assert_eq!(reference, bare);
     }
 

@@ -18,16 +18,19 @@
 //! # Hot path
 //!
 //! The engine is generic over the adversary, so strategy calls are
-//! statically dispatched ([`run_simulation_with`]); the historical
-//! boxed entry point [`run_simulation`] is a thin wrapper. Mining is
-//! sampled through the oracle's gap interface: instead of drawing block
-//! counts round by round, the engine draws the geometric gap to the
-//! next proof-of-work success and buffers that round's outcome. In
-//! [`Simulation::run`], quiet stretches of a gap with no pending
-//! delivery are then skipped in O(1) for strategies that declare
-//! [`Adversary::supports_fast_forward`] — in the paper's interesting
-//! regimes (`c ≥ 1`, i.e. most rounds mine nothing) this is the
-//! difference between O(T) and O(#blocks · Δ) work per run.
+//! statically dispatched ([`run_simulation`]). A strategy chosen at run
+//! time is a [`crate::adversary::Strategy`], whose calls each go
+//! through a `match`; stationary plans unwrap it once and run the bare
+//! type (see [`crate::spec::ExperimentPlan::execute`]).
+//!
+//! Mining is sampled through the oracle's gap interface: instead of
+//! drawing block counts round by round, the engine draws the geometric
+//! gap to the next proof-of-work success and buffers that round's
+//! outcome. In [`Simulation::run`], quiet stretches of a gap with no
+//! pending delivery are then skipped in O(1), which every strategy's
+//! round-invariance contract (see [`Adversary::act`]) allows — in the
+//! paper's interesting regimes (`c ≥ 1`, i.e. most rounds mine nothing)
+//! this is the difference between O(T) and O(#blocks · Δ) work per run.
 //!
 //! Long runs also stay in bounded memory: every
 //! [`DEFAULT_PRUNE_INTERVAL`] rounds the engine prunes the block
@@ -76,14 +79,13 @@ pub struct RoundRecord {
 }
 
 /// A running simulation, generic over the adversary strategy so the
-/// per-round strategy calls are statically dispatched. The default
-/// parameter keeps the historical boxed API compiling unchanged.
+/// per-round strategy calls are statically dispatched.
 ///
 /// A simulation with a `Clone` adversary is itself `Clone`: the
 /// splitting estimator snapshots entrance states this way and restarts
 /// them on fresh streams via [`Simulation::reseed_mining`].
 #[derive(Clone)]
-pub struct Simulation<A: Adversary = Box<dyn Adversary>> {
+pub struct Simulation<A: Adversary> {
     config: SimConfig,
     tree: BlockTree,
     network: Network,
@@ -222,8 +224,8 @@ impl<A: Adversary> Simulation<A> {
     /// Mutable access to the adversary strategy. The scenario layer
     /// uses this at phase boundaries (between [`Simulation::run`]
     /// segments) to switch the active strategy or network regime; a
-    /// fast-forward-capable strategy must only be mutated between
-    /// segments, never mid-run.
+    /// strategy must only be mutated between segments, never mid-run,
+    /// or the quiet-gap skip could miss the change.
     pub fn adversary_mut(&mut self) -> &mut A {
         &mut self.adversary
     }
@@ -492,13 +494,13 @@ impl<A: Adversary> Simulation<A> {
         }
 
         // 3. Adversary mining and releases. On executed rounds with no
-        // successes and no deliveries, a fast-forward-capable strategy's
-        // `act` is a no-op by the same contract the quiet-gap bulk skip
-        // relies on (nothing it observes has changed since its last
+        // successes and no deliveries, `act` is a no-op by the same
+        // round-invariance contract the quiet-gap bulk skip relies on
+        // (nothing the strategy observes has changed since its last
         // call), so the call — and the release buffer dance — is elided.
         self.adversary_blocks += outcome.adversary;
         let eventless = honest_total == 0 && outcome.adversary == 0 && !delivered;
-        if !eventless || !self.adversary.supports_fast_forward() {
+        if !eventless {
             let tips = self.group_tips();
             let mut releases = std::mem::take(&mut self.release_buf);
             releases.clear();
@@ -560,13 +562,12 @@ impl<A: Adversary> Simulation<A> {
 
     /// Runs `rounds` further rounds.
     ///
-    /// For strategies declaring [`Adversary::supports_fast_forward`],
-    /// stretches of buffered quiet rounds with no delivery due are
-    /// consumed in bulk: by the trait contract the skipped `act` calls
-    /// are no-ops, deliveries cannot materialise out of thin air, and
-    /// the detectors advance by closed form, so the result is
-    /// bit-identical to stepping round by round (see the
-    /// `step_by_step_equals_run` test).
+    /// Unless round logging is on, stretches of buffered quiet rounds
+    /// with no delivery due are consumed in bulk: by the round-invariance
+    /// contract of [`Adversary::act`] the skipped calls are no-ops,
+    /// deliveries cannot materialise out of thin air, and the detectors
+    /// advance by closed form, so the result is bit-identical to
+    /// stepping round by round (see the `step_by_step_equals_run` test).
     pub fn run(&mut self, rounds: u64) {
         let target = self.round + rounds;
         let fast = self.fast_forward_enabled();
@@ -582,14 +583,13 @@ impl<A: Adversary> Simulation<A> {
         }
     }
 
-    /// Whether the quiet-gap bulk skip applies to this run: the
-    /// strategy declares [`Adversary::supports_fast_forward`] and no
+    /// Whether the quiet-gap bulk skip applies to this run: no
     /// per-round log demands that every round execute for real.
     /// Constant for the lifetime of a run (logging can only be enabled
     /// at round zero), so the run loops evaluate it once per run
     /// segment.
     fn fast_forward_enabled(&self) -> bool {
-        self.adversary.supports_fast_forward() && self.round_log.is_none()
+        self.round_log.is_none()
     }
 
     /// The fast-path epilogue of one run-loop iteration: eagerly
@@ -728,40 +728,17 @@ impl<A: Adversary> Simulation<A> {
 /// ```
 /// use nakamoto_sim::config::SimConfig;
 /// use nakamoto_sim::adversary::PrivateChainAdversary;
-/// use nakamoto_sim::execution::run_simulation_with;
-///
-/// let cfg = SimConfig::new(100, 0.2, 1e-3, 2, 42)?;
-/// let report = run_simulation_with(cfg, PrivateChainAdversary::new(2), 10_000);
-/// assert!(report.honest_blocks > 0);
-/// # Ok::<(), nakamoto_sim::config::ConfigError>(())
-/// ```
-pub fn run_simulation_with<A: Adversary>(
-    config: SimConfig,
-    adversary: A,
-    rounds: u64,
-) -> SimReport {
-    let mut sim = Simulation::new(config, adversary);
-    sim.run(rounds);
-    sim.report()
-}
-
-/// Boxed convenience wrapper kept for heterogeneous call sites (e.g.
-/// tables ranging over strategies); delegates to
-/// [`run_simulation_with`].
-///
-/// ```
-/// use nakamoto_sim::config::SimConfig;
-/// use nakamoto_sim::adversary::ImmediateReleaseAdversary;
 /// use nakamoto_sim::execution::run_simulation;
 ///
 /// let cfg = SimConfig::new(100, 0.2, 1e-3, 2, 42)?;
-/// let report = run_simulation(cfg, Box::new(ImmediateReleaseAdversary::new()), 10_000);
+/// let report = run_simulation(cfg, PrivateChainAdversary::new(2), 10_000);
 /// assert!(report.honest_blocks > 0);
 /// # Ok::<(), nakamoto_sim::config::ConfigError>(())
 /// ```
-#[must_use]
-pub fn run_simulation(config: SimConfig, adversary: Box<dyn Adversary>, rounds: u64) -> SimReport {
-    run_simulation_with(config, adversary, rounds)
+pub fn run_simulation<A: Adversary>(config: SimConfig, adversary: A, rounds: u64) -> SimReport {
+    let mut sim = Simulation::new(config, adversary);
+    sim.run(rounds);
+    sim.report()
 }
 
 #[cfg(test)]
@@ -777,7 +754,7 @@ mod tests {
     fn honest_only_run_grows_chain() {
         let report = run_simulation(
             cfg(100, 0.0, 1e-3, 2, 1),
-            Box::new(ImmediateReleaseAdversary::new()),
+            ImmediateReleaseAdversary::new(),
             50_000,
         );
         assert_eq!(report.adversary_blocks, 0);
@@ -798,7 +775,7 @@ mod tests {
     fn single_group_immediate_release_has_no_divergence() {
         let report = run_simulation(
             cfg(50, 0.2, 1e-3, 3, 2),
-            Box::new(ImmediateReleaseAdversary::new()),
+            ImmediateReleaseAdversary::new(),
             30_000,
         );
         assert_eq!(report.max_divergence_depth, 0, "one group cannot diverge");
@@ -818,7 +795,7 @@ mod tests {
         let rounds = 100_000u64;
         let report = run_simulation(
             cfg(n, nu, p, 2, 3),
-            Box::new(ImmediateReleaseAdversary::new()),
+            ImmediateReleaseAdversary::new(),
             rounds,
         );
         // E[A] = T·νn·p = 100000 · 60 · 0.002 = 12000.
@@ -835,7 +812,7 @@ mod tests {
         // c = 1/(pnΔ) = 1/(1e-4·100·2) = 50 ≫ 2µ/ln(µ/ν): very safe.
         let report = run_simulation(
             cfg(100, 0.1, 1e-5, 2, 4),
-            Box::new(PrivateChainAdversary::new(2)),
+            PrivateChainAdversary::new(2),
             400_000,
         );
         assert!(
@@ -852,7 +829,7 @@ mod tests {
         // Slow-ish chain, strong adversary: reorgs must appear.
         let report = run_simulation(
             cfg(100, 0.4, 5e-3, 4, 5),
-            Box::new(PrivateChainAdversary::new(4)),
+            PrivateChainAdversary::new(4),
             100_000,
         );
         assert!(report.reorg_count > 0, "expected reorgs");
@@ -864,11 +841,7 @@ mod tests {
 
     #[test]
     fn balance_adversary_splits_views() {
-        let report = run_simulation(
-            cfg(100, 0.4, 5e-3, 8, 6),
-            Box::new(BalanceAdversary::new(8)),
-            100_000,
-        );
+        let report = run_simulation(cfg(100, 0.4, 5e-3, 8, 6), BalanceAdversary::new(8), 100_000);
         assert_eq!(report.group_tips.len(), 2);
         assert!(
             report.max_divergence_depth >= 2,
@@ -881,12 +854,12 @@ mod tests {
     fn deterministic_given_seed() {
         let a = run_simulation(
             cfg(80, 0.25, 1e-3, 3, 99),
-            Box::new(PrivateChainAdversary::new(3)),
+            PrivateChainAdversary::new(3),
             20_000,
         );
         let b = run_simulation(
             cfg(80, 0.25, 1e-3, 3, 99),
-            Box::new(PrivateChainAdversary::new(3)),
+            PrivateChainAdversary::new(3),
             20_000,
         );
         assert_eq!(a, b);
@@ -896,7 +869,7 @@ mod tests {
     fn h_round_counts_consistent() {
         let report = run_simulation(
             cfg(100, 0.2, 1e-3, 2, 12),
-            Box::new(ImmediateReleaseAdversary::new()),
+            ImmediateReleaseAdversary::new(),
             50_000,
         );
         assert!(report.h1_rounds <= report.h_rounds);
@@ -913,8 +886,7 @@ mod tests {
     #[test]
     fn step_by_step_equals_run() {
         // `run` bulk-skips quiet gaps; `step` executes every round. The
-        // reports must be bit-identical for every fast-forward-capable
-        // strategy.
+        // reports must be bit-identical for every strategy.
         for delta in [1u64, 2, 4] {
             let mut a = Simulation::new(
                 cfg(60, 0.2, 1e-3, delta, 5),
@@ -944,21 +916,6 @@ mod tests {
             b.step();
         }
         assert_eq!(a.report(), b.report());
-    }
-
-    #[test]
-    fn static_and_boxed_dispatch_agree() {
-        let a = run_simulation_with(
-            cfg(80, 0.25, 1e-3, 3, 99),
-            PrivateChainAdversary::new(3),
-            20_000,
-        );
-        let b = run_simulation(
-            cfg(80, 0.25, 1e-3, 3, 99),
-            Box::new(PrivateChainAdversary::new(3)),
-            20_000,
-        );
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -39,18 +39,22 @@
 //! # Quickstart
 //!
 //! ```
+//! use nakamoto_sim::adversary::{PrivateChainAdversary, Strategy};
 //! use nakamoto_sim::config::SimConfig;
-//! use nakamoto_sim::adversary::PrivateChainAdversary;
 //! use nakamoto_sim::execution::run_simulation;
+//! use nakamoto_sim::scenario::StrategyKind;
 //!
 //! let cfg = SimConfig::new(100, 0.25, 1e-3, 4, 7)?;
-//! let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(4)), 100_000);
+//! let report = run_simulation(cfg, PrivateChainAdversary::new(4), 100_000);
 //! println!(
 //!     "C = {}, A = {}, consistent at T=6: {}",
 //!     report.convergence_opportunities,
 //!     report.adversary_blocks,
 //!     report.is_consistent(6),
 //! );
+//! // The same run, with the strategy chosen at run time.
+//! let chosen = Strategy::new(StrategyKind::PrivateChain, cfg.delta, &[]).unwrap();
+//! assert_eq!(run_simulation(cfg, chosen, 100_000), report);
 //! # Ok::<(), nakamoto_sim::config::ConfigError>(())
 //! ```
 

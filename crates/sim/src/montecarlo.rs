@@ -12,7 +12,7 @@
 //!   runs.
 //! * **Pool-width independence** — per-trial generators are derived
 //!   from the master seed alone and trial results are reduced in trial
-//!   order, so [`run_trials`] returns a bit-identical
+//!   order, so [`TrialPlan::run`] returns a bit-identical
 //!   [`TrialAggregate`] at every pool width (the `--jobs` flag is the
 //!   only parallelism knob).
 //! * **One engine** — every trial runs through the scalar
@@ -138,13 +138,57 @@ impl TrialPlan {
         self
     }
 
-    /// Runs the plan; see [`run_trials`].
+    /// Runs `trials` independent simulations as one ordered job on the
+    /// shared [`crate::executor`] pool and reduces their reports in
+    /// trial order.
+    ///
+    /// `make_adversary` builds a fresh strategy for trial `t`; it runs
+    /// on pool workers, so it must be `Send + Sync + 'static` (it is
+    /// called once per trial). The job occupies up to the pool's width
+    /// in slots.
+    ///
+    /// With [`TrialPlan::stop_half_width`] set, trials run in
+    /// deterministic waves and stop at the first wave boundary meeting
+    /// the target (see `run_trials_adaptive`).
+    ///
+    /// The returned [`TrialAggregate`] is bit-identical for a fixed
+    /// `config.seed` at every pool width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the public fields were mutated into an empty
+    /// experiment (`trials == 0` or `rounds == 0`) after construction —
+    /// [`TrialPlan::new`] rejects those as [`ConfigError`]s; bypassing
+    /// it is a programming error, not a silently-empty result. Also
+    /// panics if `stop_half_width` is set without any consistency
+    /// threshold or outside `(0, 1)`.
     pub fn run<A, F>(&self, make_adversary: F) -> MonteCarloRun
     where
         A: Adversary,
         F: Fn(u64) -> A + Send + Sync + 'static,
     {
-        run_trials(self, make_adversary)
+        assert!(
+            self.trials > 0 && self.rounds > 0,
+            "empty experiment: construct plans through TrialPlan::new"
+        );
+        let config = self.config;
+        let rounds = self.rounds;
+        let run_one = Arc::new(move |trial: u64, rng: Xoshiro256PlusPlus| {
+            let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
+            sim.run(rounds);
+            sim.report()
+        });
+        let (reports, elapsed_secs) = match self.stop_half_width {
+            Some(target) => run_trials_adaptive(self, target, run_one),
+            None => fan_out_reports(trial_streams(config.seed, self.trials), 0, run_one),
+        };
+        let aggregate = aggregate_reports(&reports, rounds, &self.consistency_thresholds);
+        let total_rounds = aggregate.total_rounds();
+        MonteCarloRun {
+            aggregate,
+            elapsed_secs,
+            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
+        }
     }
 }
 
@@ -221,18 +265,6 @@ pub struct TrialAggregate {
 }
 
 impl TrialAggregate {
-    /// Mean per-trial deepest reorg.
-    #[must_use]
-    pub fn mean_reorg_depth(&self) -> f64 {
-        self.reorg_depths.iter().sum::<u64>() as f64 / self.trials as f64
-    }
-
-    /// Mean per-trial deepest divergence.
-    #[must_use]
-    pub fn mean_divergence_depth(&self) -> f64 {
-        self.divergence_depths.iter().sum::<u64>() as f64 / self.trials as f64
-    }
-
     /// Mean per-trial convergence-opportunity count.
     #[must_use]
     pub fn mean_convergence(&self) -> f64 {
@@ -288,7 +320,7 @@ impl TrialAggregate {
     }
 }
 
-/// Result of [`run_trials`]: the deterministic aggregate plus
+/// Result of [`TrialPlan::run`]: the deterministic aggregate plus
 /// wall-clock metrics (which naturally *do* depend on pool width).
 #[derive(Debug, Clone)]
 pub struct MonteCarloRun {
@@ -314,7 +346,7 @@ pub(crate) fn trial_streams(master_seed: u64, trials: u64) -> Vec<Xoshiro256Plus
     streams
 }
 
-/// The deterministic fan-out shared by [`run_trials`], its adaptive
+/// The deterministic fan-out shared by [`TrialPlan::run`], its adaptive
 /// waves, and the scenario layer's `ScenarioPlan`: runs
 /// `run_one(base_trial + i, streams[i])` for every stream as one
 /// ordered job on the shared [`crate::executor`] pool, at the pool's
@@ -349,7 +381,7 @@ where
 }
 
 /// Order-preserving reduction of per-trial reports into a
-/// [`TrialAggregate`]; shared by [`run_trials`] and the scenario layer.
+/// [`TrialAggregate`]; shared by [`TrialPlan::run`] and the scenario layer.
 pub(crate) fn aggregate_reports(
     reports: &[SimReport],
     rounds_per_trial: u64,
@@ -392,58 +424,6 @@ pub(crate) fn aggregate_reports(
         }
     }
     aggregate
-}
-
-/// Runs `plan.trials` independent simulations as one ordered job on
-/// the shared [`crate::executor`] pool and reduces their reports in
-/// trial order.
-///
-/// `make_adversary` builds a fresh strategy for trial `t`; it runs on
-/// pool workers, so it must be `Send + Sync + 'static` (it is called
-/// once per trial). The job occupies up to the pool's width in slots.
-///
-/// With [`TrialPlan::stop_half_width`] set, trials run in deterministic
-/// waves and stop at the first wave boundary meeting the target (see
-/// `run_trials_adaptive`).
-///
-/// The returned [`TrialAggregate`] is bit-identical for a fixed
-/// `plan.config.seed` at every pool width.
-///
-/// # Panics
-///
-/// Panics if the plan's public fields were mutated into an empty
-/// experiment (`trials == 0` or `rounds == 0`) after construction —
-/// [`TrialPlan::new`] rejects those as [`ConfigError`]s; bypassing it
-/// is a programming error, not a silently-empty result. Also panics if
-/// `stop_half_width` is set without any consistency threshold or
-/// outside `(0, 1)`.
-pub fn run_trials<A, F>(plan: &TrialPlan, make_adversary: F) -> MonteCarloRun
-where
-    A: Adversary,
-    F: Fn(u64) -> A + Send + Sync + 'static,
-{
-    assert!(
-        plan.trials > 0 && plan.rounds > 0,
-        "empty experiment: construct plans through TrialPlan::new"
-    );
-    let config = plan.config;
-    let rounds = plan.rounds;
-    let run_one = Arc::new(move |trial: u64, rng: Xoshiro256PlusPlus| {
-        let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
-        sim.run(rounds);
-        sim.report()
-    });
-    let (reports, elapsed_secs) = match plan.stop_half_width {
-        Some(target) => run_trials_adaptive(plan, target, run_one),
-        None => fan_out_reports(trial_streams(plan.config.seed, plan.trials), 0, run_one),
-    };
-    let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-    let total_rounds = aggregate.total_rounds();
-    MonteCarloRun {
-        aggregate,
-        elapsed_secs,
-        rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-    }
 }
 
 /// Sequential-stopping fan-out: runs trials in deterministic waves of
@@ -523,7 +503,7 @@ where
 mod tests {
     use super::*;
     use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
-    use crate::execution::run_simulation_with;
+    use crate::execution::run_simulation;
 
     fn plan(seed: u64, trials: u64) -> TrialPlan {
         let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, seed).unwrap();
@@ -775,7 +755,7 @@ mod tests {
         assert_eq!(aggregate.half_width(12, 1.96), None);
     }
 
-    /// The engine must agree with `run_simulation_with` when a single
+    /// The engine must agree with `run_simulation` when a single
     /// trial uses the master stream directly (trial 0 = zero jumps).
     #[test]
     fn trial_zero_equals_plain_simulation() {
@@ -783,7 +763,7 @@ mod tests {
         let run = TrialPlan::new(cfg, 6_000, 1)
             .unwrap()
             .run(|_| PrivateChainAdversary::new(2));
-        let report = run_simulation_with(cfg, PrivateChainAdversary::new(2), 6_000);
+        let report = run_simulation(cfg, PrivateChainAdversary::new(2), 6_000);
         assert_eq!(run.aggregate.total_honest_blocks, report.honest_blocks);
         assert_eq!(run.aggregate.max_reorg_depth, report.max_reorg_depth);
     }

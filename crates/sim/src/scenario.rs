@@ -48,16 +48,13 @@
 //! # Ok::<(), nakamoto_sim::config::ConfigError>(())
 //! ```
 
-use crate::adversary::{
-    Adversary, BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary, ReleaseDirective,
-};
+use crate::adversary::{best_tip, Adversary, ReleaseDirective, Strategy};
 use crate::block::{BlockId, Round};
-use crate::compose::{ComposedAdversary, Composition};
+use crate::compose::Composition;
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::metrics::SimReport;
 use crate::montecarlo::{aggregate_reports, fan_out_reports, trial_streams, MonteCarloRun};
-use crate::selfish::SelfishMiningAdversary;
 use crate::tree::BlockTree;
 use probability::rng::Xoshiro256PlusPlus;
 
@@ -121,16 +118,17 @@ pub enum StrategyKind {
     /// Behave honestly: publish every block immediately to all groups.
     Honest,
     /// Withhold a private fork, release on catch-up threat
-    /// ([`PrivateChainAdversary`]).
+    /// ([`crate::adversary::PrivateChainAdversary`]).
     PrivateChain,
-    /// Keep two honest branches level ([`BalanceAdversary`]; forces two
-    /// groups).
+    /// Keep two honest branches level
+    /// ([`crate::adversary::BalanceAdversary`]; forces two groups).
     Balance,
-    /// Eyal–Sirer selfish mining ([`SelfishMiningAdversary`]).
+    /// Eyal–Sirer selfish mining
+    /// ([`crate::selfish::SelfishMiningAdversary`]).
     Selfish,
     /// Several sub-strategies acting *simultaneously* over a shared
-    /// mining-power budget ([`ComposedAdversary`]): the payload indexes
-    /// the scenario's composition table
+    /// mining-power budget ([`crate::compose::ComposedAdversary`]): the
+    /// payload indexes the scenario's composition table
     /// ([`Scenario::with_compositions`]). Each table entry keeps its
     /// own persistent sub-strategy state, frozen and resumed across
     /// phases like the monolithic strategies.
@@ -335,24 +333,12 @@ impl Scenario {
     }
 
     /// Honest delivery groups the scenario needs: 2 if any phase runs a
-    /// balance attack (monolithic or as an active composition sub),
-    /// or an eclipse window, else 1.
+    /// strategy that splits the honest views (a balance attack,
+    /// monolithic or as an active composition sub) or an eclipse
+    /// window, else 1 — the count its [`ScenarioAdversary`] asks for.
     #[must_use]
     pub fn group_count(&self) -> usize {
-        let strategy_splits = |kind: StrategyKind| match kind {
-            StrategyKind::Balance => true,
-            StrategyKind::Composed(i) => self.compositions[i].needs_two_groups(),
-            _ => false,
-        };
-        let split = self
-            .phases
-            .iter()
-            .any(|p| strategy_splits(p.strategy) || p.regime.needs_two_groups());
-        if split {
-            2
-        } else {
-            1
-        }
+        ScenarioAdversary::new(self).group_count()
     }
 
     /// The effective configuration of phase `i`: the base config with
@@ -377,12 +363,14 @@ impl Scenario {
 
 /// The engine-facing composition of a scenario's strategies: one
 /// [`Adversary`] whose delay policy follows the active [`Regime`] and
-/// whose mining/release behaviour delegates to the active
-/// [`StrategyKind`]'s persistent state machine.
+/// whose mining/release behaviour delegates to the active phase's
+/// [`Strategy`].
 ///
-/// Dormant fork strategies with nothing withheld are re-based onto the
-/// public tip every round, so they never hold a reference the tree
-/// pruner could invalidate; a dormant fork *with* withheld blocks is
+/// It keeps one persistent strategy per kind the scenario's phases
+/// run, and nothing for kinds no phase runs. Every round, each dormant
+/// strategy does [`Strategy`]'s dormant-fork bookkeeping: an empty
+/// fork base follows the public tip, so it never holds a reference the
+/// tree pruner could invalidate; a fork *with* withheld blocks is
 /// frozen and kept alive through [`Adversary::live_blocks`] until its
 /// strategy runs again — or until the public chain strictly overtakes
 /// it, at which point it is abandoned (the move its own strategy would
@@ -392,14 +380,11 @@ impl Scenario {
 pub struct ScenarioAdversary {
     delta: u64,
     n_groups: usize,
-    strategy: StrategyKind,
     regime: Regime,
-    honest: ImmediateReleaseAdversary,
-    private: PrivateChainAdversary,
-    balance: BalanceAdversary,
-    selfish: SelfishMiningAdversary,
-    /// One persistent composed adversary per composition-table entry.
-    composed: Vec<ComposedAdversary>,
+    /// One slot per kind the phases run, in first-use order.
+    slots: Vec<(StrategyKind, Strategy)>,
+    /// Index of the active phase's slot.
+    active: usize,
 }
 
 impl ScenarioAdversary {
@@ -407,36 +392,46 @@ impl ScenarioAdversary {
     #[must_use]
     pub fn new(scenario: &Scenario) -> Self {
         let delta = scenario.base().delta;
-        let first = &scenario.phases()[0];
+        let phases = scenario.phases();
+        let mut slots: Vec<(StrategyKind, Strategy)> = Vec::new();
+        for phase in phases {
+            if slots.iter().any(|(kind, _)| *kind == phase.strategy) {
+                continue;
+            }
+            // `Scenario::with_compositions` checks every composition
+            // index, so every kind builds.
+            if let Some(strategy) = Strategy::new(phase.strategy, delta, scenario.compositions()) {
+                slots.push((phase.strategy, strategy));
+            }
+        }
+        let split = slots.iter().any(|(_, slot)| slot.group_count() == 2)
+            || phases.iter().any(|p| p.regime.needs_two_groups());
         ScenarioAdversary {
             delta,
-            n_groups: scenario.group_count(),
-            strategy: first.strategy,
-            regime: first.regime,
-            honest: ImmediateReleaseAdversary::new(),
-            private: PrivateChainAdversary::new(delta),
-            balance: BalanceAdversary::new(delta),
-            selfish: SelfishMiningAdversary::new(delta),
-            composed: scenario
-                .compositions()
-                .iter()
-                .map(|c| ComposedAdversary::new(delta, c.clone()))
-                .collect(),
+            n_groups: if split { 2 } else { 1 },
+            regime: phases[0].regime,
+            slots,
+            // Phase 0's kind is the first slot.
+            active: 0,
         }
     }
 
     /// Switches strategy and regime at a phase boundary. Must only be
     /// called between [`Simulation::run`] segments (the fast-forward
-    /// contract assumes the strategy is round-invariant within one).
-    pub fn set_phase(&mut self, strategy: StrategyKind, regime: Regime) {
-        self.strategy = strategy;
+    /// contract assumes the strategy is round-invariant within one),
+    /// and only with a kind one of the scenario's phases runs: other
+    /// kinds have no slot.
+    pub(crate) fn set_phase(&mut self, strategy: StrategyKind, regime: Regime) {
+        if let Some(slot) = self.slots.iter().position(|(kind, _)| *kind == strategy) {
+            self.active = slot;
+        }
         self.regime = regime;
     }
 
     /// The currently active strategy.
     #[must_use]
     pub fn strategy(&self) -> StrategyKind {
-        self.strategy
+        self.slots[self.active].0
     }
 
     /// The currently active regime.
@@ -445,30 +440,13 @@ impl ScenarioAdversary {
         self.regime
     }
 
-    /// Dormant fork bookkeeping (idempotent under unchanged tips, so
-    /// the fast-forward no-op contract holds): a frozen fork the
-    /// public chain has strictly overtaken is abandoned — exactly the
-    /// move its own strategy would make on resume — so it stops
-    /// pinning the tree pruner; an empty dormant fork base simply
-    /// tracks the public tip so it never dangles across pruning.
-    /// Composed instances apply the same policy to their sub-forks.
-    fn track_dormant_forks(&mut self, group_tips: &[BlockId; 2], tree: &BlockTree) {
-        let best = crate::adversary::best_tip(tree, group_tips);
-        if self.strategy != StrategyKind::PrivateChain {
-            self.private.abandon_if_behind(best, tree);
-            if self.private.withheld_len() == 0 {
-                self.private.rebase(best);
-            }
-        }
-        if self.strategy != StrategyKind::Selfish {
-            self.selfish.abandon_if_behind(best, tree);
-            if self.selfish.withheld_len() == 0 {
-                self.selfish.rebase(best, tree);
-            }
-        }
-        for (i, composed) in self.composed.iter_mut().enumerate() {
-            if self.strategy != StrategyKind::Composed(i) {
-                composed.track_dormant(best, tree);
+    /// Applies [`Strategy`]'s dormant-fork bookkeeping to every slot
+    /// but the active one.
+    fn track_dormant(&mut self, group_tips: &[BlockId; 2], tree: &BlockTree) {
+        let best = best_tip(tree, group_tips);
+        for (i, (_, slot)) in self.slots.iter_mut().enumerate() {
+            if i != self.active {
+                slot.track_dormant(best, tree);
             }
         }
     }
@@ -507,38 +485,16 @@ impl Adversary for ScenarioAdversary {
         successes: u64,
         releases: &mut Vec<ReleaseDirective>,
     ) {
-        self.track_dormant_forks(group_tips, tree);
+        self.track_dormant(group_tips, tree);
         let start = releases.len();
-        match self.strategy {
-            StrategyKind::Honest => self
-                .honest
-                .act(round, group_tips, tree, successes, releases),
-            StrategyKind::PrivateChain => {
-                self.private
-                    .act(round, group_tips, tree, successes, releases);
-            }
-            StrategyKind::Balance => {
-                self.balance
-                    .act(round, group_tips, tree, successes, releases);
-            }
-            StrategyKind::Selfish => {
-                self.selfish
-                    .act(round, group_tips, tree, successes, releases);
-            }
-            // detlint: allow(panic-macro) -- the engine routes Composed strategies through act_split only
-            StrategyKind::Composed(_) => unreachable!(
-                "composed phases are driven through act_split: the engine re-derives \
-                 the sub split at every phase boundary"
-            ),
-        }
+        self.slots[self.active]
+            .1
+            .act(round, group_tips, tree, successes, releases);
         self.apply_release_floor(releases, start);
     }
 
     fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
-        match self.strategy {
-            StrategyKind::Composed(i) => self.composed[i].sub_miner_counts(n_adversary),
-            _ => None,
-        }
+        self.slots[self.active].1.sub_miner_counts(n_adversary)
     }
 
     fn act_split(
@@ -549,35 +505,22 @@ impl Adversary for ScenarioAdversary {
         successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
-        match self.strategy {
-            StrategyKind::Composed(i) => {
-                self.track_dormant_forks(group_tips, tree);
-                let start = releases.len();
-                self.composed[i].act_split(round, group_tips, tree, successes, releases);
-                self.apply_release_floor(releases, start);
-            }
-            // Defensive: a monolithic phase driven through the split
-            // interface behaves exactly like the default trait impl.
-            _ => self.act(round, group_tips, tree, successes.iter().sum(), releases),
-        }
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        // Every delegate is round-invariant, and phase switches happen
-        // only between run segments.
-        true
+        self.track_dormant(group_tips, tree);
+        let start = releases.len();
+        self.slots[self.active]
+            .1
+            .act_split(round, group_tips, tree, successes, releases);
+        self.apply_release_floor(releases, start);
     }
 
     fn live_blocks(&self) -> Vec<BlockId> {
-        // Dormant tips track the public tip (always alive); frozen
-        // forks — monolithic or inside a composition — must survive
-        // pruning until their strategy resumes.
-        let mut blocks = self.private.live_blocks();
-        blocks.extend(self.selfish.live_blocks());
-        for composed in &self.composed {
-            blocks.extend(composed.live_blocks());
-        }
-        blocks
+        // Dormant fork bases follow the public tip (always alive);
+        // frozen forks — monolithic or inside a composition — must
+        // survive pruning until their strategy resumes.
+        self.slots
+            .iter()
+            .flat_map(|(_, slot)| slot.live_blocks())
+            .collect()
     }
 }
 
@@ -671,12 +614,6 @@ impl ScenarioRunner {
     #[must_use]
     pub fn sim(&self) -> &Simulation<ScenarioAdversary> {
         &self.sim
-    }
-
-    /// Number of phases already completed.
-    #[must_use]
-    pub fn phases_completed(&self) -> usize {
-        self.next_phase
     }
 
     /// Runs the next phase to its end: applies the phase's strategy and
@@ -843,7 +780,9 @@ impl ScenarioPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::run_simulation_with;
+    use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+    use crate::execution::run_simulation;
+    use crate::selfish::SelfishMiningAdversary;
 
     fn base(nu: f64, seed: u64) -> SimConfig {
         SimConfig::from_c(100, 4, 1.0, nu, seed).unwrap()
@@ -969,7 +908,7 @@ mod tests {
         )
         .unwrap();
         let scen = run_scenario(&scenario).final_report;
-        let raw = run_simulation_with(cfg, PrivateChainAdversary::new(cfg.delta), rounds);
+        let raw = run_simulation(cfg, PrivateChainAdversary::new(cfg.delta), rounds);
         assert_eq!(scen, raw, "private-chain composition");
 
         // Honest under calm scheduling == ImmediateReleaseAdversary.
@@ -977,7 +916,7 @@ mod tests {
         let scenario =
             Scenario::new(cfg, vec![phase(rounds, StrategyKind::Honest, Regime::Calm)]).unwrap();
         let scen = run_scenario(&scenario).final_report;
-        let raw = run_simulation_with(cfg, ImmediateReleaseAdversary::new(), rounds);
+        let raw = run_simulation(cfg, ImmediateReleaseAdversary::new(), rounds);
         assert_eq!(scen, raw, "honest composition");
 
         // Balance under full-Δ scheduling == BalanceAdversary.
@@ -988,7 +927,7 @@ mod tests {
         )
         .unwrap();
         let scen = run_scenario(&scenario).final_report;
-        let raw = run_simulation_with(cfg, BalanceAdversary::new(cfg.delta), rounds);
+        let raw = run_simulation(cfg, BalanceAdversary::new(cfg.delta), rounds);
         assert_eq!(scen, raw, "balance composition");
 
         // Selfish mining under calm scheduling == SelfishMiningAdversary.
@@ -999,7 +938,7 @@ mod tests {
         )
         .unwrap();
         let scen = run_scenario(&scenario).final_report;
-        let raw = run_simulation_with(cfg, SelfishMiningAdversary::new(cfg.delta), rounds);
+        let raw = run_simulation(cfg, SelfishMiningAdversary::new(cfg.delta), rounds);
         assert_eq!(scen, raw, "selfish composition");
     }
 
@@ -1181,8 +1120,12 @@ mod tests {
         .unwrap();
         let mut runner = ScenarioRunner::new(scenario);
         runner.run_next_phase().unwrap();
+        let adversary = runner.sim().adversary();
+        let Strategy::PrivateChain(private) = &adversary.slots[adversary.active].1 else {
+            panic!("phase 1 runs the private-chain slot");
+        };
         assert!(
-            runner.sim().adversary().private.withheld_len() > 0,
+            private.withheld_len() > 0,
             "phase 1 must end with a frozen withheld fork for this test to bite"
         );
         runner.run_next_phase().unwrap();
@@ -1270,7 +1213,7 @@ mod tests {
         )
         .unwrap();
         let scen = run_scenario(&scenario).final_report;
-        let raw = run_simulation_with(cfg, ComposedAdversary::new(cfg.delta, composition), rounds);
+        let raw = run_simulation(cfg, ComposedAdversary::new(cfg.delta, composition), rounds);
         assert_eq!(scen, raw, "composed composition");
     }
 

@@ -59,23 +59,22 @@ impl SelfishMiningAdversary {
         self.withheld.len()
     }
 
-    /// Restarts the private fork from `tip` (scenario phase-transition
-    /// hook, mirroring `PrivateChainAdversary::rebase`): while dormant
-    /// the fork base tracks the public tip so it never references a
-    /// pruned block. Only meaningful when nothing is withheld.
-    pub(crate) fn rebase(&mut self, tip: BlockId, tree: &BlockTree) {
-        debug_assert!(self.withheld.is_empty(), "rebase would drop a live fork");
-        self.private_tip = tip;
-        self.withheld.clear();
-        self.revealed_height = self.revealed_height.max(tree.height(tip));
+    /// Dormant-fork bookkeeping (see
+    /// [`crate::adversary::Strategy`]): abandons a fork the public
+    /// chain `best` has strictly overtaken, and lets an empty fork
+    /// follow `best` (raising the revealed watermark with it), so a
+    /// dormant fork never pins the tree pruner.
+    pub(crate) fn track_dormant(&mut self, best: BlockId, tree: &BlockTree) {
+        self.abandon_if_behind(best, tree);
+        if self.withheld.is_empty() {
+            self.private_tip = best;
+            self.revealed_height = self.revealed_height.max(tree.height(best));
+        }
     }
 
     /// Adopts `public_tip` and drops the withheld fork iff the fork has
-    /// strictly fallen behind — the strategy's own adopt rule, applied
-    /// by the scenario layer to dormant forks so an overtaken frozen
-    /// fork stops pinning the tree pruner (see
-    /// `PrivateChainAdversary::abandon_if_behind`).
-    pub(crate) fn abandon_if_behind(&mut self, public_tip: BlockId, tree: &BlockTree) {
+    /// strictly fallen behind — the strategy's adopt rule.
+    fn abandon_if_behind(&mut self, public_tip: BlockId, tree: &BlockTree) {
         if tree.height(self.private_tip) < tree.height(public_tip) {
             self.private_tip = public_tip;
             self.withheld.clear();
@@ -105,13 +104,6 @@ impl SelfishMiningAdversary {
 impl Adversary for SelfishMiningAdversary {
     fn name(&self) -> &'static str {
         "selfish-mining"
-    }
-
-    fn supports_fast_forward(&self) -> bool {
-        // Decisions depend only on heights and the revealed watermark,
-        // never on the round number; a zero-success call after an
-        // empty-handed one is a no-op.
-        true
     }
 
     fn live_blocks(&self) -> Vec<BlockId> {
@@ -253,15 +245,11 @@ mod tests {
         let honest_cfg = SimConfig::new(200, nu, 2e-3, 2, 91).unwrap();
         let honest = run_simulation(
             honest_cfg,
-            Box::new(crate::adversary::ImmediateReleaseAdversary::new()),
+            crate::adversary::ImmediateReleaseAdversary::new(),
             300_000,
         );
         let selfish_cfg = SimConfig::new(200, nu, 2e-3, 2, 91).unwrap();
-        let selfish = run_simulation(
-            selfish_cfg,
-            Box::new(SelfishMiningAdversary::new(2)),
-            300_000,
-        );
+        let selfish = run_simulation(selfish_cfg, SelfishMiningAdversary::new(2), 300_000);
         assert!(
             selfish.chain_quality() < honest.chain_quality(),
             "selfish quality {} should be below honest-mining quality {}",
@@ -276,7 +264,7 @@ mod tests {
         // quality is at least the honest-mining level.
         let nu = 0.1;
         let cfg = SimConfig::new(200, nu, 2e-3, 2, 92).unwrap();
-        let selfish = run_simulation(cfg, Box::new(SelfishMiningAdversary::new(2)), 300_000);
+        let selfish = run_simulation(cfg, SelfishMiningAdversary::new(2), 300_000);
         assert!(
             selfish.chain_quality() > 0.85,
             "quality {} should stay near honest share",

@@ -149,13 +149,12 @@
 //! # Ok::<(), nakamoto_sim::spec::SpecError>(())
 //! ```
 
-use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
-use crate::compose::{ComposedAdversary, Composition, SubSpec};
+use crate::adversary::{delegate, Strategy};
+use crate::compose::{Composition, SubSpec};
 use crate::config::SimConfig;
 use crate::exact::{ExactPlan, ExactRun};
 use crate::montecarlo::{MonteCarloRun, TrialPlan};
 use crate::scenario::{PhaseSpec, Regime, Scenario, ScenarioPlan, StrategyKind};
-use crate::selfish::SelfishMiningAdversary;
 use crate::splitting::{SplittingPlan, SplittingRun};
 use probability::rng::{RandomSource, SplitMix64};
 use std::fmt;
@@ -1056,25 +1055,22 @@ pub struct CellOutcome {
 pub enum ExperimentPlan {
     /// A scenario Monte-Carlo fan-out.
     Scenario(ScenarioPlan),
-    /// A stationary Wilson fan-out with the bare adversary for
-    /// `strategy`.
+    /// A stationary Wilson fan-out: every trial runs a clone of the
+    /// fresh state machine `strategy` wraps.
     Stationary {
         /// The trial plan (config, rounds, trials, thresholds).
         plan: TrialPlan,
-        /// Strategy each trial runs.
-        strategy: StrategyKind,
-        /// Composition table for `composed(i)` strategies.
-        compositions: Vec<Composition>,
+        /// The fresh strategy each trial clones.
+        strategy: Strategy,
     },
-    /// A stationary multilevel-splitting run with the bare adversary
-    /// for `strategy` (`estimator = "splitting"`).
+    /// A stationary multilevel-splitting run (`estimator =
+    /// "splitting"`): every stage-1 replica runs a clone of the fresh
+    /// state machine `strategy` wraps.
     Splitting {
         /// The splitting plan (config, horizon, thresholds, levels).
         plan: SplittingPlan,
-        /// Strategy each replica runs.
-        strategy: StrategyKind,
-        /// Composition table for `composed(i)` strategies.
-        compositions: Vec<Composition>,
+        /// The fresh strategy each replica clones.
+        strategy: Strategy,
     },
     /// An exact capped-race solve (`backend = "markov"`).
     Exact(ExactPlan),
@@ -1087,52 +1083,20 @@ impl ExperimentPlan {
     /// `estimator = "splitting"`, the exact race solve when
     /// `backend = "markov"`.
     ///
-    /// # Panics
-    ///
-    /// Panics if a `composed(i)` strategy indexes past the composition
-    /// table — [`ExperimentSpec::plan`] validates this at construction.
+    /// Stationary trials run the state machine the strategy wraps, not
+    /// the [`Strategy`] itself: the engine is then compiled per wrapped
+    /// type, without the per-call dispatch that costs a few percent of
+    /// the round loop.
     #[must_use]
     pub fn execute(&self) -> CellOutcome {
         let estimate = match self {
             ExperimentPlan::Scenario(plan) => Estimate::Wilson(plan.run()),
-            ExperimentPlan::Stationary {
-                plan,
-                strategy,
-                compositions,
-            } => {
-                let delta = plan.config.delta;
-                Estimate::Wilson(match *strategy {
-                    StrategyKind::Honest => plan.run(|_| ImmediateReleaseAdversary::new()),
-                    StrategyKind::PrivateChain => {
-                        plan.run(move |_| PrivateChainAdversary::new(delta))
-                    }
-                    StrategyKind::Balance => plan.run(move |_| BalanceAdversary::new(delta)),
-                    StrategyKind::Selfish => plan.run(move |_| SelfishMiningAdversary::new(delta)),
-                    StrategyKind::Composed(i) => {
-                        let composition = compositions[i].clone();
-                        plan.run(move |_| ComposedAdversary::new(delta, composition.clone()))
-                    }
-                })
-            }
-            ExperimentPlan::Splitting {
-                plan,
-                strategy,
-                compositions,
-            } => {
-                let delta = plan.config.delta;
-                Estimate::Splitting(match *strategy {
-                    StrategyKind::Honest => plan.run(|_| ImmediateReleaseAdversary::new()),
-                    StrategyKind::PrivateChain => {
-                        plan.run(move |_| PrivateChainAdversary::new(delta))
-                    }
-                    StrategyKind::Balance => plan.run(move |_| BalanceAdversary::new(delta)),
-                    StrategyKind::Selfish => plan.run(move |_| SelfishMiningAdversary::new(delta)),
-                    StrategyKind::Composed(i) => {
-                        let composition = compositions[i].clone();
-                        plan.run(move |_| ComposedAdversary::new(delta, composition.clone()))
-                    }
-                })
-            }
+            ExperimentPlan::Stationary { plan, strategy } => delegate!(strategy.clone(), a => {
+                Estimate::Wilson(plan.run(move |_| a.clone()))
+            }),
+            ExperimentPlan::Splitting { plan, strategy } => delegate!(strategy.clone(), a => {
+                Estimate::Splitting(plan.run(move |_| a.clone()))
+            }),
             ExperimentPlan::Exact(plan) => Estimate::Exact(plan.run()),
         };
         CellOutcome {
@@ -1394,7 +1358,13 @@ impl ExperimentSpec {
                 plan.thresholds(run.thresholds.clone()),
             ));
         };
-        let compositions = self.compositions.clone();
+        // Built only for the sampled backends: an exact cell runs no
+        // strategy.
+        let fresh_strategy = || {
+            Strategy::new(strategy, self.base.delta, &self.compositions).ok_or_else(|| {
+                Fault::new("stationary.strategy", "indexes past the composition table")
+            })
+        };
         match (run.backend, run.estimator) {
             (BackendKind::Markov, _) if strategy != StrategyKind::PrivateChain => Err(Fault::new(
                 "experiment.backend",
@@ -1424,8 +1394,7 @@ impl ExperimentSpec {
                     .map_err(|e| Fault::new("experiment.splitting_levels", e))?;
                 Ok(ExperimentPlan::Splitting {
                     plan,
-                    strategy,
-                    compositions,
+                    strategy: fresh_strategy()?,
                 })
             }
             (BackendKind::MonteCarlo, EstimatorKind::Wilson) => {
@@ -1437,8 +1406,7 @@ impl ExperimentSpec {
                 }
                 Ok(ExperimentPlan::Stationary {
                     plan,
-                    strategy,
-                    compositions,
+                    strategy: fresh_strategy()?,
                 })
             }
         }
@@ -2329,6 +2297,7 @@ fn emit_value(value: &SpecValue) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::PrivateChainAdversary;
 
     const SCENARIO_SPEC: &str = r#"
         # A three-phase attack-window scenario.

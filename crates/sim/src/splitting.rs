@@ -19,14 +19,15 @@
 //! # Fixed-effort splitting
 //!
 //! Stage 1 launches `effort` independent replicas from round 0 (on the
-//! *same* `jump()`-derived streams a plain [`crate::montecarlo::run_trials`]
-//! fan-out would use) and runs each until it crosses the first level or
-//! its round horizon expires. Stage `k` then resamples `effort` replicas
-//! with replacement from stage `k−1`'s crossing states (cloning the full
-//! engine state at the crossing round), hands each clone a fresh
-//! disjoint stream via [`crate::execution::Simulation::reseed_mining`]
-//! (sound because geometric mining gaps are memoryless), and races them
-//! toward the next level. The failure probability estimate is the
+//! *same* `jump()`-derived streams a plain
+//! [`crate::montecarlo::TrialPlan::run`] fan-out would use) and runs
+//! each until it crosses the first level or its round horizon expires.
+//! Stage `k` then resamples `effort` replicas with replacement from
+//! stage `k−1`'s crossing states (cloning the full engine state at the
+//! crossing round), hands each clone a fresh disjoint stream via
+//! [`crate::execution::Simulation::reseed_mining`] (sound because
+//! geometric mining gaps are memoryless), and races them toward the
+//! next level. The failure probability estimate is the
 //! product of per-stage crossing fractions, with the relative-error
 //! accounting of [`probability::rare_event::product_estimate`].
 //!
@@ -52,7 +53,7 @@ use std::time::Instant; // detlint: allow(det-wallclock) -- wall time is reporte
 
 /// Domain-separation tag mixed into `config.seed` for the stage-seed
 /// stream, keeping stage-≥2 replica streams distinct from the stage-1
-/// streams (which deliberately coincide with `run_trials`' streams).
+/// streams (which deliberately coincide with `TrialPlan::run`'s streams).
 const STAGE_SEED_TAG: u64 = 0x5350_4C49_5454_494E;
 
 /// A fixed-effort splitting experiment: `effort` replicas per level,
@@ -182,13 +183,126 @@ impl SplittingPlan {
         ladder
     }
 
-    /// Runs the plan; see [`run_splitting`].
+    /// Runs the fixed-effort splitting experiment.
+    ///
+    /// `make_adversary` builds the strategy for first-stage replica `i`
+    /// exactly as [`crate::montecarlo::TrialPlan::run`] does for trial
+    /// `i`; later stages clone the adversary (mid-attack state
+    /// included) along with the rest of the engine.
+    ///
+    /// The returned statistics are bit-identical for a fixed
+    /// `config.seed` at every pool width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the public fields were mutated into an invalid state
+    /// after construction (see [`SplittingPlan::validate`]).
     pub fn run<A, F>(&self, make_adversary: F) -> SplittingRun
     where
         A: Adversary + Clone + Send + Sync + 'static,
         F: Fn(u64) -> A + Send + Sync + 'static,
     {
-        run_splitting(self, make_adversary)
+        self.validate()
+            .expect("invalid splitting plan: construct through SplittingPlan::new"); // detlint: allow(panic-expect) -- documented # Panics contract for post-construction field mutation
+        let make_adversary = Arc::new(make_adversary);
+        let ladder = self.stage_levels();
+        let effort = self.effort;
+        // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
+        let started = Instant::now();
+        let mut stage_seeder = SplitMix64::new(self.config.seed ^ STAGE_SEED_TAG);
+        let mut level_stats: Vec<LevelStats> = Vec::with_capacity(ladder.len());
+        let mut total_rounds = 0u64;
+        let mut entrants: Vec<Simulation<A>> = Vec::new();
+
+        for (stage, &level) in ladder.iter().enumerate() {
+            let (survivors, stage_rounds) = if stage == 0 {
+                // Stage 1 replicas are plain trials: same streams, same
+                // adversary factory, same engine entry as `TrialPlan::run` — a
+                // degenerate (single-stage) schedule reproduces the plain
+                // Monte-Carlo failure count bit for bit.
+                let streams = Arc::new(trial_streams(self.config.seed, effort));
+                let make_adversary = Arc::clone(&make_adversary);
+                let config = self.config;
+                let rounds = self.rounds;
+                let run_one = move |replica: u64| {
+                    let rng = streams[replica as usize].clone();
+                    let mut sim = Simulation::with_rng(config, make_adversary(replica), rng);
+                    let hit = sim.run_until_depth(rounds, level);
+                    let consumed = sim.round();
+                    (hit.then_some(sim), consumed)
+                };
+                fan_out_stage(effort, run_one)
+            } else {
+                // Later stages: resample entrance states with replacement
+                // and restart each clone on its own disjoint stream. Both
+                // the parent selections and the streams are fixed before
+                // the fan-out, so scheduling cannot perturb them.
+                let stage_seed = stage_seeder.next_u64();
+                let selection_seed = stage_seeder.next_u64();
+                let mut selection = SplitMix64::new(selection_seed);
+                let parents: Vec<usize> = (0..effort)
+                    .map(|_| selection.next_below(entrants.len() as u64) as usize)
+                    .collect();
+                let parents = Arc::new(parents);
+                let streams = Arc::new(trial_streams(stage_seed, effort));
+                let entrance = Arc::new(std::mem::take(&mut entrants));
+                let rounds = self.rounds;
+                let run_one = move |replica: u64| {
+                    let mut sim = entrance[parents[replica as usize]].clone();
+                    let entered_at = sim.round();
+                    sim.reseed_mining(streams[replica as usize].clone());
+                    let hit = sim.run_until_depth(rounds, level);
+                    let consumed = sim.round() - entered_at;
+                    (hit.then_some(sim), consumed)
+                };
+                fan_out_stage(effort, run_one)
+            };
+            total_rounds += stage_rounds;
+            entrants = survivors.into_iter().flatten().collect();
+            let hits = entrants.len() as u64;
+            level_stats.push(LevelStats {
+                level,
+                hits,
+                effort,
+            });
+            if hits == 0 {
+                // Level starvation: no entrance states remain, so every
+                // deeper level (and every threshold above it) estimates 0.
+                break;
+            }
+        }
+
+        let estimates = self
+            .thresholds
+            .iter()
+            .map(|&t| {
+                let stages: Vec<&LevelStats> =
+                    level_stats.iter().filter(|s| s.level <= t + 1).collect();
+                let outcomes: Vec<LevelOutcome> = stages
+                    .iter()
+                    .map(|s| LevelOutcome {
+                        hits: s.hits,
+                        trials: s.effort,
+                    })
+                    .collect();
+                let product = product_estimate(&outcomes);
+                SplittingEstimate {
+                    threshold: t,
+                    probability: product.probability,
+                    relative_error: product.relative_error,
+                    starved_at: product.starved_at.map(|i| stages[i].level),
+                }
+            })
+            .collect();
+
+        let elapsed_secs = started.elapsed().as_secs_f64();
+        SplittingRun {
+            estimates,
+            levels: level_stats,
+            elapsed_secs,
+            total_rounds,
+            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
+        }
     }
 }
 
@@ -229,7 +343,7 @@ impl SplittingEstimate {
     }
 }
 
-/// Result of [`run_splitting`]: per-threshold estimates, the full stage
+/// Result of [`SplittingPlan::run`]: per-threshold estimates, the full stage
 /// ladder, and wall-clock metrics (which, as for the trial engine,
 /// *do* depend on pool width while the statistics never do).
 #[derive(Debug, Clone)]
@@ -277,128 +391,6 @@ where
         })
         .collect();
     (survivors, rounds_total)
-}
-
-/// Runs a fixed-effort splitting experiment.
-///
-/// `make_adversary` builds the strategy for first-stage replica `i`
-/// exactly as [`crate::montecarlo::run_trials`] does for trial `i`;
-/// later stages clone the adversary (mid-attack state included) along
-/// with the rest of the engine.
-///
-/// The returned statistics are bit-identical for a fixed
-/// `plan.config.seed` at every pool width.
-///
-/// # Panics
-///
-/// Panics if the plan's public fields were mutated into an invalid
-/// state after construction (see [`SplittingPlan::validate`]).
-pub fn run_splitting<A, F>(plan: &SplittingPlan, make_adversary: F) -> SplittingRun
-where
-    A: Adversary + Clone + Send + Sync + 'static,
-    F: Fn(u64) -> A + Send + Sync + 'static,
-{
-    plan.validate()
-        .expect("invalid splitting plan: construct through SplittingPlan::new"); // detlint: allow(panic-expect) -- documented # Panics contract for post-construction field mutation
-    let make_adversary = Arc::new(make_adversary);
-    let ladder = plan.stage_levels();
-    let effort = plan.effort;
-    // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-    let started = Instant::now();
-    let mut stage_seeder = SplitMix64::new(plan.config.seed ^ STAGE_SEED_TAG);
-    let mut level_stats: Vec<LevelStats> = Vec::with_capacity(ladder.len());
-    let mut total_rounds = 0u64;
-    let mut entrants: Vec<Simulation<A>> = Vec::new();
-
-    for (stage, &level) in ladder.iter().enumerate() {
-        let (survivors, stage_rounds) = if stage == 0 {
-            // Stage 1 replicas are plain trials: same streams, same
-            // adversary factory, same engine entry as `run_trials` — a
-            // degenerate (single-stage) schedule reproduces the plain
-            // Monte-Carlo failure count bit for bit.
-            let streams = Arc::new(trial_streams(plan.config.seed, effort));
-            let make_adversary = Arc::clone(&make_adversary);
-            let config = plan.config;
-            let rounds = plan.rounds;
-            let run_one = move |replica: u64| {
-                let rng = streams[replica as usize].clone();
-                let mut sim = Simulation::with_rng(config, make_adversary(replica), rng);
-                let hit = sim.run_until_depth(rounds, level);
-                let consumed = sim.round();
-                (hit.then_some(sim), consumed)
-            };
-            fan_out_stage(effort, run_one)
-        } else {
-            // Later stages: resample entrance states with replacement
-            // and restart each clone on its own disjoint stream. Both
-            // the parent selections and the streams are fixed before
-            // the fan-out, so scheduling cannot perturb them.
-            let stage_seed = stage_seeder.next_u64();
-            let selection_seed = stage_seeder.next_u64();
-            let mut selection = SplitMix64::new(selection_seed);
-            let parents: Vec<usize> = (0..effort)
-                .map(|_| selection.next_below(entrants.len() as u64) as usize)
-                .collect();
-            let parents = Arc::new(parents);
-            let streams = Arc::new(trial_streams(stage_seed, effort));
-            let entrance = Arc::new(std::mem::take(&mut entrants));
-            let rounds = plan.rounds;
-            let run_one = move |replica: u64| {
-                let mut sim = entrance[parents[replica as usize]].clone();
-                let entered_at = sim.round();
-                sim.reseed_mining(streams[replica as usize].clone());
-                let hit = sim.run_until_depth(rounds, level);
-                let consumed = sim.round() - entered_at;
-                (hit.then_some(sim), consumed)
-            };
-            fan_out_stage(effort, run_one)
-        };
-        total_rounds += stage_rounds;
-        entrants = survivors.into_iter().flatten().collect();
-        let hits = entrants.len() as u64;
-        level_stats.push(LevelStats {
-            level,
-            hits,
-            effort,
-        });
-        if hits == 0 {
-            // Level starvation: no entrance states remain, so every
-            // deeper level (and every threshold above it) estimates 0.
-            break;
-        }
-    }
-
-    let estimates = plan
-        .thresholds
-        .iter()
-        .map(|&t| {
-            let stages: Vec<&LevelStats> =
-                level_stats.iter().filter(|s| s.level <= t + 1).collect();
-            let outcomes: Vec<LevelOutcome> = stages
-                .iter()
-                .map(|s| LevelOutcome {
-                    hits: s.hits,
-                    trials: s.effort,
-                })
-                .collect();
-            let product = product_estimate(&outcomes);
-            SplittingEstimate {
-                threshold: t,
-                probability: product.probability,
-                relative_error: product.relative_error,
-                starved_at: product.starved_at.map(|i| stages[i].level),
-            }
-        })
-        .collect();
-
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    SplittingRun {
-        estimates,
-        levels: level_stats,
-        elapsed_secs,
-        total_rounds,
-        rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 nu,
                 31_337 + delta * 100 + (nu * 100.0) as u64,
             )?;
-            let report = run_simulation(cfg, Box::new(BalanceAdversary::new(delta)), rounds);
+            let report = run_simulation(cfg, BalanceAdversary::new(delta), rounds);
             println!(
                 "{:>4} {:>6.2} {:>14} {:>10} {:>10} {:>16}",
                 delta,

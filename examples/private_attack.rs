@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for &nu in &[0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45] {
         let cfg = SimConfig::from_c(n, delta, c, nu, 7_000 + (nu * 1000.0) as u64)?;
-        let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(delta)), rounds);
+        let report = run_simulation(cfg, PrivateChainAdversary::new(delta), rounds);
         println!(
             "{:>6.2} {:>12} {:>12} {:>12} {:>10.4} {:>14}",
             nu,

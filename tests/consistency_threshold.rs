@@ -17,7 +17,7 @@ fn safe_regime_stays_consistent_under_private_attack() {
     let neat = numax::c_required(nu);
     // c three times the bound.
     let cfg = SimConfig::from_c(100, 4, neat * 3.0, nu, 42).unwrap();
-    let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(4)), ROUNDS);
+    let report = run_simulation(cfg, PrivateChainAdversary::new(4), ROUNDS);
     assert!(
         report.is_consistent(12),
         "reorg depth {} / divergence {} at 3× the neat bound",
@@ -34,7 +34,7 @@ fn safe_regime_stays_consistent_under_private_attack() {
 fn unsafe_regime_breaks_under_private_attack() {
     // c = 0.3, ν = 0.45: far left of Figure 1, above every curve.
     let cfg = SimConfig::from_c(100, 4, 0.3, 0.45, 43).unwrap();
-    let report = run_simulation(cfg, Box::new(PrivateChainAdversary::new(4)), ROUNDS);
+    let report = run_simulation(cfg, PrivateChainAdversary::new(4), ROUNDS);
     assert!(
         !report.is_consistent(12),
         "expected deep reorgs, got max depth {}",
@@ -54,8 +54,8 @@ fn balance_attack_contrast_across_bound() {
     let c = 0.8;
     let weak_cfg = SimConfig::from_c(100, 4, c, nu_weak, 44).unwrap();
     let strong_cfg = SimConfig::from_c(100, 4, c, nu_strong, 44).unwrap();
-    let weak = run_simulation(weak_cfg, Box::new(BalanceAdversary::new(4)), ROUNDS);
-    let strong = run_simulation(strong_cfg, Box::new(BalanceAdversary::new(4)), ROUNDS);
+    let weak = run_simulation(weak_cfg, BalanceAdversary::new(4), ROUNDS);
+    let strong = run_simulation(strong_cfg, BalanceAdversary::new(4), ROUNDS);
     assert!(
         strong.max_divergence_depth > weak.max_divergence_depth,
         "strong adversary divergence {} should exceed weak {}",
@@ -77,7 +77,7 @@ fn chain_quality_shape() {
     let cfg = SimConfig::from_c(200, 4, 2.0, nu, 45).unwrap();
     let honest = run_simulation(
         cfg,
-        Box::new(blockchain_consistency::nakamoto_sim::adversary::ImmediateReleaseAdversary::new()),
+        blockchain_consistency::nakamoto_sim::adversary::ImmediateReleaseAdversary::new(),
         ROUNDS,
     );
     // Honest-behaving adversary: quality ≈ µ share of blocks.
@@ -87,7 +87,7 @@ fn chain_quality_shape() {
         "quality {q} should track the honest fraction"
     );
     let attack_cfg = SimConfig::from_c(200, 4, 2.0, nu, 46).unwrap();
-    let attacked = run_simulation(attack_cfg, Box::new(PrivateChainAdversary::new(4)), ROUNDS);
+    let attacked = run_simulation(attack_cfg, PrivateChainAdversary::new(4), ROUNDS);
     // Withholding can only waste honest blocks, never improve quality
     // beyond the honest-mining share by a margin.
     assert!(attacked.chain_quality() <= q + 0.05);
@@ -101,7 +101,7 @@ fn convergence_margin_sign_tracks_neat_bound() {
     let neat = numax::c_required(nu);
     // Above the bound.
     let above = SimConfig::from_c(100, 2, neat * 2.0, nu, 47).unwrap();
-    let above_report = run_simulation(above, Box::new(PrivateChainAdversary::new(2)), 400_000);
+    let above_report = run_simulation(above, PrivateChainAdversary::new(2), 400_000);
     assert!(
         above_report.convergence_margin() > 0,
         "C − A = {} at 2× the bound",
@@ -109,7 +109,7 @@ fn convergence_margin_sign_tracks_neat_bound() {
     );
     // Clearly below the bound.
     let below = SimConfig::from_c(100, 2, neat * 0.25, nu, 48).unwrap();
-    let below_report = run_simulation(below, Box::new(PrivateChainAdversary::new(2)), 400_000);
+    let below_report = run_simulation(below, PrivateChainAdversary::new(2), 400_000);
     assert!(
         below_report.convergence_margin() < 0,
         "C − A = {} at a quarter of the bound",

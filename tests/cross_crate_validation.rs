@@ -59,7 +59,7 @@ fn suffix_chain_four_way_agreement() {
     }
     assert!(stationarity_residual(&chain, &closed) < 1e-13);
 
-    let report = run_simulation(cfg, Box::new(ImmediateReleaseAdversary::new()), 500_000);
+    let report = run_simulation(cfg, ImmediateReleaseAdversary::new(), 500_000);
     assert!(report.suffix_rounds > 400_000);
     for (i, (&count, &expected)) in report
         .suffix_occupancy
