@@ -20,9 +20,9 @@
 //! knob (cells complete in any order, but the table, totals, and JSON
 //! are byte-identical at every job count), `--verbose` streams
 //! per-cell completions and the executor's counters to stderr, `--out`
-//! writes JSON. The closing summary line reports the grid's wall time
-//! and, separately, the per-cell times summed (which overlap when
-//! cells pipeline). Budgets and expected runtimes: see EXPERIMENTS.md.
+//! writes JSON. The closing summary line reports the simulated rounds
+//! and the grid's wall time. Budgets and expected runtimes: see
+//! EXPERIMENTS.md.
 
 use consistency_bench::{cli, experiment};
 use nakamoto_sim::executor;
@@ -87,11 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wall = started.elapsed().as_secs_f64();
     experiment::print_table(&results);
     let rounds: u64 = results.iter().map(|r| r.estimate.simulated_rounds()).sum();
-    let cell_secs: f64 = results.iter().map(|r| r.estimate.elapsed_secs()).sum();
-    println!(
-        "\n{rounds} simulated rounds: grid wall time {wall:.2} s, \
-         summed cell time {cell_secs:.2} s"
-    );
+    println!("\n{rounds} simulated rounds: grid wall time {wall:.2} s");
     if verbose {
         let stats = executor::global_stats();
         eprintln!(

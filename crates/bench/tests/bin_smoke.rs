@@ -296,7 +296,6 @@ fn bench_sim_entry() {
     let run = TrialPlan::new(cfg, 500, 4)
         .expect("non-empty plan")
         .run(|_| BalanceAdversary::new(4));
-    assert!(run.rounds_per_sec > 0.0);
     assert_eq!(run.aggregate.trials, 4);
 }
 

@@ -82,4 +82,15 @@ fn an_n_cell_grid_spawns_one_pool_not_n_scopes() {
     for (a, b) in first.iter().zip(&second) {
         assert_eq!(a.wilson().unwrap().aggregate, b.wilson().unwrap().aggregate);
     }
+
+    // At one trial per cell, each cell's trial job has one slot and
+    // runs inline: the grid is the only queued job, and every inline
+    // job is counted.
+    let mut single = spec.clone();
+    experiment::apply_budget(&mut single, None, Some(1), None);
+    let third = experiment::run_spec_streaming(&single, 2, |_, _| {}).unwrap();
+    assert_eq!(third.len(), 3);
+    let after_third = executor::global_stats();
+    assert_eq!(after_third.jobs_inline - after_second.jobs_inline, 3);
+    assert_eq!(after_third.jobs_submitted - after_second.jobs_submitted, 1);
 }

@@ -57,11 +57,19 @@ pub(crate) fn best_tip(tree: &BlockTree, group_tips: &[BlockId; 2]) -> BlockId {
     }
 }
 
+/// A monolithic strategy's wins this round: [`Adversary::act`] hands
+/// it the round's total as the one entry of `successes`, or no entry on
+/// a round without wins.
+pub(crate) fn monolithic_wins(successes: &[u64]) -> u64 {
+    debug_assert!(
+        successes.len() <= 1,
+        "a monolithic strategy gets at most one entry"
+    );
+    successes.first().copied().unwrap_or(0)
+}
+
 /// An adversary strategy driving delays and corrupted mining.
 pub trait Adversary {
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-
     /// Number of honest delivery groups the strategy wants (1 or 2).
     fn group_count(&self) -> usize {
         1
@@ -72,12 +80,18 @@ pub trait Adversary {
     /// engine clamps the result to `[1, Δ]`.
     fn honest_delay(&mut self, round: Round, from_group: usize, to_group: usize) -> u64;
 
-    /// Reacts to this round's `successes` adversary PoW wins: mines
-    /// private blocks by mutating `tree` and appends release directives
-    /// to `releases` (an engine-owned buffer reused across rounds, so
-    /// the per-round hot path never allocates; it arrives empty).
-    /// `group_tips` holds each honest group's current tip (duplicated
-    /// for single-group strategies).
+    /// Reacts to this round's adversary PoW wins: mines private blocks
+    /// by mutating `tree` and appends release directives to `releases`
+    /// (an engine-owned buffer reused across rounds, so the per-round
+    /// hot path never allocates; it arrives empty). `group_tips` holds
+    /// each honest group's current tip (duplicated for single-group
+    /// strategies).
+    ///
+    /// `successes` holds the round's wins: one entry per sub-adversary
+    /// for a strategy that declares a split
+    /// ([`Adversary::sub_miner_counts`]), the round's total as the one
+    /// entry for a monolithic strategy, and no entry at all for a
+    /// round without wins. A missing entry counts as zero.
     ///
     /// Every strategy must be *round-invariant*, because the engine
     /// skips quiet rounds (no PoW success, no delivery) without calling
@@ -95,44 +109,27 @@ pub trait Adversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     );
 
     /// Miner counts of the strategy's sub-adversaries, for strategies
     /// that split the corrupted population across several concurrently
     /// running sub-strategies (see [`crate::compose`]). `None` — the
-    /// default — means the strategy is monolithic and the engine drives
-    /// it through [`Adversary::act`] with the round's total.
+    /// default — means the strategy is monolithic and [`Adversary::act`]
+    /// gets the round's total.
     ///
     /// When `Some(counts)` is returned, the engine configures the
     /// mining oracle to split each round's adversary successes across
     /// the sub-populations hypergeometrically (at the oracle level, on
     /// the per-trial mining stream — so composition inherits the
     /// Monte-Carlo engine's thread-count bit-identity for free) and
-    /// drives the strategy through [`Adversary::act_split`] instead.
-    /// `counts` must sum to `n_adversary` and stay fixed between engine
+    /// hands [`Adversary::act`] one entry per sub-adversary. `counts`
+    /// must sum to `n_adversary` and stay fixed between engine
     /// (re)configurations.
     fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
         let _ = n_adversary;
         None
-    }
-
-    /// Split-budget variant of [`Adversary::act`]: `successes[i]` is the
-    /// number of PoW wins sub-adversary `i` scored this round (parallel
-    /// to [`Adversary::sub_miner_counts`]). The engine calls this —
-    /// never `act` — for strategies that declare a sub split. The
-    /// default forwards the summed total to [`Adversary::act`], so
-    /// monolithic strategies never notice it exists.
-    fn act_split(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: &[u64],
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        self.act(round, group_tips, tree, successes.iter().sum(), releases);
     }
 
     /// Blocks the strategy still holds references to (e.g. the tip of a
@@ -158,10 +155,6 @@ impl ImmediateReleaseAdversary {
 }
 
 impl Adversary for ImmediateReleaseAdversary {
-    fn name(&self) -> &'static str {
-        "immediate-release"
-    }
-
     fn honest_delay(&mut self, _round: Round, _from: usize, _to: usize) -> u64 {
         1
     }
@@ -171,7 +164,7 @@ impl Adversary for ImmediateReleaseAdversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
         // Honest behaviour: mine on the highest tip visible anywhere and
@@ -179,6 +172,7 @@ impl Adversary for ImmediateReleaseAdversary {
         // single-group setting both tips coincide and the group-1
         // directives are filtered by the engine; under a two-group
         // scenario composition they are what keeps the baseline honest.
+        let successes = monolithic_wins(successes);
         let mut tip = best_tip(tree, group_tips);
         for _ in 0..successes {
             tip = tree.add_block(tip, round, Provenance::Adversary);
@@ -235,10 +229,6 @@ impl PrivateChainAdversary {
 }
 
 impl Adversary for PrivateChainAdversary {
-    fn name(&self) -> &'static str {
-        "private-chain"
-    }
-
     fn live_blocks(&self) -> Vec<BlockId> {
         // The withheld fork hangs off `private_tip`'s ancestor chain;
         // keeping the tip alive keeps the whole fork alive.
@@ -254,9 +244,10 @@ impl Adversary for PrivateChainAdversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
+        let successes = monolithic_wins(successes);
         // One height lookup per tip; the private height is then tracked
         // arithmetically (each mined block extends the tip by exactly
         // one), so the hot path never re-walks the arena.
@@ -324,10 +315,6 @@ impl BalanceAdversary {
 }
 
 impl Adversary for BalanceAdversary {
-    fn name(&self) -> &'static str {
-        "balance"
-    }
-
     fn group_count(&self) -> usize {
         2
     }
@@ -341,9 +328,10 @@ impl Adversary for BalanceAdversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
+        let successes = monolithic_wins(successes);
         let mut tips = *group_tips;
         for _ in 0..successes {
             // Extend the branch that is behind (ties favour branch 0 so
@@ -441,10 +429,6 @@ macro_rules! delegate {
 pub(crate) use delegate;
 
 impl Adversary for Strategy {
-    fn name(&self) -> &'static str {
-        delegate!(self, a => a.name())
-    }
-
     fn group_count(&self) -> usize {
         delegate!(self, a => a.group_count())
     }
@@ -458,7 +442,7 @@ impl Adversary for Strategy {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
         delegate!(self, a => a.act(round, group_tips, tree, successes, releases));
@@ -466,17 +450,6 @@ impl Adversary for Strategy {
 
     fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
         delegate!(self, a => a.sub_miner_counts(n_adversary))
-    }
-
-    fn act_split(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: &[u64],
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        delegate!(self, a => a.act_split(round, group_tips, tree, successes, releases));
     }
 
     fn live_blocks(&self) -> Vec<BlockId> {
@@ -509,7 +482,7 @@ mod tests {
         successes: u64,
     ) -> Vec<ReleaseDirective> {
         let mut out = Vec::new();
-        adv.act(round, &tips, tree, successes, &mut out);
+        adv.act(round, &tips, tree, &[successes], &mut out);
         out
     }
 

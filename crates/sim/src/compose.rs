@@ -300,10 +300,6 @@ impl ComposedAdversary {
 }
 
 impl Adversary for ComposedAdversary {
-    fn name(&self) -> &'static str {
-        "composed"
-    }
-
     fn group_count(&self) -> usize {
         // Same predicate as the arbiter guard: an active Balance sub
         // is what splits the honest views.
@@ -333,35 +329,21 @@ impl Adversary for ComposedAdversary {
 
     fn act(
         &mut self,
-        _round: Round,
-        _group_tips: &[BlockId; 2],
-        _tree: &mut BlockTree,
-        _successes: u64,
-        _releases: &mut Vec<ReleaseDirective>,
-    ) {
-        // detlint: allow(panic-macro) -- the engine drives composed adversaries through act_split only
-        unreachable!(
-            "ComposedAdversary is driven through act_split: the engine selects it \
-             automatically for strategies whose sub_miner_counts() is Some"
-        );
-    }
-
-    fn act_split(
-        &mut self,
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
         successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
-        debug_assert_eq!(successes.len(), self.subs.len());
         let start = releases.len();
         let mut guard_start = None;
-        for (i, (sub, &k)) in self.subs.iter_mut().zip(successes).enumerate() {
-            if self.weights[i] == 0 {
+        for (i, (sub, &w)) in self.subs.iter_mut().zip(&self.weights).enumerate() {
+            if w == 0 {
                 continue;
             }
-            sub.act(round, group_tips, tree, k, releases);
+            // Sub `i`'s wins; a round without wins passes no entries.
+            let won = successes.get(i).copied().unwrap_or(0);
+            sub.act(round, group_tips, tree, &[won], releases);
             if self.first_balance == Some(i) {
                 guard_start = Some(releases.len());
             }
@@ -657,24 +639,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "driven through act_split")]
-    fn act_without_split_is_a_contract_violation() {
-        let mut adv = ComposedAdversary::new(
-            2,
-            composition(&[(StrategyKind::Honest, 1), (StrategyKind::Selfish, 1)]),
-        );
-        let mut tree = BlockTree::new();
-        let mut releases = Vec::new();
-        adv.act(
-            1,
-            &[BlockId::GENESIS, BlockId::GENESIS],
-            &mut tree,
-            1,
-            &mut releases,
-        );
-    }
-
-    #[test]
     fn live_blocks_union_over_active_subs() {
         let mut adv = ComposedAdversary::new(
             4,
@@ -687,7 +651,7 @@ mod tests {
         let mut tree = BlockTree::new();
         let mut releases = Vec::new();
         // Both active fork subs mine one withheld block each.
-        adv.act_split(
+        adv.act(
             1,
             &[BlockId::GENESIS, BlockId::GENESIS],
             &mut tree,

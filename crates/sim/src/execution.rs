@@ -110,15 +110,12 @@ pub struct Simulation<A: Adversary> {
     pending_outcome: Option<(u64, RoundOutcome)>,
     /// Sub-adversary miner counts for strategies that split the
     /// corrupted population ([`Adversary::sub_miner_counts`]); `None`
-    /// drives the monolithic [`Adversary::act`] path.
+    /// for a monolithic strategy, which `act` hands the round's total.
     sub_counts: Option<Vec<u64>>,
     /// Sub-adversary split of the buffered `pending_outcome`, captured
     /// at sampling time (the oracle's split buffer is overwritten by the
     /// next sample, but the buffered outcome applies rounds later).
     pending_split: Vec<u64>,
-    /// All-zero split handed to [`Adversary::act_split`] on quiet
-    /// rounds; kept at the current sub count.
-    zero_split: Vec<u64>,
     /// Rounds between automatic prunes; `None` disables pruning.
     prune_interval: Option<u64>,
     last_prune: Round,
@@ -129,7 +126,7 @@ impl<A: Adversary> std::fmt::Debug for Simulation<A> {
         f.debug_struct("Simulation")
             .field("config", &self.config)
             .field("round", &self.round)
-            .field("adversary", &self.adversary.name())
+            .field("adversary", &std::any::type_name::<A>())
             .field("blocks", &self.tree.len())
             .finish()
     }
@@ -156,7 +153,6 @@ impl<A: Adversary> Simulation<A> {
         let sub_counts = adversary.sub_miner_counts(config.n_adversary());
         let mut oracle = MiningOracle::new(group_sizes, config.n_adversary(), config.hardness, rng);
         oracle.set_adversary_split(sub_counts.as_deref());
-        let n_subs = sub_counts.as_ref().map_or(0, Vec::len);
         Simulation {
             tree: BlockTree::new(),
             network: Network::new(),
@@ -176,7 +172,6 @@ impl<A: Adversary> Simulation<A> {
             pending_outcome: None,
             sub_counts,
             pending_split: Vec::new(),
-            zero_split: vec![0; n_subs],
             prune_interval: Some(DEFAULT_PRUNE_INTERVAL),
             last_prune: 0,
             config,
@@ -313,9 +308,6 @@ impl<A: Adversary> Simulation<A> {
         self.oracle
             .reconfigure(group_sizes, self.config.n_adversary(), hardness);
         self.oracle.set_adversary_split(new_subs.as_deref());
-        self.zero_split.clear();
-        self.zero_split
-            .resize(new_subs.as_ref().map_or(0, Vec::len), 0);
         self.sub_counts = new_subs;
         // The buffered gap (and its captured split) were sampled under
         // the old law; discard both — gaps are memoryless, so this does
@@ -504,26 +496,18 @@ impl<A: Adversary> Simulation<A> {
             let tips = self.group_tips();
             let mut releases = std::mem::take(&mut self.release_buf);
             releases.clear();
-            if self.sub_counts.is_none() {
-                self.adversary.act(
-                    round,
-                    &tips,
-                    &mut self.tree,
-                    outcome.adversary,
-                    &mut releases,
-                );
-            } else {
-                // Split-budget strategy: hand over the per-sub-adversary
-                // success counts the oracle allocated for this round.
-                let split = if applied_success {
-                    &self.pending_split
-                } else {
-                    &self.zero_split
-                };
-                debug_assert_eq!(split.iter().sum::<u64>(), outcome.adversary);
-                self.adversary
-                    .act_split(round, &tips, &mut self.tree, split, &mut releases);
-            }
+            // A split strategy gets the per-sub-adversary counts the
+            // oracle allocated for this round, a monolithic one the
+            // total; a round without wins passes no entries.
+            let total = [outcome.adversary];
+            let successes: &[u64] = match (&self.sub_counts, applied_success) {
+                (Some(_), true) => &self.pending_split,
+                (None, _) if outcome.adversary > 0 => &total,
+                _ => &[],
+            };
+            debug_assert_eq!(successes.iter().sum::<u64>(), outcome.adversary);
+            self.adversary
+                .act(round, &tips, &mut self.tree, successes, &mut releases);
             for release in &releases {
                 if release.group >= n_groups {
                     continue;

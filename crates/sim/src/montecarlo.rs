@@ -30,8 +30,8 @@
 //! let run = plan.run(|_trial| PrivateChainAdversary::new(4));
 //! let wilson = run.aggregate.failure_interval(12, 1.96).unwrap();
 //! println!(
-//!     "T=12 failure rate {:.2} [{:.2}, {:.2}] at {:.0} rounds/sec",
-//!     wilson.estimate, wilson.lo, wilson.hi, run.rounds_per_sec,
+//!     "T=12 failure rate {:.2} [{:.2}, {:.2}]",
+//!     wilson.estimate, wilson.lo, wilson.hi,
 //! );
 //! # Ok::<(), nakamoto_sim::config::ConfigError>(())
 //! ```
@@ -43,7 +43,6 @@ use crate::executor::{self, TaskKind};
 use crate::metrics::SimReport;
 use probability::rng::Xoshiro256PlusPlus;
 use std::sync::Arc;
-use std::time::Instant; // detlint: allow(det-wallclock) -- elapsed feeds the rounds_per_sec diagnostic only, never a stream or aggregate
 
 /// Critical value used by the sequential stopping rule: the per-wave
 /// Wilson half-width check runs at 95% confidence (z = 1.96), matching
@@ -178,16 +177,12 @@ impl TrialPlan {
             sim.run(rounds);
             sim.report()
         });
-        let (reports, elapsed_secs) = match self.stop_half_width {
+        let reports = match self.stop_half_width {
             Some(target) => run_trials_adaptive(self, target, run_one),
             None => fan_out_reports(trial_streams(config.seed, self.trials), 0, run_one),
         };
-        let aggregate = aggregate_reports(&reports, rounds, &self.consistency_thresholds);
-        let total_rounds = aggregate.total_rounds();
         MonteCarloRun {
-            aggregate,
-            elapsed_secs,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
+            aggregate: aggregate_reports(&reports, rounds, &self.consistency_thresholds),
         }
     }
 }
@@ -320,16 +315,12 @@ impl TrialAggregate {
     }
 }
 
-/// Result of [`TrialPlan::run`]: the deterministic aggregate plus
-/// wall-clock metrics (which naturally *do* depend on pool width).
+/// Result of [`TrialPlan::run`]: the deterministic aggregate, a pure
+/// function of the plan.
 #[derive(Debug, Clone)]
 pub struct MonteCarloRun {
     /// Pool-width-independent statistics.
     pub aggregate: TrialAggregate,
-    /// Wall-clock seconds for the whole fan-out.
-    pub elapsed_secs: f64,
-    /// Aggregate simulated-round throughput (total rounds / elapsed).
-    pub rounds_per_sec: f64,
 }
 
 /// Derives the per-trial generators: the master stream seeded from
@@ -350,8 +341,7 @@ pub(crate) fn trial_streams(master_seed: u64, trials: u64) -> Vec<Xoshiro256Plus
 /// waves, and the scenario layer's `ScenarioPlan`: runs
 /// `run_one(base_trial + i, streams[i])` for every stream as one
 /// ordered job on the shared [`crate::executor`] pool, at the pool's
-/// width, and returns the reports **in trial order** together with the
-/// wall-clock seconds.
+/// width, and returns the reports **in trial order**.
 ///
 /// The caller derives the streams from the master seed alone (trial
 /// `t` runs on the master generator advanced by `t` jumps), and the
@@ -362,22 +352,15 @@ pub(crate) fn fan_out_reports<F>(
     streams: Vec<Xoshiro256PlusPlus>,
     base_trial: u64,
     run_one: Arc<F>,
-) -> (Vec<SimReport>, f64)
+) -> Vec<SimReport>
 where
     F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
     let trials = streams.len() as u64;
     let streams = Arc::new(streams);
-
-    // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-    let started = Instant::now();
-    let reports =
-        executor::run_ordered(trials, executor::global_width(), TaskKind::Leaf, move |i| {
-            run_one(base_trial + i, streams[i as usize].clone())
-        });
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    debug_assert_eq!(reports.len() as u64, trials);
-    (reports, elapsed_secs)
+    executor::run_ordered(trials, executor::global_width(), TaskKind::Leaf, move |i| {
+        run_one(base_trial + i, streams[i as usize].clone())
+    })
 }
 
 /// Order-preserving reduction of per-trial reports into a
@@ -430,8 +413,7 @@ pub(crate) fn aggregate_reports(
 /// [`TrialPlan::check_every`] (default [`DEFAULT_STOP_CHECK_EVERY`])
 /// and stops at the first wave boundary where every plan threshold's
 /// Wilson half-width at [`STOP_Z`] is at most the target — or when the
-/// `plan.trials` budget is exhausted. Returns the trial-ordered reports
-/// and the summed wave wall time.
+/// `plan.trials` budget is exhausted. Returns the trial-ordered reports.
 ///
 /// Checkpoints land on trial counts that are pure functions of the plan
 /// (multiples of the wave size, capped by the budget), and each
@@ -441,7 +423,7 @@ pub(crate) fn aggregate_reports(
 /// advanced `t` jumps: the master generator rolls forward wave by wave
 /// instead of being expanded up front, and each wave goes through the
 /// same [`fan_out_reports`] as the fixed-budget path.
-fn run_trials_adaptive<F>(plan: &TrialPlan, target: f64, run_one: Arc<F>) -> (Vec<SimReport>, f64)
+fn run_trials_adaptive<F>(plan: &TrialPlan, target: f64, run_one: Arc<F>) -> Vec<SimReport>
 where
     F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
@@ -466,7 +448,6 @@ where
         .iter()
         .map(|&t| (t, 0))
         .collect();
-    let mut elapsed_secs = 0.0;
     while (reports.len() as u64) < plan.trials {
         let wave = check.min(plan.trials - reports.len() as u64);
         let wave_streams: Vec<Xoshiro256PlusPlus> = (0..wave)
@@ -477,8 +458,7 @@ where
             })
             .collect();
         let base = reports.len() as u64;
-        let (wave_reports, secs) = fan_out_reports(wave_streams, base, Arc::clone(&run_one));
-        elapsed_secs += secs;
+        let wave_reports = fan_out_reports(wave_streams, base, Arc::clone(&run_one));
         for report in &wave_reports {
             for (t, count) in &mut failures {
                 if !report.is_consistent(*t) {
@@ -496,7 +476,7 @@ where
             break;
         }
     }
-    (reports, elapsed_secs)
+    reports
 }
 
 #[cfg(test)]
@@ -647,13 +627,6 @@ mod tests {
         // strategies can vary per trial without touching the RNG.
         let run = plan(9, 4).run(PrivateChainAdversary::new);
         assert_eq!(run.aggregate.trials, 4);
-    }
-
-    #[test]
-    fn throughput_fields_populated() {
-        let run = plan(3, 2).run(|_| ImmediateReleaseAdversary::new());
-        assert!(run.elapsed_secs > 0.0);
-        assert!(run.rounds_per_sec > 0.0);
     }
 
     #[test]

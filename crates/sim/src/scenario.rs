@@ -465,10 +465,6 @@ impl ScenarioAdversary {
 }
 
 impl Adversary for ScenarioAdversary {
-    fn name(&self) -> &'static str {
-        "scenario"
-    }
-
     fn group_count(&self) -> usize {
         self.n_groups
     }
@@ -482,7 +478,7 @@ impl Adversary for ScenarioAdversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
         self.track_dormant(group_tips, tree);
@@ -495,22 +491,6 @@ impl Adversary for ScenarioAdversary {
 
     fn sub_miner_counts(&self, n_adversary: u64) -> Option<Vec<u64>> {
         self.slots[self.active].1.sub_miner_counts(n_adversary)
-    }
-
-    fn act_split(
-        &mut self,
-        round: Round,
-        group_tips: &[BlockId; 2],
-        tree: &mut BlockTree,
-        successes: &[u64],
-        releases: &mut Vec<ReleaseDirective>,
-    ) {
-        self.track_dormant(group_tips, tree);
-        let start = releases.len();
-        self.slots[self.active]
-            .1
-            .act_split(round, group_tips, tree, successes, releases);
-        self.apply_release_floor(releases, start);
     }
 
     fn live_blocks(&self) -> Vec<BlockId> {
@@ -762,17 +742,13 @@ impl ScenarioPlan {
             run_scenario_with_rng(&scenario, rng).final_report
         });
         let streams = trial_streams(self.scenario.base().seed, self.trials);
-        let (reports, elapsed_secs) = fan_out_reports(streams, 0, run_one);
-        let aggregate = aggregate_reports(
-            &reports,
-            self.scenario.total_rounds(),
-            &self.consistency_thresholds,
-        );
-        let total_rounds = aggregate.total_rounds();
+        let reports = fan_out_reports(streams, 0, run_one);
         MonteCarloRun {
-            aggregate,
-            elapsed_secs,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
+            aggregate: aggregate_reports(
+                &reports,
+                self.scenario.total_rounds(),
+                &self.consistency_thresholds,
+            ),
         }
     }
 }
@@ -1372,13 +1348,13 @@ mod tests {
         let mut adv = ScenarioAdversary::new(&scenario);
         // Phase 1: mine a big private lead (5 blocks over height 2).
         let mut buf = Vec::new();
-        adv.act(3, &[honest_tip, honest_tip], &mut tree, 5, &mut buf);
+        adv.act(3, &[honest_tip, honest_tip], &mut tree, &[5], &mut buf);
         assert!(buf.is_empty(), "a 5-lead fork stays withheld");
         let frozen = adv.live_blocks();
         // Phase 2: honest behaviour; the fork must stay frozen and alive.
         adv.set_phase(StrategyKind::Honest, Regime::Calm);
         buf.clear();
-        adv.act(4, &[honest_tip, honest_tip], &mut tree, 1, &mut buf);
+        adv.act(4, &[honest_tip, honest_tip], &mut tree, &[1], &mut buf);
         assert_eq!(buf.len(), 2, "honest phase publishes to both groups");
         assert!(
             adv.live_blocks().contains(&frozen[0]),
@@ -1387,7 +1363,7 @@ mod tests {
         // Phase 3: switch back; the fork resumes from its frozen tip.
         adv.set_phase(StrategyKind::PrivateChain, Regime::Adversarial);
         buf.clear();
-        adv.act(5, &[honest_tip, honest_tip], &mut tree, 1, &mut buf);
+        adv.act(5, &[honest_tip, honest_tip], &mut tree, &[1], &mut buf);
         assert!(
             tree.is_ancestor(frozen[0], adv.live_blocks()[0]),
             "resumed fork extends the frozen tip"
@@ -1416,7 +1392,7 @@ mod tests {
             1,
             &[BlockId::GENESIS, BlockId::GENESIS],
             &mut tree,
-            1,
+            &[1],
             &mut buf,
         );
         let to_eclipsed: Vec<_> = buf.iter().filter(|r| r.group == 1).collect();

@@ -102,10 +102,6 @@ impl SelfishMiningAdversary {
 }
 
 impl Adversary for SelfishMiningAdversary {
-    fn name(&self) -> &'static str {
-        "selfish-mining"
-    }
-
     fn live_blocks(&self) -> Vec<BlockId> {
         vec![self.private_tip]
     }
@@ -122,9 +118,10 @@ impl Adversary for SelfishMiningAdversary {
         round: Round,
         group_tips: &[BlockId; 2],
         tree: &mut BlockTree,
-        successes: u64,
+        successes: &[u64],
         releases: &mut Vec<ReleaseDirective>,
     ) {
+        let successes = crate::adversary::monolithic_wins(successes);
         let public_tip = crate::adversary::best_tip(tree, group_tips);
         let public_height = tree.height(public_tip);
 
@@ -175,7 +172,7 @@ mod tests {
         successes: u64,
     ) -> Vec<ReleaseDirective> {
         let mut out = Vec::new();
-        adv.act(round, &tips, tree, successes, &mut out);
+        adv.act(round, &tips, tree, &[successes], &mut out);
         out
     }
 

@@ -1016,17 +1016,6 @@ impl Estimate {
         }
     }
 
-    /// Wall-clock seconds the estimate took to compute (0 for the
-    /// exact backend, whose closed-form solve is not timed).
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        match self {
-            Estimate::Wilson(run) => run.elapsed_secs,
-            Estimate::Splitting(run) => run.elapsed_secs,
-            Estimate::Exact(_) => 0.0,
-        }
-    }
-
     /// Total simulated rounds behind the estimate (0 for the exact
     /// backend, which samples nothing).
     #[must_use]

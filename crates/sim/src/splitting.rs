@@ -49,7 +49,6 @@ use crate::montecarlo::trial_streams;
 use probability::rare_event::{product_estimate, LevelOutcome};
 use probability::rng::{RandomSource, SplitMix64};
 use std::sync::Arc;
-use std::time::Instant; // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
 
 /// Domain-separation tag mixed into `config.seed` for the stage-seed
 /// stream, keeping stage-≥2 replica streams distinct from the stage-1
@@ -207,8 +206,6 @@ impl SplittingPlan {
         let make_adversary = Arc::new(make_adversary);
         let ladder = self.stage_levels();
         let effort = self.effort;
-        // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-        let started = Instant::now();
         let mut stage_seeder = SplitMix64::new(self.config.seed ^ STAGE_SEED_TAG);
         let mut level_stats: Vec<LevelStats> = Vec::with_capacity(ladder.len());
         let mut total_rounds = 0u64;
@@ -295,13 +292,10 @@ impl SplittingPlan {
             })
             .collect();
 
-        let elapsed_secs = started.elapsed().as_secs_f64();
         SplittingRun {
             estimates,
             levels: level_stats,
-            elapsed_secs,
             total_rounds,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
         }
     }
 }
@@ -344,8 +338,7 @@ impl SplittingEstimate {
 }
 
 /// Result of [`SplittingPlan::run`]: per-threshold estimates, the full stage
-/// ladder, and wall-clock metrics (which, as for the trial engine,
-/// *do* depend on pool width while the statistics never do).
+/// ladder and the simulated rounds, all independent of pool width.
 #[derive(Debug, Clone)]
 pub struct SplittingRun {
     /// One estimate per plan threshold, in plan order.
@@ -353,12 +346,8 @@ pub struct SplittingRun {
     /// Per-stage crossing statistics, in ladder order; truncated at the
     /// first starved stage (later stages have no entrance states).
     pub levels: Vec<LevelStats>,
-    /// Wall-clock seconds for all stages.
-    pub elapsed_secs: f64,
     /// Rounds simulated across every replica of every stage.
     pub total_rounds: u64,
-    /// Aggregate simulated-round throughput.
-    pub rounds_per_sec: f64,
 }
 
 impl SplittingRun {
@@ -536,12 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn throughput_fields_populated() {
+    fn total_rounds_populated() {
         let run = SplittingPlan::new(cfg(3), 500, 4, vec![1])
             .unwrap()
             .run(|_| PrivateChainAdversary::new(3));
-        assert!(run.elapsed_secs > 0.0);
         assert!(run.total_rounds > 0);
-        assert!(run.rounds_per_sec > 0.0);
     }
 }

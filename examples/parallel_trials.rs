@@ -10,6 +10,7 @@ use blockchain_consistency::nakamoto_sim::adversary::PrivateChainAdversary;
 use blockchain_consistency::nakamoto_sim::config::SimConfig;
 use blockchain_consistency::nakamoto_sim::executor;
 use blockchain_consistency::nakamoto_sim::montecarlo::TrialPlan;
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 100u64;
@@ -32,7 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for &nu in &[0.1, 0.2, 0.3, 0.4, 0.45] {
         let cfg = SimConfig::from_c(n, delta, c, nu, 2020)?;
         let plan = TrialPlan::new(cfg, rounds, trials)?.thresholds(vec![t_consistency]);
+        let started = Instant::now();
         let run = plan.run(move |_| PrivateChainAdversary::new(delta));
+        let secs = started.elapsed().as_secs_f64();
         let wilson = run
             .aggregate
             .failure_interval(t_consistency, 1.96)
@@ -45,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "{:.2} [{:.2}, {:.2}]",
                 wilson.estimate, wilson.lo, wilson.hi
             ),
-            run.rounds_per_sec,
+            run.aggregate.total_rounds() as f64 / secs,
         );
     }
     println!("\nDeterminism: rerunning at any pool width reproduces these");

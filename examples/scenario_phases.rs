@@ -10,6 +10,7 @@ use blockchain_consistency::nakamoto_sim::executor;
 use blockchain_consistency::nakamoto_sim::scenario::{
     run_scenario, PhaseSpec, Regime, Scenario, ScenarioPlan, StrategyKind,
 };
+use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = SimConfig::from_c(100, 4, 1.0, 0.1, 2026)?;
@@ -51,7 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same scenario as a Monte-Carlo fan-out: failure rate of
     // 12-consistency with a 95% Wilson interval, bit-identical at any
     // pool width.
-    let run = ScenarioPlan::new(scenario, 8)?.thresholds(vec![12]).run();
+    let plan = ScenarioPlan::new(scenario, 8)?.thresholds(vec![12]);
+    let started = Instant::now();
+    let run = plan.run();
+    let secs = started.elapsed().as_secs_f64();
     let wilson = run
         .aggregate
         .failure_interval(12, 1.96)
@@ -61,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         wilson.estimate,
         wilson.lo,
         wilson.hi,
-        run.rounds_per_sec,
+        run.aggregate.total_rounds() as f64 / secs,
         executor::global_width(),
     );
     println!("\nThe attack window concentrates adversary blocks and depth growth in");
