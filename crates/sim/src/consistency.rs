@@ -127,6 +127,15 @@ impl ChainTracker {
         debug_assert!(self.common_prefix_height >= self.base_height || self.chains.len() == 1);
     }
 
+    /// Releases the chains' spare capacity and the path buffer (see
+    /// [`crate::execution::Simulation::compact`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for chain in &mut self.chains {
+            chain.shrink_to_fit();
+        }
+        self.scratch = Vec::new();
+    }
+
     /// Offers a block to a group; it is adopted iff strictly higher than
     /// the current tip (longest-chain rule with first-seen tie-break).
     /// Returns `true` if adopted.

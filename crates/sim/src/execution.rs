@@ -659,10 +659,14 @@ impl<A: Adversary> Simulation<A> {
             return;
         }
         self.last_prune = self.round;
-        // The finalized point: the common ancestor of everything that
-        // can still influence the future — group tips, blocks in
-        // flight, and blocks the adversary holds. Every future block
-        // descends from one of these, so no later reorg can cross it.
+        self.prune_to_live_root();
+    }
+
+    /// The finalized point: the common ancestor of everything that can
+    /// still influence the future — group tips, blocks in flight, and
+    /// blocks the adversary holds. Every future block descends from one
+    /// of these, so no later reorg can cross it.
+    pub(crate) fn live_root(&self) -> BlockId {
         let mut root = self.tracker.tip(0);
         for g in 1..self.tracker.n_groups() {
             root = self.tree.common_ancestor(root, self.tracker.tip(g));
@@ -673,10 +677,31 @@ impl<A: Adversary> Simulation<A> {
         for block in self.adversary.live_blocks() {
             root = self.tree.common_ancestor(root, block);
         }
+        root
+    }
+
+    fn prune_to_live_root(&mut self) {
+        let root = self.live_root();
         if root != self.tree.root() {
             self.tree.prune_to(root);
             self.tracker.prune_below(self.tree.height(root));
         }
+    }
+
+    /// Shrinks a simulation that will be stored rather than stepped: the
+    /// block tree and chain trackers are pruned to the live root now,
+    /// whatever the prune cadence, and spare capacity and scratch
+    /// buffers are released. The splitting estimator stores each
+    /// entrance state this way, so a stored state costs its live fork
+    /// window, not its history. Like the periodic prune, this changes no
+    /// observable of the continued run.
+    pub(crate) fn compact(&mut self) {
+        self.prune_to_live_root();
+        self.tree.shrink_to_fit();
+        self.tracker.shrink_to_fit();
+        self.network.shrink_to_fit();
+        self.delivery_buf = Vec::new();
+        self.release_buf = Vec::new();
     }
 
     /// Produces the aggregated report for everything simulated so far.
@@ -729,6 +754,9 @@ pub fn run_simulation<A: Adversary>(config: SimConfig, adversary: A, rounds: u64
 mod tests {
     use super::*;
     use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+    use crate::compose::{ComposedAdversary, Composition, SubSpec};
+    use crate::scenario::StrategyKind;
+    use crate::selfish::SelfishMiningAdversary;
 
     fn cfg(n: u64, nu: f64, p: f64, delta: u64, seed: u64) -> SimConfig {
         SimConfig::new(n, nu, p, delta, seed).unwrap()
@@ -942,6 +970,52 @@ mod tests {
         pruned.run(50_000);
         unpruned.run(50_000);
         assert_eq!(pruned.report(), unpruned.report());
+
+        // Compaction mid-run (the splitting estimator's stored entrance
+        // states) is just as invisible, for every strategy: a compacted
+        // clone continues exactly like the untouched original, through
+        // both run drivers.
+        let composition = Composition::new(vec![
+            SubSpec::new(StrategyKind::Balance, 1),
+            SubSpec::new(StrategyKind::Selfish, 1),
+        ])
+        .unwrap();
+        let config = SimConfig::from_c(100, 4, 1.0, 0.35, 4321).unwrap();
+        assert_compaction_invisible("private-chain", config, PrivateChainAdversary::new(4));
+        assert_compaction_invisible("balance", config, BalanceAdversary::new(4));
+        assert_compaction_invisible("selfish", config, SelfishMiningAdversary::new(4));
+        assert_compaction_invisible(
+            "balance:selfish",
+            config,
+            ComposedAdversary::new(4, composition),
+        );
+    }
+
+    fn assert_compaction_invisible<A: Adversary + Clone>(
+        name: &str,
+        config: SimConfig,
+        adversary: A,
+    ) {
+        let mut original = Simulation::new(config, adversary);
+        original.run(3_000);
+        let mut compacted = original.clone();
+        compacted.compact();
+        assert!(
+            compacted.tree().len() < original.tree().len(),
+            "{name}: compaction dropped no block"
+        );
+        let depth = original.consistency_depth() + 2;
+        let reached = original.run_until_depth(30_000, depth);
+        assert_eq!(compacted.run_until_depth(30_000, depth), reached, "{name}");
+        assert_eq!(compacted.round(), original.round(), "{name}");
+        original.run(20_000);
+        compacted.run(20_000);
+        assert_eq!(compacted.report(), original.report(), "{name}");
+        assert_eq!(
+            compacted.consistency_depth(),
+            original.consistency_depth(),
+            "{name}"
+        );
     }
 
     #[test]

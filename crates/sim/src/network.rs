@@ -172,6 +172,15 @@ impl Network {
         self.drained = self.drained.max(round);
     }
 
+    /// Releases the spare capacity of every round bucket (see
+    /// [`crate::execution::Simulation::compact`]); the ring keeps its
+    /// length, so the window arithmetic is unchanged.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for slot in &mut self.slots {
+            slot.shrink_to_fit();
+        }
+    }
+
     /// Blocks referenced by pending deliveries (arbitrary order); used
     /// to keep in-flight blocks alive across tree pruning.
     pub fn pending_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {

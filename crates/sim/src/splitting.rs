@@ -23,13 +23,22 @@
 //! [`crate::montecarlo::TrialPlan::run`] fan-out would use) and runs
 //! each until it crosses the first level or its round horizon expires.
 //! Stage `k` then resamples `effort` replicas with replacement from
-//! stage `k−1`'s crossing states (cloning the full engine state at the
-//! crossing round), hands each clone a fresh disjoint stream via
+//! stage `k−1`'s crossing states (cloning the stored engine state at
+//! the crossing round), hands each clone a fresh disjoint stream via
 //! [`crate::execution::Simulation::reseed_mining`] (sound because
 //! geometric mining gaps are memoryless), and races them toward the
 //! next level. The failure probability estimate is the
 //! product of per-stage crossing fractions, with the relative-error
 //! accounting of [`probability::rare_event::product_estimate`].
+//!
+//! A crossing state is stored pruned to its live fork: the block tree
+//! and chain trackers keep only what descends from the common ancestor
+//! of the group tips, the in-flight deliveries and the adversary's live
+//! blocks, the state is stripped of spare capacity and boxed
+//! (`Simulation::compact`). Only that future can
+//! influence the next stage, so this changes no result, and a stage's
+//! memory scales with effort × live fork window rather than with the
+//! rounds already simulated.
 //!
 //! # Determinism contract
 //!
@@ -205,62 +214,21 @@ impl SplittingPlan {
             .expect("invalid splitting plan: construct through SplittingPlan::new"); // detlint: allow(panic-expect) -- documented # Panics contract for post-construction field mutation
         let make_adversary = Arc::new(make_adversary);
         let ladder = self.stage_levels();
-        let effort = self.effort;
         let mut stage_seeder = SplitMix64::new(self.config.seed ^ STAGE_SEED_TAG);
         let mut level_stats: Vec<LevelStats> = Vec::with_capacity(ladder.len());
         let mut total_rounds = 0u64;
-        let mut entrants: Vec<Simulation<A>> = Vec::new();
+        let mut entrants: Vec<Box<Simulation<A>>> = Vec::new();
 
         for (stage, &level) in ladder.iter().enumerate() {
-            let (survivors, stage_rounds) = if stage == 0 {
-                // Stage 1 replicas are plain trials: same streams, same
-                // adversary factory, same engine entry as `TrialPlan::run` — a
-                // degenerate (single-stage) schedule reproduces the plain
-                // Monte-Carlo failure count bit for bit.
-                let streams = Arc::new(trial_streams(self.config.seed, effort));
-                let make_adversary = Arc::clone(&make_adversary);
-                let config = self.config;
-                let rounds = self.rounds;
-                let run_one = move |replica: u64| {
-                    let rng = streams[replica as usize].clone();
-                    let mut sim = Simulation::with_rng(config, make_adversary(replica), rng);
-                    let hit = sim.run_until_depth(rounds, level);
-                    let consumed = sim.round();
-                    (hit.then_some(sim), consumed)
-                };
-                fan_out_stage(effort, run_one)
-            } else {
-                // Later stages: resample entrance states with replacement
-                // and restart each clone on its own disjoint stream. Both
-                // the parent selections and the streams are fixed before
-                // the fan-out, so scheduling cannot perturb them.
-                let stage_seed = stage_seeder.next_u64();
-                let selection_seed = stage_seeder.next_u64();
-                let mut selection = SplitMix64::new(selection_seed);
-                let parents: Vec<usize> = (0..effort)
-                    .map(|_| selection.next_below(entrants.len() as u64) as usize)
-                    .collect();
-                let parents = Arc::new(parents);
-                let streams = Arc::new(trial_streams(stage_seed, effort));
-                let entrance = Arc::new(std::mem::take(&mut entrants));
-                let rounds = self.rounds;
-                let run_one = move |replica: u64| {
-                    let mut sim = entrance[parents[replica as usize]].clone();
-                    let entered_at = sim.round();
-                    sim.reseed_mining(streams[replica as usize].clone());
-                    let hit = sim.run_until_depth(rounds, level);
-                    let consumed = sim.round() - entered_at;
-                    (hit.then_some(sim), consumed)
-                };
-                fan_out_stage(effort, run_one)
-            };
+            let (survivors, stage_rounds) =
+                self.run_stage(stage, level, entrants, &mut stage_seeder, &make_adversary);
             total_rounds += stage_rounds;
-            entrants = survivors.into_iter().flatten().collect();
+            entrants = survivors;
             let hits = entrants.len() as u64;
             level_stats.push(LevelStats {
                 level,
                 hits,
-                effort,
+                effort: self.effort,
             });
             if hits == 0 {
                 // Level starvation: no entrance states remain, so every
@@ -297,6 +265,56 @@ impl SplittingPlan {
             levels: level_stats,
             total_rounds,
         }
+    }
+
+    /// Runs stage `stage` of the ladder, racing `effort` replicas toward
+    /// `level`, and returns its survivors (replica order, each pruned to
+    /// its live fork and boxed) with the rounds it simulated. Stage 0
+    /// launches fresh replicas; a later stage resamples `entrants`, the
+    /// previous stage's survivors, with parent selections and streams
+    /// drawn from `stage_seeder`.
+    fn run_stage<A, F>(
+        &self,
+        stage: usize,
+        level: u64,
+        entrants: Vec<Box<Simulation<A>>>,
+        stage_seeder: &mut SplitMix64,
+        make_adversary: &Arc<F>,
+    ) -> (Vec<Box<Simulation<A>>>, u64)
+    where
+        A: Adversary + Clone + Send + Sync + 'static,
+        F: Fn(u64) -> A + Send + Sync + 'static,
+    {
+        let effort = self.effort;
+        if stage == 0 {
+            // Stage 1 replicas are plain trials: same streams, same
+            // adversary factory, same engine entry as `TrialPlan::run` — a
+            // degenerate (single-stage) schedule reproduces the plain
+            // Monte-Carlo failure count bit for bit.
+            let streams = trial_streams(self.config.seed, effort);
+            let make_adversary = Arc::clone(make_adversary);
+            let config = self.config;
+            return fan_out_stage(effort, self.rounds, level, move |replica| {
+                let rng = streams[replica as usize].clone();
+                Simulation::with_rng(config, make_adversary(replica), rng)
+            });
+        }
+        // Later stages: resample entrance states with replacement and
+        // restart each clone on its own disjoint stream. Both the parent
+        // selections and the streams are fixed before the fan-out, so
+        // scheduling cannot perturb them.
+        let stage_seed = stage_seeder.next_u64();
+        let selection_seed = stage_seeder.next_u64();
+        let mut selection = SplitMix64::new(selection_seed);
+        let parents: Vec<usize> = (0..effort)
+            .map(|_| selection.next_below(entrants.len() as u64) as usize)
+            .collect();
+        let streams = trial_streams(stage_seed, effort);
+        fan_out_stage(effort, self.rounds, level, move |replica| {
+            let mut sim = Simulation::clone(&entrants[parents[replica as usize]]);
+            sim.reseed_mining(streams[replica as usize].clone());
+            sim
+        })
     }
 }
 
@@ -358,23 +376,44 @@ impl SplittingRun {
     }
 }
 
-/// One stage's fan-out: runs `run_one(replica)` for every replica index
-/// as one ordered job on the shared [`crate::executor`] pool, at the
-/// pool's width, and reduces the results **in replica order** (the
-/// mirror of `fan_out_reports`, carrying engine states instead of
-/// reports). Returns the survivors (index order, `None` for replicas
-/// that missed the level) and the rounds simulated.
-fn fan_out_stage<A, F>(effort: u64, run_one: F) -> (Vec<Option<Simulation<A>>>, u64)
+/// One stage's fan-out: enters replica `i` as `enter(i)` and races it
+/// toward `level` until the absolute round `horizon`, as one ordered job
+/// on the shared [`crate::executor`] pool at the pool's width, and
+/// reduces the results **in replica order** (the mirror of
+/// `fan_out_reports`, carrying engine states instead of reports).
+/// Returns the survivors and the rounds simulated.
+///
+/// A survivor is compacted ([`Simulation::compact`]) and boxed on its
+/// worker as it crosses: a stored state then costs its live fork window,
+/// not its history, and each of the `effort` result slots the job keeps
+/// costs a pointer, not a whole engine. Compaction changes no result.
+fn fan_out_stage<A, F>(
+    effort: u64,
+    horizon: u64,
+    level: u64,
+    enter: F,
+) -> (Vec<Box<Simulation<A>>>, u64)
 where
-    A: Adversary + Clone + Send + Sync + 'static,
-    F: Fn(u64) -> (Option<Simulation<A>>, u64) + Send + Sync + 'static,
+    A: Adversary + Send + 'static,
+    F: Fn(u64) -> Simulation<A> + Send + Sync + 'static,
 {
+    let run_one = move |replica: u64| {
+        let mut sim = enter(replica);
+        let entered_at = sim.round();
+        let hit = sim.run_until_depth(horizon, level);
+        let consumed = sim.round() - entered_at;
+        let survivor = hit.then(|| {
+            sim.compact();
+            Box::new(sim)
+        });
+        (survivor, consumed)
+    };
     let slots = executor::run_ordered(effort, executor::global_width(), TaskKind::Leaf, run_one);
     debug_assert_eq!(slots.len() as u64, effort);
     let mut rounds_total = 0u64;
     let survivors = slots
         .into_iter()
-        .map(|(survivor, rounds)| {
+        .filter_map(|(survivor, rounds)| {
             rounds_total += rounds;
             survivor
         })
@@ -385,7 +424,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{ImmediateReleaseAdversary, PrivateChainAdversary};
+    use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+    use crate::block::BlockId;
     use crate::montecarlo::TrialPlan;
 
     fn cfg(seed: u64) -> SimConfig {
@@ -454,33 +494,78 @@ mod tests {
         }
     }
 
+    /// Job-width bit-identity at 1/2/4/8 slots (the CI determinism job
+    /// picks this test up by name), for a private-chain plan and for a
+    /// balance plan whose survivors carry two live, divergent branches
+    /// into every stored entrance state.
+    #[test]
+    fn splitting_independent_of_thread_count() {
+        let private = SplittingPlan::new(cfg(42), 3_000, 16, vec![3]).unwrap();
+        let balance = SplittingPlan::new(cfg(42), 3_000, 24, vec![7]).unwrap();
+        let run = |threads: usize| {
+            executor::with_test_width(threads, || {
+                [
+                    private.run(|_| PrivateChainAdversary::new(3)),
+                    balance.run(|_| BalanceAdversary::new(3)),
+                ]
+            })
+        };
+        let reference = run(1);
+        let deepest = reference[1].levels.last().unwrap();
+        assert!(
+            deepest.level >= 6 && deepest.hits > 0,
+            "the balance plan must carry survivors deep into the ladder, got {deepest:?}"
+        );
+        for threads in [2usize, 4, 8] {
+            for (reference, other) in reference.iter().zip(run(threads)) {
+                assert_eq!(
+                    reference.estimates, other.estimates,
+                    "estimates differ at {threads} threads"
+                );
+                assert_eq!(
+                    reference.levels, other.levels,
+                    "level stats differ at {threads} threads"
+                );
+                assert_eq!(reference.total_rounds, other.total_rounds);
+            }
+        }
+    }
+
+    /// Every stored entrance state holds only its live fork: its tree
+    /// is rooted at its live root (the common ancestor of the group
+    /// tips, the in-flight deliveries and the adversary's live blocks),
+    /// and no block older than that root is resident.
+    #[test]
+    fn stored_entrance_states_hold_only_their_live_fork() {
+        let config = SimConfig::from_c(100, 4, 3.0, 0.15, 20_260_808).unwrap();
+        let plan = SplittingPlan::new(config, 5_000, 32, vec![13]).unwrap();
+        let make_adversary = Arc::new(|_| BalanceAdversary::new(4));
+        let mut stage_seeder = SplitMix64::new(config.seed ^ STAGE_SEED_TAG);
+        let mut entrants = Vec::new();
+        let mut past_genesis = 0;
+        for (stage, &level) in plan.stage_levels().iter().take(6).enumerate() {
+            entrants = plan
+                .run_stage(stage, level, entrants, &mut stage_seeder, &make_adversary)
+                .0;
+            assert!(!entrants.is_empty(), "stage {stage} starved");
+            for sim in &entrants {
+                let tree = sim.tree();
+                assert_eq!(tree.root(), sim.live_root(), "stage {stage}");
+                assert_eq!(
+                    tree.total_created() - tree.len() as u64,
+                    u64::from(tree.root().0),
+                    "stage {stage}: blocks older than the live root are resident"
+                );
+                past_genesis += usize::from(tree.root() != BlockId::GENESIS);
+            }
+        }
+        assert!(past_genesis > 0, "no stored state had moved past genesis");
+    }
+
     /// Satellite edge case: zero successes at an intermediate level.
     /// With no adversary and one group, the consistency depth can reach
     /// shallow levels (same-round sibling ties) but never deep ones, so
     /// the chain starves and deeper thresholds report a clean zero.
-    /// Job-width bit-identity at 1/2/4/8 slots (the CI determinism job
-    /// picks this test up by name).
-    #[test]
-    fn splitting_independent_of_thread_count() {
-        let plan = SplittingPlan::new(cfg(42), 3_000, 16, vec![3]).unwrap();
-        let run = |threads: usize| {
-            executor::with_test_width(threads, || plan.run(|_| PrivateChainAdversary::new(3)))
-        };
-        let reference = run(1);
-        for threads in [2usize, 4, 8] {
-            let other = run(threads);
-            assert_eq!(
-                reference.estimates, other.estimates,
-                "estimates differ at {threads} threads"
-            );
-            assert_eq!(
-                reference.levels, other.levels,
-                "level stats differ at {threads} threads"
-            );
-            assert_eq!(reference.total_rounds, other.total_rounds);
-        }
-    }
-
     #[test]
     fn intermediate_level_starvation_reports_zero() {
         let config = SimConfig::new(50, 0.0, 2e-3, 2, 9).unwrap();

@@ -287,6 +287,12 @@ impl BlockTree {
         self.offset = new_root.0;
         self.root = new_root;
     }
+
+    /// Releases the arena's spare capacity (see
+    /// [`crate::execution::Simulation::compact`]).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.blocks.shrink_to_fit();
+    }
 }
 
 /// Iterator returned by [`BlockTree::chain_to_genesis`].

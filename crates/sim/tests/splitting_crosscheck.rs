@@ -2,9 +2,11 @@
 //! small-parameter cells where the failure probability is large enough
 //! for brute-force Monte-Carlo to resolve it, the splitting estimate
 //! must agree with the plain-trial reference within three combined
-//! standard errors. CI runs this file in release as its own job (the
-//! `splitting-crosscheck` gate); `cargo test` runs it at the same
-//! budget in debug.
+//! standard errors. A golden run of `examples/specs/rare_event.toml`'s
+//! cell pins the estimator's exact results, so a change that moves
+//! any of them fails here too. CI runs this file in release as its own
+//! job (the `splitting-crosscheck` gate); `cargo test` runs it at the
+//! same budget in debug.
 
 use nakamoto_sim::adversary::{Adversary, BalanceAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
@@ -107,4 +109,22 @@ fn degenerate_schedule_matches_reference_exactly() {
         failures as f64 / trials as f64,
         "single-stage splitting must reduce to the plain proportion"
     );
+}
+
+#[test]
+fn rare_event_cell_golden() {
+    // `examples/specs/rare_event.toml`'s cell (n = 100, Δ = 4, c = 3,
+    // ν = 0.15, balance, 5,000 rounds, T = 13) at effort 64. Splitting
+    // results are deterministic at every pool width, so any change to
+    // the stage schedule, the replica streams or the engine that moves a
+    // result fails here.
+    let cfg = SimConfig::from_c(100, 4, 3.0, 0.15, 20_260_808).unwrap();
+    let run = SplittingPlan::new(cfg, 5_000, 64, vec![13])
+        .unwrap()
+        .run(|_| BalanceAdversary::new(4));
+    assert_eq!(run.total_rounds, 824_190);
+    let hits: Vec<u64> = run.levels.iter().map(|s| s.hits).collect();
+    assert_eq!(hits, [64, 64, 64, 64, 41, 16, 11, 14, 8, 7, 11, 13, 14, 13]);
+    let levels: Vec<u64> = run.levels.iter().map(|s| s.level).collect();
+    assert_eq!(levels, (1..=14).collect::<Vec<u64>>());
 }
