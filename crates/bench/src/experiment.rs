@@ -17,6 +17,7 @@ use nakamoto_sim::executor::{self, TaskKind};
 use nakamoto_sim::montecarlo::MonteCarloRun;
 use nakamoto_sim::spec::{Estimate, ExperimentCell, ExperimentMode, ExperimentSpec, SpecError};
 use nakamoto_sim::splitting::SplittingRun;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// One executed cell: its sweep labels, the concrete spec it ran, the
@@ -243,76 +244,98 @@ pub fn apply_budget(
 /// largest threshold. When an exact cell is present, a line under the
 /// table says what its value is.
 pub fn print_table(results: &[CellResult]) {
-    let thresholds: Vec<u64> = results
-        .first()
-        .map(|r| r.spec.run.thresholds.clone())
-        .unwrap_or_default();
+    let mut table = String::new();
+    write_table(&mut table, results).expect("writing to a String cannot fail");
+    // One `print!` is one write to stdout: stdout is line-buffered even
+    // when it is a file, so a `println!` per row would be one per row.
+    print!("{table}");
+}
+
+/// Writes [`print_table`]'s table to `out`.
+fn write_table(out: &mut String, results: &[CellResult]) -> fmt::Result {
+    let thresholds: &[u64] = results.first().map_or(&[], |r| &r.spec.run.thresholds);
     let has_race_column = results.iter().any(|r| r.splitting().is_some());
-    let label_width = results
-        .iter()
-        .map(|r| cell_name(r).len())
-        .chain(std::iter::once(4))
-        .max()
-        .unwrap_or(4);
-    print!("{:<label_width$} {:>6}", "cell", "depth");
-    for t in &thresholds {
-        print!(" {:>23}", format!("P[¬{t}-cons]"));
+    // Each padded field's text is written into this one reused buffer,
+    // then padded into `out`.
+    let mut cell = String::new();
+    let mut label_width = 4;
+    for result in results {
+        cell.clear();
+        write_cell_name(&mut cell, result)?;
+        label_width = label_width.max(cell.len());
+    }
+    write!(out, "{:<label_width$} {:>6}", "cell", "depth")?;
+    for t in thresholds {
+        cell.clear();
+        write!(cell, "P[¬{t}-cons]")?;
+        write!(out, " {cell:>23}")?;
     }
     if has_race_column {
-        print!(" {:>14}", "vs race bound");
+        write!(out, " {:>14}", "vs race bound")?;
     }
-    println!(" {:>13} {:>10}", "thm1 margin", "consistent");
+    writeln!(out, " {:>13} {:>10}", "thm1 margin", "consistent")?;
     for result in results {
-        let depth = result.wilson().map_or_else(
-            || "—".into(),
-            |run| crate::table::depth_cell(&run.aggregate).to_string(),
-        );
-        print!("{:<label_width$} {:>6}", cell_name(result), depth);
-        for t in &thresholds {
-            print!(" {:>23}", threshold_cell(result, *t));
+        cell.clear();
+        write_cell_name(&mut cell, result)?;
+        write!(out, "{cell:<label_width$} ")?;
+        match result.wilson() {
+            Some(run) => write!(out, "{:>6}", crate::table::depth_cell(&run.aggregate))?,
+            None => write!(out, "{:>6}", "—")?,
+        }
+        for &t in thresholds {
+            cell.clear();
+            write_threshold_cell(&mut cell, result, t)?;
+            write!(out, " {cell:>23}")?;
         }
         if has_race_column {
-            print!(" {:>14}", race_verdict_cell(result, &thresholds));
+            write!(out, " {:>14}", race_verdict_cell(result, thresholds))?;
         }
         match &result.analytic {
-            Some(bounds) => println!(
+            Some(bounds) => writeln!(
+                out,
                 " {:>13.3} {:>10}",
                 bounds.theorem1_ln_margin,
                 if bounds.consistent() { "yes" } else { "no" }
-            ),
-            None => println!(" {:>13} {:>10}", "—", "ν=0"),
+            )?,
+            None => writeln!(out, " {:>13} {:>10}", "—", "ν=0")?,
         }
     }
     if results.iter().any(|r| r.exact().is_some()) {
-        println!(
+        writeln!(
+            out,
             "exact cells: the race-model probability that a deficit of T blocks \
              reaches 0 at q_eff; it does not depend on `rounds`"
-        );
+        )?;
     }
+    Ok(())
 }
 
-/// One threshold's estimate as a table cell, in the backend the cell
-/// ran: a Wilson 95% CI, a splitting `estimate ±relative-error`
+/// Writes one threshold's estimate as a table cell, in the backend the
+/// cell ran: a Wilson 95% CI, a splitting `estimate ±relative-error`
 /// (`0 (starved@ℓ)` for a starved chain), or the exact probability
 /// with its additive truncation bound.
-fn threshold_cell(result: &CellResult, t: u64) -> String {
+fn write_threshold_cell(out: &mut String, result: &CellResult, t: u64) -> fmt::Result {
     match &result.estimate {
-        Estimate::Wilson(run) => crate::table::failure_cell(&run.aggregate, t, 1.96),
+        Estimate::Wilson(run) => {
+            out.push_str(&crate::table::failure_cell(&run.aggregate, t, 1.96));
+            Ok(())
+        }
         Estimate::Splitting(run) => {
             let Some(estimate) = run.estimate_at(t) else {
-                return "—".into();
+                return out.write_str("—");
             };
             match (estimate.relative_error, estimate.starved_at) {
-                (Some(re), _) => format!("{:.3e} ±{:.0}%", estimate.probability, re * 100.0),
-                (None, Some(level)) => format!("0 (starved@{level})"),
-                (None, None) => "0".into(),
+                (Some(re), _) => write!(out, "{:.3e} ±{:.0}%", estimate.probability, re * 100.0),
+                (None, Some(level)) => write!(out, "0 (starved@{level})"),
+                (None, None) => out.write_str("0"),
             }
         }
         Estimate::Exact(run) => {
             let Some(estimate) = run.estimate_at(t) else {
-                return "—".into();
+                return out.write_str("—");
             };
-            format!(
+            write!(
+                out,
                 "{:.6e} +≤{:.0e}",
                 estimate.probability, estimate.truncation_error
             )
@@ -324,17 +347,17 @@ fn threshold_cell(result: &CellResult, t: u64) -> String {
 /// cell the race-analysis comparison is about — under the
 /// three-standard-error rule; `—` for other cells or when no race bound
 /// applies.
-fn race_verdict_cell(result: &CellResult, thresholds: &[u64]) -> String {
+fn race_verdict_cell(result: &CellResult, thresholds: &[u64]) -> &'static str {
     let (Some(&t), Some(bounds), Some(run)) = (
         thresholds.iter().max(),
         &result.analytic,
         result.splitting(),
     ) else {
-        return "—".into();
+        return "—";
     };
     run.estimate_at(t)
         .and_then(|e| bounds.compare_race_estimate(t, e.probability, e.standard_error()))
-        .map_or_else(|| "—".into(), |cmp| verdict_token(cmp.verdict).into())
+        .map_or("—", |cmp| verdict_token(cmp.verdict))
 }
 
 /// The JSON/table token for a [`BoundVerdict`].
@@ -351,40 +374,76 @@ pub fn verdict_token(verdict: BoundVerdict) -> &'static str {
 /// unswept spec.
 #[must_use]
 pub fn cell_name(result: &CellResult) -> String {
+    let mut name = String::new();
+    write_cell_name(&mut name, result).expect("writing to a String cannot fail");
+    name
+}
+
+fn write_cell_name(out: &mut String, result: &CellResult) -> fmt::Result {
     if result.labels.is_empty() {
-        "single".into()
-    } else {
-        result.labels.join(" / ")
+        return out.write_str("single");
+    }
+    for (i, label) in result.labels.iter().enumerate() {
+        if i > 0 {
+            out.write_str(" / ")?;
+        }
+        out.write_str(label)?;
+    }
+    Ok(())
+}
+
+/// A string as a JSON string literal: quoted and escaped.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for ch in self.0.chars() {
+            match ch {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// A JSON number, or `null` for a non-finite value (JSON has no
+/// infinities). Rust's float `Display` is already a valid JSON number.
+struct Num(f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            fmt::Display::fmt(&self.0, f)
+        } else {
+            f.write_str("null")
         }
     }
-    out
 }
 
-/// A JSON number, or `null` for non-finite values (JSON has no
-/// infinities).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Rust float Display is already a valid JSON number.
-        s
-    } else {
-        "null".into()
+/// The value, or `null` when there is none.
+struct OrNull<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrNull<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => fmt::Display::fmt(value, f),
+            None => f.write_str("null"),
+        }
     }
 }
+
+/// Bytes reserved per cell for the JSON document, so its buffer is
+/// usually sized once: an exact cell with four thresholds takes about
+/// 1.6 KB, a Wilson cell about 1.1 KB. Larger cells cost a
+/// reallocation, not a wrong byte.
+const JSON_BYTES_PER_CELL: usize = 2048;
 
 /// Renders the executed cells as a machine-readable JSON document: a
 /// `montecarlo` / `splitting` / `exact` block per cell (exactly one of
@@ -393,341 +452,353 @@ fn json_f64(v: f64) -> String {
 /// ν = 0 baseline).
 #[must_use]
 pub fn to_json(name: &str, results: &[CellResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"spec\": \"{}\",\n", json_escape(name)));
-    out.push_str("  \"schema\": \"experiment-v2\",\n");
-    out.push_str("  \"cells\": [\n");
-    for (i, result) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        let labels: Vec<String> = result
-            .labels
-            .iter()
-            .map(|l| format!("\"{}\"", json_escape(l)))
-            .collect();
-        out.push_str(&format!("      \"labels\": [{}],\n", labels.join(", ")));
-        out.push_str(&format!("      \"seed\": {},\n", result.spec.base.seed));
-        out.push_str(&format!(
-            "      \"backend\": \"{}\",\n",
-            result.estimate.backend()
-        ));
-        out.push_str(&format!(
-            "      \"estimator\": \"{}\",\n",
-            result.spec.run.estimator
-        ));
-        out.push_str(&format!(
-            "      \"rounds_per_trial\": {},\n",
-            result.rounds_per_trial
-        ));
-        match result.wilson() {
-            None => out.push_str("      \"montecarlo\": null,\n"),
-            Some(run) => {
-                let aggregate = &run.aggregate;
-                out.push_str("      \"montecarlo\": {\n");
-                out.push_str(&format!("        \"trials\": {},\n", aggregate.trials));
-                out.push_str(&format!(
-                    "        \"total_honest_blocks\": {},\n",
-                    aggregate.total_honest_blocks
-                ));
-                out.push_str(&format!(
-                    "        \"total_adversary_blocks\": {},\n",
-                    aggregate.total_adversary_blocks
-                ));
-                out.push_str(&format!(
-                    "        \"total_convergence_opportunities\": {},\n",
-                    aggregate.total_convergence_opportunities
-                ));
-                out.push_str(&format!(
-                    "        \"max_reorg_depth\": {},\n",
-                    aggregate.max_reorg_depth
-                ));
-                out.push_str(&format!(
-                    "        \"max_divergence_depth\": {},\n",
-                    aggregate.max_divergence_depth
-                ));
-                out.push_str("        \"failures\": [");
-                for (j, &(t, failures)) in aggregate.failure_counts.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let w = aggregate
-                        .failure_interval(t, 1.96)
-                        .expect("non-empty aggregate carries every plan threshold");
-                    out.push_str(&format!(
-                        "{{\"threshold\": {t}, \"failures\": {failures}, \"estimate\": {}, \"lo\": {}, \"hi\": {}}}",
-                        json_f64(w.estimate),
-                        json_f64(w.lo),
-                        json_f64(w.hi)
-                    ));
-                }
-                out.push_str("]\n");
-                out.push_str("      },\n");
-            }
-        }
-        match result.splitting() {
-            None => out.push_str("      \"splitting\": null,\n"),
-            Some(splitting) => {
-                out.push_str("      \"splitting\": {\n");
-                out.push_str(&format!(
-                    "        \"effort\": {},\n",
-                    splitting.levels.first().map_or(0, |l| l.effort)
-                ));
-                out.push_str(&format!(
-                    "        \"total_rounds\": {},\n",
-                    splitting.total_rounds
-                ));
-                out.push_str("        \"levels\": [");
-                for (j, stage) in splitting.levels.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"level\": {}, \"hits\": {}, \"effort\": {}}}",
-                        stage.level, stage.hits, stage.effort
-                    ));
-                }
-                out.push_str("],\n");
-                out.push_str("        \"estimates\": [");
-                for (j, estimate) in splitting.estimates.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    let comparison = result.analytic.as_ref().and_then(|b| {
-                        b.compare_race_estimate(
-                            estimate.threshold,
-                            estimate.probability,
-                            estimate.standard_error(),
-                        )
-                    });
-                    out.push_str(&format!(
-                        "{{\"threshold\": {}, \"probability\": {}, \"relative_error\": {}, \
-                         \"standard_error\": {}, \"starved_at\": {}, \"race_bound\": {}, \
-                         \"race_verdict\": {}}}",
-                        estimate.threshold,
-                        json_f64(estimate.probability),
-                        estimate.relative_error.map_or("null".into(), json_f64),
-                        estimate.standard_error().map_or("null".into(), json_f64),
-                        estimate.starved_at.map_or("null".into(), |l| l.to_string()),
-                        comparison.map_or("null".into(), |c| json_f64(c.bound)),
-                        comparison.map_or("null".into(), |c| format!(
-                            "\"{}\"",
-                            verdict_token(c.verdict)
-                        )),
-                    ));
-                }
-                out.push_str("]\n");
-                out.push_str("      },\n");
-            }
-        }
-        match result.exact() {
-            None => out.push_str("      \"exact\": null,\n"),
-            Some(exact) => {
-                out.push_str("      \"exact\": {\n");
-                out.push_str(&format!("        \"q\": {},\n", json_f64(exact.q)));
-                out.push_str(&format!("        \"cap\": {},\n", exact.cap));
-                out.push_str("        \"estimates\": [");
-                for (j, estimate) in exact.estimates.iter().enumerate() {
-                    if j > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"threshold\": {}, \"probability\": {}, \"truncation_error\": {}, \
-                         \"upper\": {}}}",
-                        estimate.threshold,
-                        json_f64(estimate.probability),
-                        json_f64(estimate.truncation_error),
-                        json_f64(estimate.probability + estimate.truncation_error),
-                    ));
-                }
-                out.push_str("]\n");
-                out.push_str("      },\n");
-            }
-        }
-        match &result.analytic {
-            None => out.push_str("      \"analytic\": null\n"),
-            Some(b) => {
-                let (e_c, e_a) = b.expected_counts(result.rounds_per_trial);
-                out.push_str("      \"analytic\": {\n");
-                out.push_str(&format!("        \"c\": {},\n", json_f64(b.c)));
-                out.push_str(&format!(
-                    "        \"theorem1_ln_margin\": {},\n",
-                    json_f64(b.theorem1_ln_margin)
-                ));
-                out.push_str(&format!(
-                    "        \"theorem1_holds\": {},\n",
-                    b.theorem1_holds
-                ));
-                out.push_str(&format!(
-                    "        \"theorem1_max_delta1\": {},\n",
-                    b.theorem1_max_delta1.map_or("null".into(), json_f64)
-                ));
-                out.push_str(&format!(
-                    "        \"expected_convergence_opportunities\": {},\n",
-                    json_f64(e_c)
-                ));
-                out.push_str(&format!(
-                    "        \"expected_adversary_blocks\": {},\n",
-                    json_f64(e_a)
-                ));
-                out.push_str(&format!(
-                    "        \"theorem2_neat_bound_c\": {},\n",
-                    json_f64(b.theorem2_neat_bound_c)
-                ));
-                out.push_str(&format!(
-                    "        \"theorem2_holds\": {},\n",
-                    b.theorem2_holds
-                ));
-                out.push_str(&format!(
-                    "        \"theorem3_holds\": {},\n",
-                    b.theorem3_holds
-                ));
-                out.push_str(&format!(
-                    "        \"nu_max_c\": {},\n",
-                    b.nu_max_c.map_or("null".into(), json_f64)
-                ));
-                out.push_str(&format!(
-                    "        \"pss_attack_nu\": {}\n",
-                    json_f64(b.pss_attack_nu)
-                ));
-                out.push_str("      }\n");
-            }
-        }
-        out.push_str(if i + 1 < results.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
+    let mut out = String::with_capacity(256 + name.len() + JSON_BYTES_PER_CELL * results.len());
+    write_json(&mut out, name, results).expect("writing to a String cannot fail");
     out
 }
 
-/// A minimal JSON well-formedness check (objects, arrays, strings,
-/// numbers, booleans, null) used by the smoke tests; the CI job
-/// additionally validates with `python3 -m json.tool`.
-#[must_use]
-pub fn json_is_well_formed(input: &str) -> bool {
-    let chars: Vec<char> = input.chars().collect();
-    let mut pos = 0usize;
-    if !json_value(&chars, &mut pos) {
-        return false;
+fn write_json(out: &mut String, name: &str, results: &[CellResult]) -> fmt::Result {
+    writeln!(out, "{{")?;
+    writeln!(out, "  \"spec\": {},", Quoted(name))?;
+    writeln!(out, "  \"schema\": \"experiment-v2\",")?;
+    writeln!(out, "  \"cells\": [")?;
+    for (i, result) in results.iter().enumerate() {
+        writeln!(out, "    {{")?;
+        out.write_str("      \"labels\": [")?;
+        for (j, label) in result.labels.iter().enumerate() {
+            if j > 0 {
+                out.write_str(", ")?;
+            }
+            write!(out, "{}", Quoted(label))?;
+        }
+        writeln!(out, "],")?;
+        writeln!(out, "      \"seed\": {},", result.spec.base.seed)?;
+        writeln!(out, "      \"backend\": \"{}\",", result.estimate.backend())?;
+        writeln!(
+            out,
+            "      \"estimator\": \"{}\",",
+            result.spec.run.estimator
+        )?;
+        writeln!(
+            out,
+            "      \"rounds_per_trial\": {},",
+            result.rounds_per_trial
+        )?;
+        match result.wilson() {
+            None => writeln!(out, "      \"montecarlo\": null,")?,
+            Some(run) => write_montecarlo(out, run)?,
+        }
+        match result.splitting() {
+            None => writeln!(out, "      \"splitting\": null,")?,
+            Some(splitting) => write_splitting(out, splitting, result.analytic.as_ref())?,
+        }
+        match result.exact() {
+            None => writeln!(out, "      \"exact\": null,")?,
+            Some(exact) => write_exact(out, exact)?,
+        }
+        match &result.analytic {
+            None => writeln!(out, "      \"analytic\": null")?,
+            Some(bounds) => write_analytic(out, bounds, result.rounds_per_trial)?,
+        }
+        writeln!(
+            out,
+            "    }}{}",
+            if i + 1 < results.len() { "," } else { "" }
+        )?;
     }
-    skip_json_ws(&chars, &mut pos);
-    pos == chars.len()
+    writeln!(out, "  ]")?;
+    writeln!(out, "}}")
 }
 
-fn skip_json_ws(chars: &[char], pos: &mut usize) {
-    while matches!(chars.get(*pos), Some(' ' | '\t' | '\n' | '\r')) {
-        *pos += 1;
+fn write_montecarlo(out: &mut String, run: &MonteCarloRun) -> fmt::Result {
+    let aggregate = &run.aggregate;
+    writeln!(out, "      \"montecarlo\": {{")?;
+    writeln!(out, "        \"trials\": {},", aggregate.trials)?;
+    writeln!(
+        out,
+        "        \"total_honest_blocks\": {},",
+        aggregate.total_honest_blocks
+    )?;
+    writeln!(
+        out,
+        "        \"total_adversary_blocks\": {},",
+        aggregate.total_adversary_blocks
+    )?;
+    writeln!(
+        out,
+        "        \"total_convergence_opportunities\": {},",
+        aggregate.total_convergence_opportunities
+    )?;
+    writeln!(
+        out,
+        "        \"max_reorg_depth\": {},",
+        aggregate.max_reorg_depth
+    )?;
+    writeln!(
+        out,
+        "        \"max_divergence_depth\": {},",
+        aggregate.max_divergence_depth
+    )?;
+    out.write_str("        \"failures\": [")?;
+    for (j, &(t, failures)) in aggregate.failure_counts.iter().enumerate() {
+        if j > 0 {
+            out.write_str(", ")?;
+        }
+        let w = aggregate
+            .failure_interval(t, 1.96)
+            .expect("non-empty aggregate carries every plan threshold");
+        write!(
+            out,
+            "{{\"threshold\": {t}, \"failures\": {failures}, \"estimate\": {}, \"lo\": {}, \"hi\": {}}}",
+            Num(w.estimate),
+            Num(w.lo),
+            Num(w.hi)
+        )?;
     }
+    writeln!(out, "]")?;
+    writeln!(out, "      }},")
 }
 
-fn json_value(chars: &[char], pos: &mut usize) -> bool {
-    skip_json_ws(chars, pos);
-    match chars.get(*pos) {
-        Some('{') => {
-            *pos += 1;
-            skip_json_ws(chars, pos);
-            if chars.get(*pos) == Some(&'}') {
-                *pos += 1;
-                return true;
-            }
-            loop {
-                skip_json_ws(chars, pos);
-                if !json_string(chars, pos) {
-                    return false;
-                }
-                skip_json_ws(chars, pos);
-                if chars.get(*pos) != Some(&':') {
-                    return false;
-                }
-                *pos += 1;
-                if !json_value(chars, pos) {
-                    return false;
-                }
-                skip_json_ws(chars, pos);
-                match chars.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some('}') => {
-                        *pos += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
-            }
+fn write_splitting(
+    out: &mut String,
+    splitting: &SplittingRun,
+    analytic: Option<&AnalyticBounds>,
+) -> fmt::Result {
+    writeln!(out, "      \"splitting\": {{")?;
+    writeln!(
+        out,
+        "        \"effort\": {},",
+        splitting.levels.first().map_or(0, |l| l.effort)
+    )?;
+    writeln!(out, "        \"total_rounds\": {},", splitting.total_rounds)?;
+    out.write_str("        \"levels\": [")?;
+    for (j, stage) in splitting.levels.iter().enumerate() {
+        if j > 0 {
+            out.write_str(", ")?;
         }
-        Some('[') => {
-            *pos += 1;
-            skip_json_ws(chars, pos);
-            if chars.get(*pos) == Some(&']') {
-                *pos += 1;
-                return true;
-            }
-            loop {
-                if !json_value(chars, pos) {
-                    return false;
-                }
-                skip_json_ws(chars, pos);
-                match chars.get(*pos) {
-                    Some(',') => *pos += 1,
-                    Some(']') => {
-                        *pos += 1;
-                        return true;
-                    }
-                    _ => return false,
-                }
-            }
-        }
-        Some('"') => json_string(chars, pos),
-        Some('t') => json_literal(chars, pos, "true"),
-        Some('f') => json_literal(chars, pos, "false"),
-        Some('n') => json_literal(chars, pos, "null"),
-        Some(c) if c.is_ascii_digit() || *c == '-' => {
-            let start = *pos;
-            while matches!(
-                chars.get(*pos),
-                Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-            ) {
-                *pos += 1;
-            }
-            let token: String = chars[start..*pos].iter().collect();
-            token.parse::<f64>().is_ok()
-        }
-        _ => false,
+        write!(
+            out,
+            "{{\"level\": {}, \"hits\": {}, \"effort\": {}}}",
+            stage.level, stage.hits, stage.effort
+        )?;
     }
+    writeln!(out, "],")?;
+    out.write_str("        \"estimates\": [")?;
+    for (j, estimate) in splitting.estimates.iter().enumerate() {
+        if j > 0 {
+            out.write_str(", ")?;
+        }
+        let comparison = analytic.and_then(|b| {
+            b.compare_race_estimate(
+                estimate.threshold,
+                estimate.probability,
+                estimate.standard_error(),
+            )
+        });
+        write!(
+            out,
+            "{{\"threshold\": {}, \"probability\": {}, \"relative_error\": {}, \
+             \"standard_error\": {}, \"starved_at\": {}, \"race_bound\": {}, \
+             \"race_verdict\": {}}}",
+            estimate.threshold,
+            Num(estimate.probability),
+            OrNull(estimate.relative_error.map(Num)),
+            OrNull(estimate.standard_error().map(Num)),
+            OrNull(estimate.starved_at),
+            OrNull(comparison.map(|c| Num(c.bound))),
+            OrNull(comparison.map(|c| Quoted(verdict_token(c.verdict)))),
+        )?;
+    }
+    writeln!(out, "]")?;
+    writeln!(out, "      }},")
 }
 
-fn json_string(chars: &[char], pos: &mut usize) -> bool {
-    if chars.get(*pos) != Some(&'"') {
-        return false;
-    }
-    *pos += 1;
-    loop {
-        match chars.get(*pos) {
-            None => return false,
-            Some('\\') => *pos += 2,
-            Some('"') => {
-                *pos += 1;
-                return true;
-            }
-            Some(_) => *pos += 1,
+fn write_exact(out: &mut String, exact: &ExactRun) -> fmt::Result {
+    writeln!(out, "      \"exact\": {{")?;
+    writeln!(out, "        \"q\": {},", Num(exact.q))?;
+    writeln!(out, "        \"cap\": {},", exact.cap)?;
+    out.write_str("        \"estimates\": [")?;
+    for (j, estimate) in exact.estimates.iter().enumerate() {
+        if j > 0 {
+            out.write_str(", ")?;
         }
+        write!(
+            out,
+            "{{\"threshold\": {}, \"probability\": {}, \"truncation_error\": {}, \
+             \"upper\": {}}}",
+            estimate.threshold,
+            Num(estimate.probability),
+            Num(estimate.truncation_error),
+            Num(estimate.probability + estimate.truncation_error),
+        )?;
     }
+    writeln!(out, "]")?;
+    writeln!(out, "      }},")
 }
 
-fn json_literal(chars: &[char], pos: &mut usize, literal: &str) -> bool {
-    for expected in literal.chars() {
-        if chars.get(*pos) != Some(&expected) {
-            return false;
-        }
-        *pos += 1;
-    }
-    true
+fn write_analytic(out: &mut String, b: &AnalyticBounds, rounds_per_trial: u64) -> fmt::Result {
+    let (e_c, e_a) = b.expected_counts(rounds_per_trial);
+    writeln!(out, "      \"analytic\": {{")?;
+    writeln!(out, "        \"c\": {},", Num(b.c))?;
+    writeln!(
+        out,
+        "        \"theorem1_ln_margin\": {},",
+        Num(b.theorem1_ln_margin)
+    )?;
+    writeln!(out, "        \"theorem1_holds\": {},", b.theorem1_holds)?;
+    writeln!(
+        out,
+        "        \"theorem1_max_delta1\": {},",
+        OrNull(b.theorem1_max_delta1.map(Num))
+    )?;
+    writeln!(
+        out,
+        "        \"expected_convergence_opportunities\": {},",
+        Num(e_c)
+    )?;
+    writeln!(out, "        \"expected_adversary_blocks\": {},", Num(e_a))?;
+    writeln!(
+        out,
+        "        \"theorem2_neat_bound_c\": {},",
+        Num(b.theorem2_neat_bound_c)
+    )?;
+    writeln!(out, "        \"theorem2_holds\": {},", b.theorem2_holds)?;
+    writeln!(out, "        \"theorem3_holds\": {},", b.theorem3_holds)?;
+    writeln!(
+        out,
+        "        \"nu_max_c\": {},",
+        OrNull(b.nu_max_c.map(Num))
+    )?;
+    writeln!(out, "        \"pss_attack_nu\": {}", Num(b.pss_attack_nu))?;
+    writeln!(out, "      }}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A minimal JSON well-formedness check (objects, arrays, strings,
+    /// numbers, booleans, null); the CI `experiments` job additionally
+    /// validates every committed spec's document with `python3 -m
+    /// json.tool`.
+    fn json_is_well_formed(input: &str) -> bool {
+        let chars: Vec<char> = input.chars().collect();
+        let mut pos = 0usize;
+        if !json_value(&chars, &mut pos) {
+            return false;
+        }
+        skip_json_ws(&chars, &mut pos);
+        pos == chars.len()
+    }
+
+    fn skip_json_ws(chars: &[char], pos: &mut usize) {
+        while matches!(chars.get(*pos), Some(' ' | '\t' | '\n' | '\r')) {
+            *pos += 1;
+        }
+    }
+
+    fn json_value(chars: &[char], pos: &mut usize) -> bool {
+        skip_json_ws(chars, pos);
+        match chars.get(*pos) {
+            Some('{') => {
+                *pos += 1;
+                skip_json_ws(chars, pos);
+                if chars.get(*pos) == Some(&'}') {
+                    *pos += 1;
+                    return true;
+                }
+                loop {
+                    skip_json_ws(chars, pos);
+                    if !json_string(chars, pos) {
+                        return false;
+                    }
+                    skip_json_ws(chars, pos);
+                    if chars.get(*pos) != Some(&':') {
+                        return false;
+                    }
+                    *pos += 1;
+                    if !json_value(chars, pos) {
+                        return false;
+                    }
+                    skip_json_ws(chars, pos);
+                    match chars.get(*pos) {
+                        Some(',') => *pos += 1,
+                        Some('}') => {
+                            *pos += 1;
+                            return true;
+                        }
+                        _ => return false,
+                    }
+                }
+            }
+            Some('[') => {
+                *pos += 1;
+                skip_json_ws(chars, pos);
+                if chars.get(*pos) == Some(&']') {
+                    *pos += 1;
+                    return true;
+                }
+                loop {
+                    if !json_value(chars, pos) {
+                        return false;
+                    }
+                    skip_json_ws(chars, pos);
+                    match chars.get(*pos) {
+                        Some(',') => *pos += 1,
+                        Some(']') => {
+                            *pos += 1;
+                            return true;
+                        }
+                        _ => return false,
+                    }
+                }
+            }
+            Some('"') => json_string(chars, pos),
+            Some('t') => json_literal(chars, pos, "true"),
+            Some('f') => json_literal(chars, pos, "false"),
+            Some('n') => json_literal(chars, pos, "null"),
+            Some(c) if c.is_ascii_digit() || *c == '-' => {
+                let start = *pos;
+                while matches!(
+                    chars.get(*pos),
+                    Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')
+                ) {
+                    *pos += 1;
+                }
+                let token: String = chars[start..*pos].iter().collect();
+                token.parse::<f64>().is_ok()
+            }
+            _ => false,
+        }
+    }
+
+    fn json_string(chars: &[char], pos: &mut usize) -> bool {
+        if chars.get(*pos) != Some(&'"') {
+            return false;
+        }
+        *pos += 1;
+        loop {
+            match chars.get(*pos) {
+                None => return false,
+                Some('\\') => *pos += 2,
+                Some('"') => {
+                    *pos += 1;
+                    return true;
+                }
+                Some(_) => *pos += 1,
+            }
+        }
+    }
+
+    fn json_literal(chars: &[char], pos: &mut usize, literal: &str) -> bool {
+        for expected in literal.chars() {
+            if chars.get(*pos) != Some(&expected) {
+                return false;
+            }
+            *pos += 1;
+        }
+        true
+    }
 
     const TINY_SPEC: &str = r#"
         [experiment]
@@ -1027,6 +1098,84 @@ mod tests {
         assert!(json.contains("\"truncation_error\""));
         assert!(!json.contains("\"race_verdict\""));
         print_table(&results); // must not panic
+    }
+
+    /// The sweep sets an exact cell beside a sampled `ν = 0` cell, which
+    /// has no analytic overlay. The exact cell's row is deterministic;
+    /// the sampled one follows from its seed.
+    const TWO_CELL_SPEC: &str = r#"
+        [experiment]
+        trials = 2
+        thresholds = [6, 13]
+        backend = "markov"
+
+        [base]
+        n_miners = 100
+        delta = 4
+        c = 3.0
+        adversary_fraction = 0.15
+        seed = 7
+
+        [stationary]
+        strategy = "private-chain"
+        rounds = 500
+
+        [sweep]
+        seed = 9
+
+        [[sweep.axis]]
+        label = "cell"
+
+        [[sweep.axis.cell]]
+        label = "exact"
+
+        [[sweep.axis.cell]]
+        label = "ν=0"
+        patch = { "experiment.backend" = "montecarlo", "base.adversary_fraction" = 0.0 }
+    "#;
+
+    /// The table's exact bytes. The label column is as wide as the
+    /// longest name in bytes, and padded in characters.
+    #[test]
+    fn table_bytes_are_pinned() {
+        let spec = ExperimentSpec::parse(TWO_CELL_SPEC).unwrap();
+        let results = run_spec(&spec).unwrap();
+        let mut table = String::new();
+        write_table(&mut table, &results).unwrap();
+        assert_eq!(
+            table,
+            concat!(
+                "cell   depth              P[¬6-cons]             P[¬13-cons]   thm1 margin consistent\n",
+                "exact      —     1.379528e-3 +≤2e-37     6.349646e-7 +≤2e-37         1.098        yes\n",
+                "ν=0        0       0.00 [0.00, 0.66]       0.00 [0.00, 0.66]             —        ν=0\n",
+                "exact cells: the race-model probability that a deficit of T blocks reaches 0 at \
+                 q_eff; it does not depend on `rounds`\n",
+            )
+        );
+    }
+
+    /// Every document under `examples/golden/` belongs to a committed
+    /// spec and is well-formed JSON. `bin_smoke` compares each spec's
+    /// output with its golden byte for byte.
+    #[test]
+    fn every_committed_golden_is_well_formed() {
+        let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut goldens = 0;
+        for entry in std::fs::read_dir(examples.join("golden")).expect("examples/golden exists") {
+            let path = entry.expect("readable dir entry").path();
+            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+            assert!(
+                examples
+                    .join("specs")
+                    .join(format!("{stem}.toml"))
+                    .is_file(),
+                "{stem}: a golden without a committed spec"
+            );
+            let json = std::fs::read_to_string(&path).expect("golden readable");
+            assert!(json_is_well_formed(&json), "{stem}: malformed golden");
+            goldens += 1;
+        }
+        assert!(goldens > 0, "no committed goldens");
     }
 
     /// `--trials` is the budget knob CI smokes with, so it must also

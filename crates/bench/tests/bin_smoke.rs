@@ -177,14 +177,17 @@ fn scenario_fuzz_replay_entry() {
     check_scenario(&scenario).expect("a healthy case replays clean");
 }
 
-/// `experiment`: golden-file smoke — every committed spec under
-/// `examples/specs/` parses, expands, runs at a tiny budget, and
-/// renders well-formed JSON; the theorem1_check spec's JSON must carry
-/// the theorem-1 analytic bound alongside the simulated Wilson CI.
+/// `experiment`: golden-file check — every committed spec under
+/// `examples/specs/` parses, expands and runs at the CI budget
+/// (`--rounds 500 --trials 2`), and its JSON document equals the
+/// committed golden `examples/golden/<spec>.json` byte for byte; the
+/// theorem1_check spec's JSON must carry the theorem-1 analytic bound
+/// alongside the simulated Wilson CI. EXPERIMENTS.md ("Golden files")
+/// gives the command that re-records the goldens.
 ///
 /// Each spec also runs through the `experiment` binary itself at
-/// `--jobs 1` and at an oversubscribed `--jobs 8`: the two `--out`
-/// documents must be byte-identical. `--jobs` is the one parallelism
+/// `--jobs 1` and at an oversubscribed `--jobs 8`, and both `--out`
+/// documents must equal the golden too. `--jobs` is the one parallelism
 /// knob, so this covers pool-width independence end to end for every
 /// cell kind the committed specs hold (Wilson, scenario, composed,
 /// adaptive, splitting, exact).
@@ -192,8 +195,8 @@ fn scenario_fuzz_replay_entry() {
 fn experiment_entry_runs_every_committed_spec() {
     use consistency_bench::experiment;
     use nakamoto_sim::spec::ExperimentSpec;
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/specs");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let mut paths: Vec<_> = std::fs::read_dir(examples.join("specs"))
         .expect("examples/specs exists")
         .map(|entry| entry.expect("readable dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "toml"))
@@ -224,17 +227,16 @@ fn experiment_entry_runs_every_committed_spec() {
     for path in &paths {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
         let source = std::fs::read_to_string(path).expect("spec readable");
+        let golden = std::fs::read_to_string(examples.join(format!("golden/{name}.json")))
+            .unwrap_or_else(|e| panic!("{name}: committed golden must be readable: {e}"));
         let mut spec = ExperimentSpec::parse(&source)
             .unwrap_or_else(|e| panic!("{name}: committed spec must parse: {e}"));
-        experiment::apply_budget(&mut spec, Some(200), Some(2), None);
+        experiment::apply_budget(&mut spec, Some(500), Some(2), None);
         let results = experiment::run_spec(&spec)
             .unwrap_or_else(|e| panic!("{name}: committed spec must run: {e}"));
         assert!(!results.is_empty(), "{name}: at least one cell");
         let json = experiment::to_json(&name, &results);
-        assert!(
-            experiment::json_is_well_formed(&json),
-            "{name}: malformed JSON:\n{json}"
-        );
+        assert_same_bytes(&format!("{name} (in-process)"), &json, &golden);
         if name == "theorem1_check" {
             assert!(
                 json.contains("\"theorem1_ln_margin\"") && json.contains("\"estimate\""),
@@ -259,30 +261,46 @@ fn experiment_entry_runs_every_committed_spec() {
                 "{name}: the JSON must carry the exact block:\n{json}"
             );
         }
-        let documents: Vec<Vec<u8>> = ["1", "8"]
-            .iter()
-            .map(|jobs| {
-                let out = std::env::temp_dir().join(format!(
-                    "bin_smoke_{}_{name}_jobs{jobs}.json",
-                    std::process::id()
-                ));
-                let status = std::process::Command::new(env!("CARGO_BIN_EXE_experiment"))
-                    .arg(path)
-                    .args(["--rounds", "200", "--trials", "2", "--jobs", jobs, "--out"])
-                    .arg(&out)
-                    .stdout(std::process::Stdio::null())
-                    .status()
-                    .expect("experiment binary runs");
-                assert!(status.success(), "{name} --jobs {jobs}: {status}");
-                let document = std::fs::read(&out).expect("--out document written");
-                let _ = std::fs::remove_file(&out);
-                document
-            })
-            .collect();
-        assert!(
-            documents[0] == documents[1],
-            "{name}: --jobs 1 and --jobs 8 wrote different JSON"
-        );
+        for jobs in ["1", "8"] {
+            let out = std::env::temp_dir().join(format!(
+                "bin_smoke_{}_{name}_jobs{jobs}.json",
+                std::process::id()
+            ));
+            let status = std::process::Command::new(env!("CARGO_BIN_EXE_experiment"))
+                .arg(path)
+                .args(["--rounds", "500", "--trials", "2", "--jobs", jobs, "--out"])
+                .arg(&out)
+                .stdout(std::process::Stdio::null())
+                .status()
+                .expect("experiment binary runs");
+            assert!(status.success(), "{name} --jobs {jobs}: {status}");
+            let document = std::fs::read_to_string(&out).expect("--out document written");
+            let _ = std::fs::remove_file(&out);
+            assert_same_bytes(&format!("{name} --jobs {jobs}"), &document, &golden);
+        }
+    }
+}
+
+/// Asserts that a JSON document equals its golden byte for byte, naming
+/// the first line that differs.
+fn assert_same_bytes(what: &str, got: &str, golden: &str) {
+    if got == golden {
+        return;
+    }
+    let mut got_lines = got.lines();
+    let mut golden_lines = golden.lines();
+    for line in 1.. {
+        match (got_lines.next(), golden_lines.next()) {
+            (Some(g), Some(w)) if g == w => continue,
+            (None, None) => panic!("{what}: the JSON differs from its golden in line endings only"),
+            (g, w) => panic!(
+                "{what}: the JSON differs from its golden at line {line}:\n  \
+                 got:    {}\n  golden: {}\n(EXPERIMENTS.md, \"Golden files\", says how to \
+                 re-record a golden on purpose)",
+                g.unwrap_or("<end of document>"),
+                w.unwrap_or("<end of document>")
+            ),
+        }
     }
 }
 

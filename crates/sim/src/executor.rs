@@ -250,7 +250,10 @@ where
 struct JobCore<T> {
     next: AtomicU64,
     total: u64,
+    /// Units whose result is in `results` or already drained from it.
+    finished: AtomicU64,
     results: Mutex<Vec<(u64, T)>>,
+    /// Signalled once, by the slot that finishes the job's last unit.
     done: Condvar,
 }
 
@@ -260,7 +263,9 @@ struct JobCore<T> {
 ///
 /// `on_complete(i, &result)` fires on the calling thread once per
 /// unit, in **completion order** (useful for streaming progress); the
-/// returned `Vec` is always in unit order. A job with one slot (width
+/// returned `Vec` is always in unit order. Only the job's last unit
+/// wakes a waiting caller, so earlier results reach `on_complete` on
+/// the caller's next bounded (1 ms) wait. A job with one slot (width
 /// 1, or a single unit) runs inline on the caller without creating the
 /// pool; otherwise the caller helps run queued tasks until every unit
 /// is done (see the module docs).
@@ -295,6 +300,7 @@ where
     let core = Arc::new(JobCore {
         next: AtomicU64::new(0),
         total,
+        finished: AtomicU64::new(0),
         results: Mutex::new(Vec::new()),
         done: Condvar::new(),
     });
@@ -314,7 +320,15 @@ where
                 }
                 let result = run_unit(i);
                 lock(&core.results).push((i, result));
-                core.done.notify_all();
+                // Only the job's last unit wakes the joiner: each wake
+                // is a system call, and the joiner's bounded wait below
+                // already picks up earlier results. AcqRel: each slot's
+                // push is released with its count, and the slot that
+                // counts the last unit acquires every earlier push, so
+                // the joiner it wakes finds every result.
+                if core.finished.fetch_add(1, Ordering::AcqRel) + 1 == core.total {
+                    core.done.notify_all();
+                }
             }),
         }
     }));
@@ -322,9 +336,10 @@ where
 
     // Join: drain finished units, help run queued tasks while any may
     // run here, and otherwise wait briefly for results. The wait is
-    // bounded only so the joiner rechecks the queue for tasks queued
-    // meanwhile; every outstanding slot of this job is already running
-    // elsewhere, so the job completes without it.
+    // bounded so the joiner rechecks the queue for tasks queued
+    // meanwhile and drains the results of units before the last, which
+    // do not wake it; every outstanding slot of this job is already
+    // running elsewhere, so the job completes without it.
     let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
     let mut collected: u64 = 0;
     while collected < total {
@@ -428,6 +443,49 @@ mod tests {
             .map(|cell| (0..8).map(|i| cell * 100 + i).sum())
             .collect();
         assert_eq!(got, expected);
+    }
+
+    /// Only the slot that finishes a job's last unit wakes its joiner;
+    /// the joiner drains earlier results on its bounded wait. Many
+    /// near-empty units at several widths, and a composite job whose
+    /// every unit joins a leaf job, must still come back in unit order
+    /// with exactly one `on_complete` per unit.
+    #[test]
+    fn every_unit_completes_once_when_only_the_last_wakes_the_joiner() {
+        const UNITS: u64 = 10_000;
+        for width in [2, 4, 8] {
+            let mut seen = vec![0u32; UNITS as usize];
+            let got = run_ordered_with(
+                UNITS,
+                width,
+                TaskKind::Leaf,
+                |i| i,
+                |i, &r| {
+                    assert_eq!(r, i);
+                    seen[usize::try_from(i).unwrap()] += 1;
+                },
+            );
+            assert_eq!(got, (0..UNITS).collect::<Vec<u64>>(), "width {width}");
+            assert!(seen.iter().all(|&c| c == 1), "width {width}");
+        }
+        const CELLS: u64 = 32;
+        let mut seen = vec![0u32; CELLS as usize];
+        let got = run_ordered_with(
+            CELLS,
+            4,
+            TaskKind::Composite,
+            |cell| {
+                run_ordered(64, 4, TaskKind::Leaf, move |i| cell * 64 + i)
+                    .iter()
+                    .sum::<u64>()
+            },
+            |cell, _| seen[usize::try_from(cell).unwrap()] += 1,
+        );
+        let expected: Vec<u64> = (0..CELLS)
+            .map(|cell| (0..64).map(|i| cell * 64 + i).sum())
+            .collect();
+        assert_eq!(got, expected);
+        assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
     }
 
     #[test]
