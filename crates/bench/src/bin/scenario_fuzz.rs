@@ -115,10 +115,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             std::fs::write(&out_path, &repro)?;
             eprintln!("FAIL: {failure}");
             eprintln!("repro written to {out_path}:\n{repro}");
-            eprintln!(
-                "replay: scenario_fuzz --replay {out_path}, or nakamoto_sim::fuzz::run_case({}, {})",
-                failure.master_seed, failure.case
-            );
+            eprintln!("replay: scenario_fuzz --replay {out_path}");
             std::process::exit(1);
         }
     }

@@ -370,15 +370,6 @@ pub fn verdict_token(verdict: BoundVerdict) -> &'static str {
     }
 }
 
-/// The display name of a cell: its labels joined, or `single` for an
-/// unswept spec.
-#[must_use]
-pub fn cell_name(result: &CellResult) -> String {
-    let mut name = String::new();
-    write_cell_name(&mut name, result).expect("writing to a String cannot fail");
-    name
-}
-
 fn write_cell_name(out: &mut String, result: &CellResult) -> fmt::Result {
     if result.labels.is_empty() {
         return out.write_str("single");
@@ -1160,22 +1151,30 @@ mod tests {
     #[test]
     fn every_committed_golden_is_well_formed() {
         let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
-        let mut goldens = 0;
-        for entry in std::fs::read_dir(examples.join("golden")).expect("examples/golden exists") {
-            let path = entry.expect("readable dir entry").path();
-            let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
-            assert!(
-                examples
-                    .join("specs")
-                    .join(format!("{stem}.toml"))
-                    .is_file(),
-                "{stem}: a golden without a committed spec"
-            );
-            let json = std::fs::read_to_string(&path).expect("golden readable");
-            assert!(json_is_well_formed(&json), "{stem}: malformed golden");
-            goldens += 1;
+        let specs = std::fs::read_dir(examples.join("specs"))
+            .expect("examples/specs exists")
+            .count();
+        assert!(specs > 0, "no committed specs");
+        // The CI-budget set and the full-budget set each hold one
+        // document per committed spec.
+        for set in ["golden", "golden_full"] {
+            let mut goldens = 0;
+            for entry in std::fs::read_dir(examples.join(set)).expect("golden set exists") {
+                let path = entry.expect("readable dir entry").path();
+                let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+                assert!(
+                    examples
+                        .join("specs")
+                        .join(format!("{stem}.toml"))
+                        .is_file(),
+                    "{set}/{stem}: a golden without a committed spec"
+                );
+                let json = std::fs::read_to_string(&path).expect("golden readable");
+                assert!(json_is_well_formed(&json), "{set}/{stem}: malformed golden");
+                goldens += 1;
+            }
+            assert_eq!(goldens, specs, "{set}: one golden per committed spec");
         }
-        assert!(goldens > 0, "no committed goldens");
     }
 
     /// `--trials` is the budget knob CI smokes with, so it must also

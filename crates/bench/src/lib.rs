@@ -33,12 +33,6 @@ pub fn section(title: &str) {
     println!("{}", "=".repeat(title.len()));
 }
 
-/// Relative error `|measured − expected| / max(|expected|, floor)`.
-#[must_use]
-pub fn rel_err(measured: f64, expected: f64, floor: f64) -> f64 {
-    (measured - expected).abs() / expected.abs().max(floor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,11 +43,5 @@ mod tests {
         assert_eq!(fmt(1.5), "1.500000");
         assert!(fmt(1e-9).contains('e'));
         assert!(fmt(1e9).contains('e'));
-    }
-
-    #[test]
-    fn rel_err_with_floor() {
-        assert!((rel_err(1.1, 1.0, 1.0) - 0.1).abs() < 1e-12);
-        assert_eq!(rel_err(0.5, 0.0, 1.0), 0.5);
     }
 }

@@ -27,7 +27,7 @@ fn adaptive_sweep_meets_target_at_a_fraction_of_the_fixed_budget() {
     assert!(!results.is_empty());
     let mut adaptive_total = 0u64;
     for cell in &results {
-        let name = experiment::cell_name(cell);
+        let name = cell.labels.join(" / ");
         let aggregate = &cell.wilson().expect("adaptive cells sample").aggregate;
         adaptive_total += aggregate.trials;
         assert!(

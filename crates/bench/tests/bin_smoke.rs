@@ -133,16 +133,15 @@ fn compose_sweep_entry() {
     );
 }
 
-/// `scenario_fuzz`: a deterministic slice of the fuzz gate's budget,
-/// plus the replay entry point.
+/// `scenario_fuzz`: a deterministic slice of the fuzz gate's budget
+/// (`scenario_fuzz_replay_entry` covers `--replay`).
 #[test]
 fn scenario_fuzz_entry() {
-    use nakamoto_sim::fuzz::{run_case, ScenarioFuzzer};
+    use nakamoto_sim::fuzz::ScenarioFuzzer;
     let stats = ScenarioFuzzer::new(0xC1_5EED)
         .run(6)
         .unwrap_or_else(|failure| panic!("{failure}\n{}", failure.repro_toml()));
     assert_eq!(stats.cases, 6);
-    assert!(run_case(0xC1_5EED, 0).is_ok());
 }
 
 /// `scenario_fuzz --replay`: a written repro file loads back through

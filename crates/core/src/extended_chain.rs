@@ -21,6 +21,7 @@ use markov::concentration::{ln_pi_norm_worst_case, WalkBoundParams};
 /// This equals [`crate::theorem1::ln_convergence_rate`]; re-derived here
 /// through the chain decomposition (Eq. 40) as a consistency check:
 /// `π_F(HN^{≥Δ})·P[H₁]·P[N]^Δ`.
+// detlint: allow(xref-item-used) -- Eq. (44)
 pub fn ln_convergence_state_probability(params: &ProtocolParams) -> Result<f64> {
     let ln_pi_f = suffix_chain::ln_long_gap_probability(params.alpha(), params.delta())?;
     let ln_h1 = params.ln_alpha1();
@@ -85,6 +86,7 @@ pub fn mixing_time_surrogate(params: &ProtocolParams) -> u64 {
 /// # Errors
 ///
 /// Propagates parameter validation; rejects `δ₂ ∉ (0,1)`.
+// detlint: allow(xref-item-used) -- Ineq. (47)
 pub fn ln_lower_tail_bound(
     params: &ProtocolParams,
     t: u64,
@@ -106,26 +108,6 @@ pub fn ln_lower_tail_bound(
     // When the rate underflows, exponent is −0.0 and the bound is
     // trivially ≥ 1 — still correct, just vacuous.
     Ok(ln_phi + exponent)
-}
-
-/// Rounds `T` needed for Ineq. (47)'s bound to drop below `target`,
-/// using the mixing-time surrogate; `None` when the rate underflows so
-/// badly that no finite `T` fits in `u64`.
-#[must_use]
-pub fn rounds_for_tail_target(params: &ProtocolParams, delta2: f64, target_ln: f64) -> Option<u64> {
-    let tau = mixing_time_surrogate(params);
-    let ln_rate = crate::theorem1::ln_convergence_rate(params);
-    let rate = ln_rate.exp();
-    if rate <= 0.0 {
-        return None;
-    }
-    let ln_phi = ln_phi_pi_norm_bound(params).ok()?;
-    let needed = (ln_phi - target_ln) * 72.0 * tau as f64 / (delta2 * delta2 * rate);
-    if needed > u64::MAX as f64 {
-        None
-    } else {
-        Some(needed.ceil().max(1.0) as u64)
-    }
 }
 
 /// Builds the Ineq.-(47) parameters as a reusable
@@ -213,6 +195,7 @@ pub mod explicit {
         /// The product-form stationary probability of Eq. (40):
         /// `π_F(f)·Π P[s⁽ⁱ⁾]`.
         #[must_use]
+        // detlint: allow(xref-item-used) -- Eq. (40)
         pub fn product_form(&self, pi_f: &[f64], index: usize) -> f64 {
             let (suffix, window) = self.decode(index);
             let mut p = pi_f[suffix];
@@ -220,16 +203,6 @@ pub mod explicit {
                 p *= self.detail_probs[d];
             }
             p
-        }
-
-        /// Flat index of the convergence-opportunity state
-        /// `HN^{≥Δ}‖H₁N^Δ`.
-        #[must_use]
-        pub fn convergence_state(&self) -> usize {
-            let suffix = SuffixState::LongGap.index(self.delta);
-            let mut window = vec![0usize; self.window];
-            window[0] = 1; // H₁ at the front of the window, then N^Δ.
-            self.encode(suffix, &window)
         }
     }
 
@@ -335,6 +308,18 @@ mod explicit_tests {
     use crate::suffix_chain;
     use markov::stationary::{stationarity_residual, stationary_gth};
     use markov::structure::is_ergodic;
+    use nakamoto_sim::events::SuffixState;
+
+    impl explicit::ExplicitChain {
+        /// Flat index of the convergence-opportunity state
+        /// `HN^{≥Δ}‖H₁N^Δ`.
+        fn convergence_state(&self) -> usize {
+            let suffix = SuffixState::LongGap.index(self.delta);
+            let mut window = vec![0usize; self.window];
+            window[0] = 1; // H₁ at the front of the window, then N^Δ.
+            self.encode(suffix, &window)
+        }
+    }
 
     /// Appendix J, numerically: the stationary distribution of the
     /// explicitly built C_{F‖P} equals the product form of Eq. (40).
@@ -402,6 +387,25 @@ mod explicit_tests {
 mod tests {
     use super::*;
     use crate::params::ProtocolParams;
+
+    /// Rounds `T` needed for Ineq. (47)'s bound to drop below `target`,
+    /// using the mixing-time surrogate; `None` when the rate underflows so
+    /// badly that no finite `T` fits in `u64`.
+    fn rounds_for_tail_target(params: &ProtocolParams, delta2: f64, target_ln: f64) -> Option<u64> {
+        let tau = mixing_time_surrogate(params);
+        let ln_rate = crate::theorem1::ln_convergence_rate(params);
+        let rate = ln_rate.exp();
+        if rate <= 0.0 {
+            return None;
+        }
+        let ln_phi = ln_phi_pi_norm_bound(params).ok()?;
+        let needed = (ln_phi - target_ln) * 72.0 * tau as f64 / (delta2 * delta2 * rate);
+        if needed > u64::MAX as f64 {
+            None
+        } else {
+            Some(needed.ceil().max(1.0) as u64)
+        }
+    }
 
     fn small() -> ProtocolParams {
         ProtocolParams::new(100, 3, 1e-3, 0.2).unwrap()

@@ -36,24 +36,14 @@ pub fn interarrival_error_factor(params: &ProtocolParams) -> f64 {
     interarrival_incorrect(params) / interarrival_corrected(params)
 }
 
-/// Kiffer-style sufficient condition with the **corrected** rate: the
-/// convergence-opportunity rate must exceed the adversary rate, i.e.
-/// `ᾱ^{2Δ}α₁ > pνn` (Theorem 1 at `δ₁ → 0`).
-#[must_use]
-pub fn corrected_condition_holds(params: &ProtocolParams) -> bool {
-    crate::theorem1::ln_margin(params) > 0.0
-}
-
-/// Kiffer-style condition with the **incorrect** interarrival: the
-/// same inequality evaluated on *per-miner* rates throughout (honest
-/// rate `µp` instead of `α`, adversary rate `νp` instead of `νnp`) —
-/// the systematic substitution the `1/(µp)` slip corresponds to.
-#[must_use]
-pub fn incorrect_condition_holds(params: &ProtocolParams) -> bool {
-    ln_incorrect_margin(params) > 0.0
-}
-
-/// Log-margin of the incorrect variant (for plotting the ablation).
+/// Log-margin of the Kiffer-style condition with the **incorrect**
+/// interarrival: the convergence-opportunity rate against the adversary
+/// rate evaluated on *per-miner* rates throughout (honest rate `µp`
+/// instead of `α`, adversary rate `νp` instead of `νnp`) — the
+/// systematic substitution the `1/(µp)` slip corresponds to. The
+/// corrected condition's margin is [`crate::theorem1::ln_margin`]
+/// (Theorem 1 at `δ₁ → 0`); the condition holds where the margin is
+/// positive.
 #[must_use]
 pub fn ln_incorrect_margin(params: &ProtocolParams) -> f64 {
     let rate = params.mu() * params.p(); // erroneous "α" = µp
@@ -84,23 +74,14 @@ mod tests {
     }
 
     #[test]
-    fn corrected_matches_theorem1_zero_delta() {
-        let p = params();
-        assert_eq!(
-            corrected_condition_holds(&p),
-            crate::theorem1::ln_margin(&p) > 0.0
-        );
-    }
-
-    #[test]
     fn incorrect_condition_is_wildly_optimistic() {
         // With the per-miner rate the "convergence rate" is far too
         // high relative to pνn/… — at parameters where the corrected
         // condition fails, the incorrect one can still pass.
         let bad = ProtocolParams::from_c(1_000, 8, 0.5, 0.4).unwrap();
-        assert!(!corrected_condition_holds(&bad));
+        assert!(crate::theorem1::ln_margin(&bad) <= 0.0);
         assert!(
-            incorrect_condition_holds(&bad),
+            ln_incorrect_margin(&bad) > 0.0,
             "the uncorrected bound should (wrongly) accept these parameters"
         );
     }
@@ -108,8 +89,8 @@ mod tests {
     #[test]
     fn both_agree_deep_inside_safe_region() {
         let safe = ProtocolParams::from_c(1_000, 8, 100.0, 0.1).unwrap();
-        assert!(corrected_condition_holds(&safe));
-        assert!(incorrect_condition_holds(&safe));
+        assert!(crate::theorem1::ln_margin(&safe) > 0.0);
+        assert!(ln_incorrect_margin(&safe) > 0.0);
     }
 
     #[test]

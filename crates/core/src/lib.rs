@@ -65,6 +65,8 @@ pub mod suffix_chain;
 pub mod theorem1;
 pub mod theorem2;
 pub mod theorem3;
+#[cfg(test)]
+mod walk;
 pub mod window;
 
 mod error;

@@ -64,6 +64,7 @@ pub fn nu_max_for_c(c: f64) -> Result<f64> {
 /// # Errors
 ///
 /// Same contract as [`nu_max_for_c`].
+// detlint: allow(xref-item-used) -- Theorem 2, Ineq. (11), solved for ν_max
 pub fn nu_max_theorem2(c: f64, delta: u64) -> Result<f64> {
     if !(c > 0.0) || c.is_nan() {
         return Err(Error::invalid("c", format!("must be positive, got {c}")));
@@ -84,18 +85,6 @@ pub fn nu_max_theorem2(c: f64, delta: u64) -> Result<f64> {
     brent(|nu| bound(nu) - c, lo, hi, RootConfig::default()).map_err(Error::from)
 }
 
-/// The `c` the neat bound requires for a given `ν` — the inverse of
-/// [`nu_max_for_c`], re-exported for symmetry with
-/// [`crate::pss::consistency_c_required`].
-///
-/// # Panics
-///
-/// Panics unless `0 < ν < ½`.
-#[must_use]
-pub fn c_required(nu: f64) -> f64 {
-    crate::theorem2::neat_bound(nu)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +94,7 @@ mod tests {
         for &c in &[0.1, 0.5, 1.0, 3.0, 30.0, 100.0] {
             let nu = nu_max_for_c(c).unwrap();
             assert!(nu > 0.0 && nu < 0.5);
-            let back = c_required(nu);
+            let back = crate::theorem2::neat_bound(nu);
             assert!((back - c).abs() < 1e-7 * c, "c={c} → ν={nu} → c={back}");
         }
     }

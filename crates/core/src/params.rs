@@ -3,7 +3,6 @@
 //! construction.
 
 use crate::{Error, Result};
-use probability::logfloat::LogFloat;
 
 /// Validated protocol parameters `(n, Δ, p, ν)`.
 ///
@@ -164,12 +163,6 @@ impl ProtocolParams {
         self.ln_alpha1().exp()
     }
 
-    /// `ᾱ` as a [`LogFloat`] (useful for `ᾱ^{2Δ}` at huge Δ).
-    #[must_use]
-    pub fn alpha_bar_log(&self) -> LogFloat {
-        LogFloat::from_ln(self.ln_alpha_bar())
-    }
-
     /// The paper's headline check: `c > 2µ/ln(µ/ν)` (the asymptotic
     /// form of Theorem 2's bound, Figure 1's magenta line).
     #[must_use]
@@ -260,10 +253,7 @@ mod tests {
         let ln_rate = 2.0 * harsh.delta() as f64 * harsh.ln_alpha_bar() + harsh.ln_alpha1();
         assert!(ln_rate < -1e6, "deep underflow regime reached: {ln_rate}");
         assert_eq!(
-            harsh
-                .alpha_bar_log()
-                .powi(2 * harsh.delta() as i64)
-                .to_f64(),
+            (2.0 * harsh.delta() as f64 * harsh.ln_alpha_bar()).exp(),
             0.0,
             "sanity: linear space underflows to zero"
         );

@@ -53,15 +53,13 @@ pub fn attack_nu_threshold(c: f64) -> f64 {
     0.5 * (2.0 * c + 1.0 - (4.0 * c * c + 1.0).sqrt())
 }
 
-/// PSS's *exact* consistency condition `α[1−(2Δ+2)α] > β` with
-/// `α = 1−(1−p)^{µn}` and `β = νnp` (before the paper's Section-I
-/// approximations).
-#[must_use]
-pub fn exact_consistency_holds(params: &ProtocolParams) -> bool {
+/// The margin `α[1−(2Δ+2)α] − β` of PSS's *exact* consistency
+/// condition, with `α = 1−(1−p)^{µn}` and `β = νnp` (before the paper's
+/// Section-I approximations); the condition holds where it is positive.
+fn exact_margin(params: &ProtocolParams) -> f64 {
     let alpha = params.alpha();
     let beta = params.nu_n() * params.p();
-    let factor = 1.0 - (2.0 * params.delta() as f64 + 2.0) * alpha;
-    alpha * factor > beta
+    alpha * (1.0 - (2.0 * params.delta() as f64 + 2.0) * alpha) - beta
 }
 
 /// Solves the exact PSS condition for `ν_max` at fixed `(n, Δ, c)` by
@@ -75,12 +73,8 @@ pub fn exact_consistency_holds(params: &ProtocolParams) -> bool {
 ///
 /// Propagates root-finder failures (not observed for valid inputs).
 pub fn exact_consistency_nu_max(n: u64, delta: u64, c: f64) -> Result<Option<f64>> {
-    let margin = |nu: f64| -> Result<f64> {
-        let params = ProtocolParams::from_c(n, delta, c, nu)?;
-        let alpha = params.alpha();
-        let beta = params.nu_n() * params.p();
-        Ok(alpha * (1.0 - (2.0 * params.delta() as f64 + 2.0) * alpha) - beta)
-    };
+    let margin =
+        |nu: f64| -> Result<f64> { Ok(exact_margin(&ProtocolParams::from_c(n, delta, c, nu)?)) };
     let lo = 1e-12;
     let hi = 0.5 - 1e-12;
     let m_lo = margin(lo)?;
@@ -198,8 +192,8 @@ mod tests {
         let numax = exact_consistency_nu_max(n, delta, c).unwrap().unwrap();
         let ok = ProtocolParams::from_c(n, delta, c, numax * 0.9).unwrap();
         let bad = ProtocolParams::from_c(n, delta, c, (numax + 0.5) / 2.0).unwrap();
-        assert!(exact_consistency_holds(&ok));
-        assert!(!exact_consistency_holds(&bad));
+        assert!(exact_margin(&ok) > 0.0);
+        assert!(exact_margin(&bad) <= 0.0);
     }
 
     #[test]

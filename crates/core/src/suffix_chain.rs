@@ -139,6 +139,7 @@ pub fn closed_form_stationary(alpha: f64, delta: u64) -> Result<Vec<f64>> {
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameter`] for out-of-range inputs.
+// detlint: allow(xref-item-used) -- Eq. (99)
 pub fn min_stationary(alpha: f64, delta: u64) -> Result<f64> {
     Ok(ln_min_stationary(alpha, delta)?.exp())
 }
@@ -185,7 +186,11 @@ mod tests {
         for &delta in &[1u64, 2, 8, 64, 1024] {
             for &alpha in &[1e-6, 0.01, 0.3, 0.9, 1.0 - 1e-9] {
                 let pi = closed_form_stationary(alpha, delta).unwrap();
-                let total: f64 = probability::summation::compensated_sum(&pi);
+                let total = pi
+                    .iter()
+                    .copied()
+                    .collect::<probability::summation::NeumaierSum>()
+                    .value();
                 assert!(
                     (total - 1.0).abs() < 1e-12,
                     "Δ={delta}, α={alpha}: Σπ = {total}"
@@ -271,7 +276,7 @@ mod tests {
     #[test]
     fn empirical_occupancy_matches_closed_form() {
         // Random-walk the explicit chain and compare occupancy to π.
-        use markov::walk::RandomWalk;
+        use crate::walk::RandomWalk;
         use probability::rng::Xoshiro256PlusPlus;
         let alpha = 0.3;
         let delta = 3;

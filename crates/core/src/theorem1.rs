@@ -8,20 +8,12 @@
 //! at `Δ = 10¹³`.
 
 use crate::params::ProtocolParams;
-use probability::logfloat::LogFloat;
 
 /// `ln(ᾱ^{2Δ}·α₁)` — log of the per-round convergence-opportunity
 /// probability (Eq. 44).
 #[must_use]
 pub fn ln_convergence_rate(params: &ProtocolParams) -> f64 {
     2.0 * params.delta() as f64 * params.ln_alpha_bar() + params.ln_alpha1()
-}
-
-/// The per-round convergence-opportunity probability `ᾱ^{2Δ}·α₁` as a
-/// [`LogFloat`] (may be far below `f64` range).
-#[must_use]
-pub fn convergence_rate(params: &ProtocolParams) -> LogFloat {
-    LogFloat::from_ln(ln_convergence_rate(params))
 }
 
 /// The per-round adversary block rate `p·ν·n` (Eq. 27's per-round mean).
@@ -92,6 +84,7 @@ pub struct SlackConstants {
 ///
 /// Panics if `delta1 ≤ 0`.
 #[must_use]
+// detlint: allow(xref-item-used) -- Eq. (23)
 pub fn slack_constants(delta1: f64) -> SlackConstants {
     assert!(delta1 > 0.0, "δ₁ must be positive");
     let third_root = (1.0 + delta1).powf(1.0 / 3.0);
@@ -105,6 +98,7 @@ pub fn slack_constants(delta1: f64) -> SlackConstants {
 /// `[(1+δ₁)^{2/3} − (1+δ₁)^{1/3}]·E[A(t₀,t₀+T−1)]` — the lower bound on
 /// `C − A` that holds with probability `1 − e^{−Ω(T)}`.
 #[must_use]
+// detlint: allow(xref-item-used) -- display (24)
 pub fn guaranteed_gap(params: &ProtocolParams, delta1: f64, t: u64) -> f64 {
     assert!(delta1 > 0.0, "δ₁ must be positive");
     let b = 1.0 + delta1;

@@ -67,6 +67,7 @@ pub fn holds(params: &ProtocolParams, eps1: f64, eps2: f64) -> Result<bool> {
 /// `ε₂`, so `ε₂ → 0` is optimal; the max of a decreasing and an
 /// increasing function of `ε₁` is minimised where they cross).
 #[must_use]
+// detlint: allow(xref-item-used) -- Theorem 2, Ineq. (11)
 pub fn holds_for_some_epsilons(params: &ProtocolParams) -> bool {
     params.c() > infimum_c_bound(params.nu(), params.delta())
 }

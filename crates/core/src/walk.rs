@@ -1,10 +1,9 @@
-//! Random-walk sampling over a [`MarkovChain`].
-//!
-//! Used to validate the paper's Eq. (26): the empirical occupancy of the
-//! convergence-opportunity state over a `T`-step walk converges to
-//! `T·π(state)`.
+//! Random-walk sampling over a [`MarkovChain`], compiled only under
+//! `cfg(test)`: `suffix_chain`'s tests walk the explicit `C_F` and
+//! compare its empirical occupancy with the closed-form stationary
+//! distribution.
 
-use crate::chain::MarkovChain;
+use markov::chain::MarkovChain;
 use probability::rng::RandomSource;
 
 /// A position on a chain plus the RNG that drives it.
@@ -30,11 +29,6 @@ impl<'a, R: RandomSource> RandomWalk<'a, R> {
             rng,
             steps_taken: 0,
         }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> usize {
-        self.state
     }
 
     /// Number of steps taken so far.
@@ -103,8 +97,7 @@ impl<'a, R: RandomSource> RandomWalk<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::MarkovChain;
-    use crate::stationary::stationary_gth;
+    use markov::stationary::stationary_gth;
     use probability::rng::Xoshiro256PlusPlus;
 
     fn chain3() -> MarkovChain {

@@ -1,3 +1,6 @@
+use crate::pathed::run;
+
 pub fn go() {
     crate::local::helper();
+    run();
 }

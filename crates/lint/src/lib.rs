@@ -30,7 +30,9 @@
 //!   `#![forbid(unsafe_code)]`.
 //! * **X — cross-artifact** ([`xref`]): bench binaries need smoke
 //!   tests, committed specs need users, the documented spec schema
-//!   must match the codec, library modules need a user.
+//!   must match the codec, and library modules and public items need a
+//!   non-test user — an item that computes a numbered statement of the
+//!   paper stays only through a waiver naming it.
 //!
 //! Violations are suppressed per line with a justified waiver
 //! ([`waiver`]): `// detlint: allow(<rule>) -- <why>`. Unused waivers
@@ -169,18 +171,45 @@ pub fn crate_of(rel: &str) -> Option<&str> {
     None
 }
 
-/// Lints a single in-memory source file under the given rule set —
-/// the entry point the fixture self-tests drive directly.
+/// What [`check_source`] found in one file.
+#[derive(Debug, Default)]
+pub struct FileCheck {
+    /// Surviving findings, sorted by position.
+    pub findings: Vec<Finding>,
+    /// Number of waiver rules that suppressed a finding.
+    pub waivers_honored: usize,
+}
+
+/// Lints one source file: the per-token rules in `rules` and, given
+/// the workspace's reference index, `xref-item-used` on the file's
+/// public items, all through the file's waivers. This is the one
+/// per-file path: [`scan_workspace`] and the fixture tests both run it.
 #[must_use]
-pub fn check_source(rel_path: &str, source: &str, rules: RuleSet) -> Vec<Finding> {
+pub fn check_source(
+    rel_path: &str,
+    source: &str,
+    rules: RuleSet,
+    index: Option<&xref::RefIndex>,
+) -> FileCheck {
     let file = lexer::lex(source);
     let mut waivers = waiver::collect(rel_path, &file);
-    let mut out = Vec::new();
-    rules::check_tokens(rel_path, &file, rules, &mut waivers, &mut out);
+    let mut findings = Vec::new();
+    rules::check_tokens(rel_path, &file, rules, &mut waivers, &mut findings);
+    if let Some(index) = index {
+        index.check_items(rel_path, &file, &mut waivers, &mut findings);
+    }
     waivers.flush_unused(rel_path);
-    out.extend(waivers.findings);
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    out
+    let waivers_honored = waivers
+        .waivers
+        .iter()
+        .map(|w| w.used.iter().filter(|&&u| u).count())
+        .sum();
+    findings.extend(waivers.findings);
+    findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
+    FileCheck {
+        findings,
+        waivers_honored,
+    }
 }
 
 /// Scans the whole workspace under `root` against `policy`.
@@ -199,16 +228,20 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> Result<ScanReport, String
     let mut files = Vec::new();
     collect_rs_files(root, root, &policy.exclude_prefixes, &mut files)?;
     files.sort();
+    let index = policy
+        .xref
+        .as_ref()
+        .map(|cfg| xref::RefIndex::build(root, cfg));
 
     let mut report = ScanReport::default();
     for rel in &files {
         let Some(rules) = policy.rules_for(rel) else {
             continue;
         };
-        report.files_scanned += 1;
-        if rules.is_empty() {
+        if index.as_ref().is_some_and(|index| index.is_test_file(rel)) {
             continue;
         }
+        report.files_scanned += 1;
         let source = match fs::read_to_string(root.join(rel)) {
             Ok(s) => s,
             Err(e) => {
@@ -222,16 +255,9 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> Result<ScanReport, String
                 continue;
             }
         };
-        let file = lexer::lex(&source);
-        let mut waivers = waiver::collect(rel, &file);
-        rules::check_tokens(rel, &file, rules, &mut waivers, &mut report.findings);
-        waivers.flush_unused(rel);
-        report.waivers_honored += waivers
-            .waivers
-            .iter()
-            .map(|w| w.used.iter().filter(|&&u| u).count())
-            .sum::<usize>();
-        report.findings.extend(waivers.findings);
+        let file = check_source(rel, &source, rules, index.as_ref());
+        report.waivers_honored += file.waivers_honored;
+        report.findings.extend(file.findings);
     }
     // Crate roots listed in the policy but missing on disk are
     // themselves findings — a renamed crate cannot silently drop out
@@ -247,8 +273,8 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> Result<ScanReport, String
             ));
         }
     }
-    if let Some(xref_cfg) = &policy.xref {
-        report.findings.extend(xref::check(root, xref_cfg));
+    if let (Some(cfg), Some(index)) = (&policy.xref, &index) {
+        report.findings.extend(xref::check(root, cfg, index));
     }
     Ok(report)
 }

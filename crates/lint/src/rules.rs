@@ -27,11 +27,13 @@ pub const RULE_IDS: &[&str] = &[
     "panic-slice-index",
     // U — unsafe.
     "unsafe-forbid",
-    // X — cross-artifact (workspace level; not waivable per line).
+    // X — cross-artifact (workspace level; only `xref-item-used`,
+    // reported at a declaration, is waivable per line).
     "xref-bin-smoke",
     "xref-spec-used",
     "xref-doc-schema",
     "xref-mod-used",
+    "xref-item-used",
     // Meta.
     "waiver-syntax",
     "waiver-unknown-rule",
@@ -62,12 +64,6 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// True when no per-token rule applies (the file can be skipped).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        *self == RuleSet::default()
-    }
-
     /// All rules on — what the fixture tests use.
     #[must_use]
     pub fn all() -> Self {
@@ -415,7 +411,7 @@ fn check_slice_ranges(
             if g.is_punct('[') || g.is_punct('(') || g.is_punct('{') {
                 depth += 1;
             } else if g.is_punct(']') || g.is_punct(')') || g.is_punct('}') {
-                depth -= 1;
+                depth = depth.saturating_sub(1);
             } else if depth == 1
                 && g.is_punct('.')
                 && toks.get(j + 1).is_some_and(|n| n.is_punct('.'))
@@ -464,16 +460,9 @@ fn has_forbid_unsafe(toks: &[Tok]) -> bool {
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::waiver;
 
     fn run_all(src: &str) -> Vec<Finding> {
-        let file = lex(src);
-        let mut waivers = waiver::collect("t.rs", &file);
-        let mut out = Vec::new();
-        check_tokens("t.rs", &file, RuleSet::all(), &mut waivers, &mut out);
-        waivers.flush_unused("t.rs");
-        out.extend(waivers.findings);
-        out
+        crate::check_source("t.rs", src, RuleSet::all(), None).findings
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -484,6 +473,14 @@ mod tests {
     fn cfg_test_module_is_exempt() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { x.unwrap(); let m: HashMap<u8, u8> = HashMap::new(); }\n}\n";
         assert!(run_all(src).is_empty(), "{:?}", run_all(src));
+    }
+
+    #[test]
+    fn unbalanced_closers_inside_an_index_do_not_panic() {
+        // Source that does not compile must still lint: closers that
+        // outnumber openers inside an index group must not underflow
+        // the walk's depth.
+        assert!(run_all("fn f() { x[ ) ) ]; }").is_empty());
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Drives every committed fixture under `crates/lint/fixtures/`
-//! through [`consistency_lint::check_source`]: each rule has at least
-//! one positive fixture (the rule must fire) and one negative fixture
-//! (text that looks like a violation but is not must stay clean).
+//! through [`consistency_lint::check_source`], the scanner's own
+//! per-file path: each rule has at least one positive fixture (the rule
+//! must fire) and one negative fixture (text that looks like a
+//! violation but is not must stay clean).
 
 use std::path::{Path, PathBuf};
 
+use consistency_lint::diag::Finding;
 use consistency_lint::rules::RuleSet;
 use consistency_lint::{check_source, xref};
 
@@ -23,8 +25,13 @@ fn lib_rules() -> RuleSet {
     RuleSet::all()
 }
 
+/// The findings of one fixture file under `rules`.
+fn check(name: &str, rules: RuleSet) -> Vec<Finding> {
+    check_source(name, &read(name), rules, None).findings
+}
+
 fn rules_fired(name: &str, rules: RuleSet) -> Vec<&'static str> {
-    let findings = check_source(name, &read(name), rules);
+    let findings = check(name, rules);
     let mut fired: Vec<&'static str> = findings.iter().map(|f| f.rule).collect();
     fired.sort_unstable();
     fired.dedup();
@@ -39,7 +46,7 @@ fn assert_fires(name: &str, rules: RuleSet, expected: &[&str]) {
 
 #[track_caller]
 fn assert_clean(name: &str, rules: RuleSet) {
-    let findings = check_source(name, &read(name), rules);
+    let findings = check(name, rules);
     assert!(
         findings.is_empty(),
         "{name}: expected clean, got {findings:#?}"
@@ -96,11 +103,7 @@ fn panic_macro() {
 
 #[test]
 fn panic_slice_index() {
-    let findings = check_source(
-        "panic_slice_pos.rs",
-        &read("panic_slice_pos.rs"),
-        lib_rules(),
-    );
+    let findings = check("panic_slice_pos.rs", lib_rules());
     // All three bounded forms: `[..n]`, `[1..]`, `[1..=n]`.
     assert_eq!(findings.len(), 3, "{findings:#?}");
     assert!(findings.iter().all(|f| f.rule == "panic-slice-index"));
@@ -129,7 +132,7 @@ fn waiver_unused_is_an_error() {
 
 #[test]
 fn waiver_malformed_directives() {
-    let findings = check_source("waiver_bad.rs", &read("waiver_bad.rs"), lib_rules());
+    let findings = check("waiver_bad.rs", lib_rules());
     let fired: Vec<&str> = findings.iter().map(|f| f.rule).collect();
     // The missing-justification waiver and the unknown-rule waiver are
     // both errors, and neither suppresses its `.unwrap()`.
@@ -150,11 +153,7 @@ fn lexer_stress_text_never_fires() {
 /// Positive fixtures report the violation's line, not just the rule.
 #[test]
 fn findings_carry_line_numbers() {
-    let findings = check_source(
-        "panic_unwrap_pos.rs",
-        &read("panic_unwrap_pos.rs"),
-        lib_rules(),
-    );
+    let findings = check("panic_unwrap_pos.rs", lib_rules());
     assert_eq!(findings.len(), 1);
     assert_eq!(findings[0].line, 3, "{findings:#?}");
 }
@@ -173,28 +172,73 @@ fn mini_xref_config() -> xref::XrefConfig {
     }
 }
 
+/// Every X finding over a fixture tree, as the workspace scan finds
+/// them: [`xref::check`] for the workspace-level rules, then
+/// [`check_source`] with the tree's reference index on each library
+/// file for `xref-item-used` and its waivers.
+fn xref_findings(tree: &str) -> Vec<Finding> {
+    let root = fixture_dir().join(tree);
+    let cfg = mini_xref_config();
+    let index = xref::RefIndex::build(&root, &cfg);
+    let mut findings = xref::check(&root, &cfg, &index);
+    let mut libs: Vec<PathBuf> = std::fs::read_dir(root.join("lib/src"))
+        .expect("fixture library tree exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .collect();
+    libs.sort();
+    for path in libs {
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .expect("UTF-8 name");
+        let source = std::fs::read_to_string(&path).expect("readable fixture");
+        let rel = format!("lib/src/{name}");
+        findings.extend(check_source(&rel, &source, RuleSet::default(), Some(&index)).findings);
+    }
+    findings
+}
+
 #[test]
 fn xref_ok_tree_is_clean() {
-    let findings = xref::check(&fixture_dir().join("xref_ok"), &mini_xref_config());
+    // Clean means: a function called from a bin (`grouped::go`), one
+    // reached through `use` from another file (`pathed::run`), one
+    // called by path (`local::helper`) and one kept by a waiver
+    // (`theorem`).
+    let findings = xref_findings("xref_ok");
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
 #[test]
 fn xref_bad_tree_fires_every_x_rule() {
-    let findings = xref::check(&fixture_dir().join("xref_bad"), &mini_xref_config());
-    let mut fired: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    let findings = xref_findings("xref_bad");
+    let mut fired: Vec<(&str, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, f.path.as_str(), f.line))
+        .collect();
     fired.sort_unstable();
     assert_eq!(
         fired,
         [
-            "xref-bin-smoke",
-            "xref-doc-schema",
-            "xref-mod-used",
-            "xref-spec-used"
+            ("waiver-unused", "lib/src/lib.rs", 24),
+            ("xref-bin-smoke", "bins/run_all.rs", 0),
+            ("xref-doc-schema", "DOC.md", 7),
+            // `no_caller`; `cfg_test_caller`, called from test code only;
+            // `tests_dir_caller`, called from `tests/` only; `doc_caller`
+            // and `string_caller`, named in a doc comment and a string;
+            // `ImplOnly`, named in its own `impl` header only.
+            ("xref-item-used", "lib/src/lib.rs", 5),
+            ("xref-item-used", "lib/src/lib.rs", 8),
+            ("xref-item-used", "lib/src/lib.rs", 11),
+            ("xref-item-used", "lib/src/lib.rs", 14),
+            ("xref-item-used", "lib/src/lib.rs", 17),
+            ("xref-item-used", "lib/src/lib.rs", 20),
+            ("xref-item-used", "lib/src/test_only.rs", 1),
+            ("xref-item-used", "lib/src/unused.rs", 1),
+            // `test_only`, named from `#[cfg(test)]` only, and `unused`.
+            ("xref-mod-used", "lib/src/lib.rs", 1),
+            ("xref-mod-used", "lib/src/lib.rs", 2),
+            ("xref-spec-used", "specs/orphan.toml", 0),
         ],
         "{findings:#?}"
     );
-    // The unused module is reported at its declaration.
-    let unused = findings.iter().find(|f| f.rule == "xref-mod-used").unwrap();
-    assert_eq!((unused.path.as_str(), unused.line), ("lib/src/lib.rs", 1));
 }

@@ -1,11 +1,9 @@
 //! Absorbing-chain analysis: fundamental matrix, absorption
 //! probabilities and expected times to absorption.
 //!
-//! The private-chain attack race (adversary `z` blocks behind, each new
-//! block honest with probability `µ'` or adversarial with `ν'`) is a
-//! birth–death chain absorbed at "caught up"; these routines compute
-//! Nakamoto-style catch-up probabilities exactly on the truncated chain
-//! (see `consistency_core::catchup`).
+//! A test oracle, compiled only under `cfg(test)`: `race`'s tests solve
+//! the capped private-chain race as a dense absorbing chain with these
+//! routines and compare the answer with its closed form.
 
 use crate::chain::MarkovChain;
 use crate::{Error, Result};
@@ -75,22 +73,6 @@ impl AbsorbingAnalysis {
 ///   transient.
 /// * [`Error::BadShape`] if some transient state cannot reach any
 ///   absorbing state (the system is singular).
-///
-/// ```
-/// use markov::chain::MarkovChain;
-/// use markov::absorption::analyze;
-///
-/// // Gambler's ruin on {0,1,2} with absorbing 0 and 2, fair coin.
-/// let chain = MarkovChain::from_rows(vec![
-///     vec![1.0, 0.0, 0.0],
-///     vec![0.5, 0.0, 0.5],
-///     vec![0.0, 0.0, 1.0],
-/// ])?;
-/// let a = analyze(&chain)?;
-/// assert!((a.probability(1, 0) - 0.5).abs() < 1e-12);
-/// assert!((a.steps_from(1) - 1.0).abs() < 1e-12);
-/// # Ok::<(), markov::Error>(())
-/// ```
 pub fn analyze(chain: &MarkovChain) -> Result<AbsorbingAnalysis> {
     let n = chain.n_states();
     let is_absorbing: Vec<bool> = (0..n)

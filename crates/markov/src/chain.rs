@@ -62,34 +62,11 @@ impl MarkovChain {
         builder.build()
     }
 
-    /// Builds a chain from `(from, to, probability)` triplets.
-    ///
-    /// Duplicate `(from, to)` pairs are accumulated.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MarkovChain::from_rows`], plus
-    /// [`Error::StateOutOfRange`] for indices `≥ n_states`.
-    pub fn from_transitions(n_states: usize, transitions: &[(usize, usize, f64)]) -> Result<Self> {
-        let mut builder = MarkovChainBuilder::new(n_states);
-        for &(i, j, p) in transitions {
-            builder.add(i, j, p)?;
-        }
-        builder.build()
-    }
-
     /// Number of states.
     #[inline]
     #[must_use]
     pub fn n_states(&self) -> usize {
         self.n_states
-    }
-
-    /// Number of stored (non-zero) transitions.
-    #[inline]
-    #[must_use]
-    pub fn n_transitions(&self) -> usize {
-        self.values.len()
     }
 
     /// Transition probability `P(i → j)`; zero if not stored.
@@ -200,7 +177,7 @@ impl MarkovChain {
 /// b.add(1, 0, 0.25)?;
 /// b.add(1, 1, 0.75)?;
 /// let chain = b.build()?;
-/// assert_eq!(chain.n_transitions(), 3);
+/// assert_eq!(chain.prob(1, 0), 0.25);
 /// # Ok::<(), markov::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -292,6 +269,27 @@ impl MarkovChainBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MarkovChain {
+        /// Builds a chain from `(from, to, probability)` triplets,
+        /// accumulating duplicate pairs: the sparse chains the tests
+        /// across this crate write down.
+        pub(crate) fn from_transitions(
+            n_states: usize,
+            transitions: &[(usize, usize, f64)],
+        ) -> Result<Self> {
+            let mut builder = MarkovChainBuilder::new(n_states);
+            for &(i, j, p) in transitions {
+                builder.add(i, j, p)?;
+            }
+            builder.build()
+        }
+
+        /// Number of stored (non-zero) transitions.
+        fn n_transitions(&self) -> usize {
+            self.values.len()
+        }
+    }
 
     fn two_state() -> MarkovChain {
         MarkovChain::from_rows(vec![vec![0.9, 0.1], vec![0.5, 0.5]]).unwrap()

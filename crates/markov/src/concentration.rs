@@ -20,52 +20,10 @@ use crate::{Error, Result};
 /// experiments can report the bound they actually evaluated.
 pub const CHUNG_ET_AL_CONSTANT: f64 = 1.0;
 
-/// π-norm of an initial distribution `φ`:
-/// `‖φ‖_π = √( Σ_v φ(v)² / π(v) )`.
-///
-/// Equals 1 when `φ = π` and `1/√π(v)` for a point mass on `v`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or if some `π(v) ≤ 0` where `φ(v) > 0`.
-///
-/// ```
-/// use markov::concentration::pi_norm;
-/// let pi = [0.25, 0.75];
-/// assert!((pi_norm(&pi, &pi) - 1.0).abs() < 1e-12);
-/// assert!((pi_norm(&[1.0, 0.0], &pi) - 2.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn pi_norm(phi: &[f64], pi: &[f64]) -> f64 {
-    assert_eq!(phi.len(), pi.len(), "distribution length mismatch");
-    let mut acc = 0.0;
-    for (&f, &p) in phi.iter().zip(pi.iter()) {
-        if f == 0.0 {
-            continue;
-        }
-        assert!(p > 0.0, "pi must be positive wherever phi is");
-        acc += f * f / p;
-    }
-    acc.sqrt()
-}
-
-/// Proposition 1 of the paper: `‖φ‖_π ≤ 1/√(min_v π(v))` for any initial
-/// distribution `φ`. Returns that worst-case bound given the minimum
-/// stationary probability (which may itself come from a closed form, as
-/// in the paper's Proposition 1 for `C_{F‖P}`).
-///
-/// # Panics
-///
-/// Panics unless `0 < min_pi ≤ 1`.
-#[must_use]
-pub fn pi_norm_worst_case(min_pi: f64) -> f64 {
-    assert!(min_pi > 0.0 && min_pi <= 1.0, "min_pi must be in (0, 1]");
-    1.0 / min_pi.sqrt()
-}
-
-/// Log-space variant of [`pi_norm_worst_case`] for stationary minima far
-/// below `f64` range (e.g. `min π_{F‖P} = exp(-10⁸)`): given
-/// `ln(min π)`, returns `ln ‖φ‖_π ≤ −½·ln(min π)`.
+/// Proposition 1 of the paper in log space: `‖φ‖_π ≤ 1/√(min_v π(v))`
+/// for any initial distribution `φ`, so given `ln(min π)` — which may lie
+/// far below `f64` range (e.g. `min π_{F‖P} = exp(-10⁸)`) — returns the
+/// bound `ln ‖φ‖_π ≤ −½·ln(min π)`.
 #[must_use]
 pub fn ln_pi_norm_worst_case(ln_min_pi: f64) -> f64 {
     assert!(ln_min_pi <= 0.0, "ln(min_pi) must be ≤ 0");
@@ -81,7 +39,7 @@ pub struct WalkBoundParams {
     pub stationary_mean: f64,
     /// The 1/8-mixing time `τ` of the chain.
     pub mixing_time_eighth: u64,
-    /// `‖φ‖_π` of the initial distribution (see [`pi_norm`]).
+    /// `‖φ‖_π = √(Σ_v φ(v)²/π(v))` of the initial distribution.
     pub phi_pi_norm: f64,
 }
 
@@ -118,28 +76,14 @@ impl WalkBoundParams {
         Ok(())
     }
 
-    /// Lower-tail bound `P[X ≤ (1−δ)µT]` per Theorem 3.1 — the paper's
-    /// Inequality (47) with `X = C(t₀, t₀+T−1)`.
+    /// Natural log of the lower-tail bound `P[X ≤ (1−δ)µT]` per
+    /// Theorem 3.1 — the paper's Inequality (47) with
+    /// `X = C(t₀, t₀+T−1)`; stays meaningful when the bound underflows
+    /// (deep concentration regimes).
     ///
     /// # Errors
     ///
     /// Propagates [`WalkBoundParams::validate`]; also rejects `δ ∉ (0, 1)`.
-    pub fn lower_tail(&self, delta: f64) -> Result<f64> {
-        self.validate()?;
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(Error::BadShape {
-                message: format!("lower-tail δ must be in (0, 1), got {delta}"),
-            });
-        }
-        Ok(self.ln_lower_tail(delta)?.exp().min(1.0))
-    }
-
-    /// Natural log of the lower-tail bound; stays meaningful when the
-    /// bound underflows (deep concentration regimes).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`WalkBoundParams::lower_tail`].
     pub fn ln_lower_tail(&self, delta: f64) -> Result<f64> {
         self.validate()?;
         if !(delta > 0.0 && delta < 1.0) {
@@ -151,60 +95,97 @@ impl WalkBoundParams {
             / (72.0 * self.mixing_time_eighth as f64);
         Ok(CHUNG_ET_AL_CONSTANT.ln() + self.phi_pi_norm.ln() + exponent)
     }
-
-    /// Upper-tail bound `P[X ≥ (1+δ)µT]` per Theorem 3.1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WalkBoundParams::validate`]; also rejects `δ ≤ 0`.
-    pub fn upper_tail(&self, delta: f64) -> Result<f64> {
-        self.validate()?;
-        if !(delta > 0.0) {
-            return Err(Error::BadShape {
-                message: format!("upper-tail δ must be > 0, got {delta}"),
-            });
-        }
-        // Theorem 3.1's upper tail: exp(−δ²µT/(72τ)) for δ ≤ 1, and
-        // exp(−δµT/(72τ)) for δ > 1.
-        let effective = delta * delta.min(1.0);
-        let exponent = -effective * self.stationary_mean * self.steps as f64
-            / (72.0 * self.mixing_time_eighth as f64);
-        Ok((CHUNG_ET_AL_CONSTANT * self.phi_pi_norm * exponent.exp()).min(1.0))
-    }
-
-    /// Smallest `T` making the lower-tail bound at most `target`;
-    /// solves the bound equation in closed form.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`WalkBoundParams::lower_tail`] (the `steps`
-    /// field is ignored); additionally rejects `stationary_mean == 0`.
-    pub fn steps_for_lower_tail(&self, delta: f64, target: f64) -> Result<u64> {
-        if self.stationary_mean == 0.0 {
-            return Err(Error::BadShape {
-                message: "stationary mean must be positive to pick T".into(),
-            });
-        }
-        if !(target > 0.0 && target < 1.0) {
-            return Err(Error::BadShape {
-                message: format!("target must be in (0, 1), got {target}"),
-            });
-        }
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(Error::BadShape {
-                message: format!("δ must be in (0, 1), got {delta}"),
-            });
-        }
-        let numerator = (CHUNG_ET_AL_CONSTANT * self.phi_pi_norm / target).ln();
-        let denominator =
-            delta * delta * self.stationary_mean / (72.0 * self.mixing_time_eighth as f64);
-        Ok((numerator / denominator).ceil().max(1.0) as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// π-norm of an initial distribution `φ`:
+    /// `‖φ‖_π = √( Σ_v φ(v)² / π(v) )`.
+    ///
+    /// Equals 1 when `φ = π` and `1/√π(v)` for a point mass on `v`.
+    fn pi_norm(phi: &[f64], pi: &[f64]) -> f64 {
+        assert_eq!(phi.len(), pi.len(), "distribution length mismatch");
+        let mut acc = 0.0;
+        for (&f, &p) in phi.iter().zip(pi.iter()) {
+            if f == 0.0 {
+                continue;
+            }
+            assert!(p > 0.0, "pi must be positive wherever phi is");
+            acc += f * f / p;
+        }
+        acc.sqrt()
+    }
+
+    /// The linear-space tails of Theorem 3.1 (the paper uses the
+    /// log-space lower tail only).
+    impl WalkBoundParams {
+        /// Lower-tail bound `P[X ≤ (1−δ)µT]` per Theorem 3.1 — the paper's
+        /// Inequality (47) with `X = C(t₀, t₀+T−1)`.
+        ///
+        /// # Errors
+        ///
+        /// Propagates `validate`; also rejects `δ ∉ (0, 1)`.
+        fn lower_tail(&self, delta: f64) -> Result<f64> {
+            self.validate()?;
+            if !(delta > 0.0 && delta < 1.0) {
+                return Err(Error::BadShape {
+                    message: format!("lower-tail δ must be in (0, 1), got {delta}"),
+                });
+            }
+            Ok(self.ln_lower_tail(delta)?.exp().min(1.0))
+        }
+
+        /// Upper-tail bound `P[X ≥ (1+δ)µT]` per Theorem 3.1.
+        ///
+        /// # Errors
+        ///
+        /// Propagates `validate`; also rejects `δ ≤ 0`.
+        fn upper_tail(&self, delta: f64) -> Result<f64> {
+            self.validate()?;
+            if !(delta > 0.0) {
+                return Err(Error::BadShape {
+                    message: format!("upper-tail δ must be > 0, got {delta}"),
+                });
+            }
+            // Theorem 3.1's upper tail: exp(−δ²µT/(72τ)) for δ ≤ 1, and
+            // exp(−δµT/(72τ)) for δ > 1.
+            let effective = delta * delta.min(1.0);
+            let exponent = -effective * self.stationary_mean * self.steps as f64
+                / (72.0 * self.mixing_time_eighth as f64);
+            Ok((CHUNG_ET_AL_CONSTANT * self.phi_pi_norm * exponent.exp()).min(1.0))
+        }
+
+        /// Smallest `T` making the lower-tail bound at most `target`;
+        /// solves the bound equation in closed form.
+        ///
+        /// # Errors
+        ///
+        /// Same contract as `lower_tail` (the `steps`
+        /// field is ignored); additionally rejects `stationary_mean == 0`.
+        fn steps_for_lower_tail(&self, delta: f64, target: f64) -> Result<u64> {
+            if self.stationary_mean == 0.0 {
+                return Err(Error::BadShape {
+                    message: "stationary mean must be positive to pick T".into(),
+                });
+            }
+            if !(target > 0.0 && target < 1.0) {
+                return Err(Error::BadShape {
+                    message: format!("target must be in (0, 1), got {target}"),
+                });
+            }
+            if !(delta > 0.0 && delta < 1.0) {
+                return Err(Error::BadShape {
+                    message: format!("δ must be in (0, 1), got {delta}"),
+                });
+            }
+            let numerator = (CHUNG_ET_AL_CONSTANT * self.phi_pi_norm / target).ln();
+            let denominator =
+                delta * delta * self.stationary_mean / (72.0 * self.mixing_time_eighth as f64);
+            Ok((numerator / denominator).ceil().max(1.0) as u64)
+        }
+    }
 
     fn params() -> WalkBoundParams {
         WalkBoundParams {
@@ -231,7 +212,7 @@ mod tests {
     #[test]
     fn worst_case_dominates_all_point_masses() {
         let pi = [0.05, 0.15, 0.8];
-        let worst = pi_norm_worst_case(0.05);
+        let worst = ln_pi_norm_worst_case(0.05f64.ln()).exp();
         for s in 0..3 {
             let mut phi = [0.0; 3];
             phi[s] = 1.0;
@@ -241,8 +222,8 @@ mod tests {
 
     #[test]
     fn ln_worst_case_matches_linear() {
-        let min_pi = 1e-8;
-        let a = pi_norm_worst_case(min_pi).ln();
+        let min_pi = 1e-8f64;
+        let a = (1.0 / min_pi.sqrt()).ln();
         let b = ln_pi_norm_worst_case(min_pi.ln());
         assert!((a - b).abs() < 1e-9);
         // And it keeps working far below f64 range.

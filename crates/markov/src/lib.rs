@@ -19,7 +19,6 @@
 //!   (Chung, Lam, Liu & Mitzenmacher 2012, Theorem 3.1), the engine
 //!   behind the paper's Inequality (19).
 //! * [`hitting`] — expected hitting and return times.
-//! * [`walk`] — random-walk sampling with occupancy statistics.
 //! * [`race`] — the private-chain race behind the exact backend of the
 //!   spec-driven experiment layer: the effective share `q_eff` and the
 //!   closed-form capped race, each answer carrying a provable
@@ -41,7 +40,8 @@
 //! # Ok::<(), markov::Error>(())
 //! ```
 
-pub mod absorption;
+#[cfg(test)]
+mod absorption;
 pub mod chain;
 pub mod concentration;
 pub mod hitting;
@@ -49,7 +49,6 @@ pub mod mixing;
 pub mod race;
 pub mod stationary;
 pub mod structure;
-pub mod walk;
 
 mod error;
 

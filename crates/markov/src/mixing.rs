@@ -117,38 +117,37 @@ pub fn mixing_time(
     Ok(hi)
 }
 
-/// A spectral-gap-style upper bound on the 1/8-mixing time from the
-/// contraction coefficient observed over one step (Dobrushin):
-/// `τ(ε) ≤ ⌈ln(1/(2ε)) / ln(1/κ)⌉` where `κ = max_{i,j} TV(P_i·, P_j·)`.
-///
-/// Returns `None` when the one-step Dobrushin coefficient is 1 (no
-/// contraction visible in one step; the chain may still mix).
-#[must_use]
-pub fn dobrushin_mixing_bound(chain: &MarkovChain, epsilon: f64) -> Option<usize> {
-    assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
-    let n = chain.n_states();
-    let dense = chain.to_dense();
-    let mut kappa = 0.0f64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            kappa = kappa.max(tv_distance(&dense[i], &dense[j]));
-        }
-    }
-    if kappa >= 1.0 {
-        return None;
-    }
-    if kappa == 0.0 {
-        return Some(1);
-    }
-    let steps = ((1.0 / (2.0 * epsilon)).ln() / (1.0 / kappa).ln()).ceil();
-    Some(steps.max(0.0) as usize)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::MarkovChain;
     use crate::stationary::stationary_gth;
+
+    /// A spectral-gap-style upper bound on the 1/8-mixing time from the
+    /// contraction coefficient observed over one step (Dobrushin):
+    /// `τ(ε) ≤ ⌈ln(1/(2ε)) / ln(1/κ)⌉` where `κ = max_{i,j} TV(P_i·, P_j·)`.
+    ///
+    /// Returns `None` when the one-step Dobrushin coefficient is 1 (no
+    /// contraction visible in one step; the chain may still mix).
+    fn dobrushin_mixing_bound(chain: &MarkovChain, epsilon: f64) -> Option<usize> {
+        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
+        let n = chain.n_states();
+        let dense = chain.to_dense();
+        let mut kappa = 0.0f64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                kappa = kappa.max(tv_distance(&dense[i], &dense[j]));
+            }
+        }
+        if kappa >= 1.0 {
+            return None;
+        }
+        if kappa == 0.0 {
+            return Some(1);
+        }
+        let steps = ((1.0 / (2.0 * epsilon)).ln() / (1.0 / kappa).ln()).ceil();
+        Some(steps.max(0.0) as usize)
+    }
 
     #[test]
     fn tv_distance_properties() {

@@ -45,19 +45,6 @@ pub struct ExactRace {
     pub truncation_error: f64,
 }
 
-impl ExactRace {
-    /// The interval `[probability, probability + truncation_error]`
-    /// guaranteed to contain the un-truncated violation probability
-    /// (upper end clamped to 1).
-    #[must_use]
-    pub fn bracket(&self) -> (f64, f64) {
-        (
-            self.probability,
-            (self.probability + self.truncation_error).min(1.0),
-        )
-    }
-}
-
 /// The effective adversarial block share of the Δ-delay race,
 /// `q_eff = pνn / (pνn + ᾱ^{2Δ}α₁)`: the adversary's block rate against
 /// the convergence-opportunity rate (the ratio the paper's Lemma 1
@@ -321,9 +308,9 @@ mod tests {
         assert_eq!(escape_tail_bound(0.6, 12), 1.0);
         let escaped = 1.0 - race.probability; // birth–death: all mass absorbs
         assert!((race.truncation_error - escaped).abs() < 1e-12);
-        let (lo, hi) = race.bracket();
+        let hi = (race.probability + race.truncation_error).min(1.0);
         assert!(
-            lo <= 1.0 && (hi - 1.0).abs() < 1e-12,
+            race.probability <= 1.0 && (hi - 1.0).abs() < 1e-12,
             "p_∞ = 1 is bracketed"
         );
     }

@@ -5,7 +5,6 @@
 //! (Eqs. 7–9), and the adversary's block count over `T` rounds follows
 //! `binom(Tνn, p)` (Eq. 27).
 
-use crate::geometric::Geometric;
 use crate::rng::RandomSource;
 use crate::special::{ln_choose, reg_inc_beta};
 use crate::{Error, Result};
@@ -54,12 +53,6 @@ impl Binomial {
     #[must_use]
     pub fn mean(&self) -> f64 {
         self.n as f64 * self.p
-    }
-
-    /// Variance `np(1-p)`.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
     }
 
     /// Natural log of the probability mass `ln P[X = k]`.
@@ -144,33 +137,6 @@ impl Binomial {
         reg_inc_beta((self.n - k) as f64, k as f64 + 1.0, 1.0 - self.p)
     }
 
-    /// Survival function `P[X > k] = 1 - cdf(k)`, computed from the
-    /// complementary incomplete beta to avoid cancellation in deep tails.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Binomial::cdf`].
-    pub fn sf(&self, k: u64) -> Result<f64> {
-        if k >= self.n {
-            return Ok(0.0);
-        }
-        if self.p == 0.0 {
-            return Ok(0.0);
-        }
-        if self.p == 1.0 {
-            return Ok(1.0);
-        }
-        if self.n <= 64 {
-            let mut acc = 0.0;
-            for j in (k + 1)..=self.n {
-                acc += self.pmf(j);
-            }
-            return Ok(acc.min(1.0));
-        }
-        // P[X ≥ k+1] = I_p(k+1, n-k).
-        reg_inc_beta(k as f64 + 1.0, (self.n - k) as f64, self.p)
-    }
-
     /// Smallest `k` with `cdf(k) ≥ q` (the quantile function), found by
     /// bisection over the integer support using the exact CDF.
     ///
@@ -244,7 +210,8 @@ impl Binomial {
     /// Draws one sample conditioned on at least one success, i.e. from
     /// `X | X ≥ 1`.
     ///
-    /// Together with [`Binomial::gap_geometric`] this supports
+    /// Together with the geometric gap to the first success (success
+    /// probability [`Binomial::prob_positive`]) this supports
     /// quiet-round fast-forwarding: instead of sampling every round's
     /// block count, sample the geometric gap to the next round with a
     /// success and then the conditional count for that round. The pair
@@ -281,19 +248,6 @@ impl Binomial {
                 return k;
             }
         }
-    }
-
-    /// The geometric distribution of the 1-based round index of the
-    /// first round with at least one success, when each round draws an
-    /// independent copy of this binomial — the paper's waiting time for
-    /// the next block (`N^{k−1}`-then-success pattern).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidParameter`] when `P[X ≥ 1] = 0`
-    /// (`n == 0` or `p == 0`), where the gap is infinite.
-    pub fn gap_geometric(&self) -> Result<Geometric> {
-        Geometric::new(self.prob_positive())
     }
 
     /// BINV (inverse transform by sequential search from k = 0).
@@ -360,6 +314,33 @@ mod tests {
     use super::*;
     use crate::rng::Xoshiro256PlusPlus;
 
+    impl Binomial {
+        /// Survival function `P[X > k] = 1 - cdf(k)`, computed from the
+        /// complementary incomplete beta to avoid cancellation in deep
+        /// tails: the independent tail the `cdf` and tail-bound tests
+        /// check against.
+        pub(crate) fn sf(&self, k: u64) -> Result<f64> {
+            if k >= self.n {
+                return Ok(0.0);
+            }
+            if self.p == 0.0 {
+                return Ok(0.0);
+            }
+            if self.p == 1.0 {
+                return Ok(1.0);
+            }
+            if self.n <= 64 {
+                let mut acc = 0.0;
+                for j in (k + 1)..=self.n {
+                    acc += self.pmf(j);
+                }
+                return Ok(acc.min(1.0));
+            }
+            // P[X ≥ k+1] = I_p(k+1, n-k).
+            reg_inc_beta(k as f64 + 1.0, (self.n - k) as f64, self.p)
+        }
+    }
+
     fn close(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs()))
     }
@@ -392,7 +373,10 @@ mod tests {
     fn moments() {
         let d = Binomial::new(100, 0.3).unwrap();
         assert!(close(d.mean(), 30.0, 1e-14));
-        assert!(close(d.variance(), 21.0, 1e-14));
+        let variance: f64 = (0..=100)
+            .map(|k| (k as f64 - 30.0).powi(2) * d.pmf(k))
+            .sum();
+        assert!(close(variance, 21.0, 1e-12), "variance {variance}");
     }
 
     #[test]
@@ -564,11 +548,15 @@ mod tests {
     #[test]
     fn gap_geometric_mean_is_inverse_alpha() {
         let d = Binomial::new(1_000, 1e-3).unwrap();
-        let g = d.gap_geometric().unwrap();
+        let g = crate::geometric::Geometric::new(d.prob_positive()).unwrap();
         assert!((g.p() - d.prob_positive()).abs() < 1e-15);
         assert!((g.mean() - 1.0 / d.prob_positive()).abs() < 1e-9);
-        assert!(Binomial::new(0, 0.5).unwrap().gap_geometric().is_err());
-        assert!(Binomial::new(5, 0.0).unwrap().gap_geometric().is_err());
+        for empty in [
+            Binomial::new(0, 0.5).unwrap(),
+            Binomial::new(5, 0.0).unwrap(),
+        ] {
+            assert!(crate::geometric::Geometric::new(empty.prob_positive()).is_err());
+        }
     }
 
     #[test]

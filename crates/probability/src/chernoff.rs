@@ -1,6 +1,5 @@
-//! Tail bounds: relative entropy, the Arratia–Gordon binomial bound used
-//! in the paper's Inequality (49), multiplicative Chernoff bounds, and
-//! Hoeffding's inequality.
+//! Tail bounds: relative entropy and the Arratia–Gordon binomial bound
+//! used in the paper's Inequality (49).
 //!
 //! The paper bounds the adversary's block count `A(t₀, t₀+T−1) ~
 //! binom(Tνn, p)` above its mean via (Eq. 48–49):
@@ -65,41 +64,6 @@ pub fn relative_entropy_scaled(delta: f64, p: f64) -> Result<f64> {
     relative_entropy(a, p)
 }
 
-/// Arratia–Gordon upper-tail bound for `X ~ binom(n, p)`:
-/// `P[X ≥ a·n] ≤ exp(−n·D(a‖p))` for `a ≥ p`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] unless `p < a ≤ 1` (the bound is
-/// only valid above the mean) and `p ∈ (0, 1)`.
-pub fn binomial_upper_tail_bound(n: u64, p: f64, a: f64) -> Result<f64> {
-    if !(a >= p) {
-        return Err(Error::invalid(
-            "a",
-            format!("upper-tail bound requires a ≥ p, got a={a}, p={p}"),
-        ));
-    }
-    let d = relative_entropy(a, p)?;
-    Ok((-(n as f64) * d).exp())
-}
-
-/// Arratia–Gordon lower-tail bound: `P[X ≤ a·n] ≤ exp(−n·D(a‖p))` for
-/// `a ≤ p`.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] unless `0 ≤ a ≤ p` and `p ∈ (0, 1)`.
-pub fn binomial_lower_tail_bound(n: u64, p: f64, a: f64) -> Result<f64> {
-    if !(a <= p) {
-        return Err(Error::invalid(
-            "a",
-            format!("lower-tail bound requires a ≤ p, got a={a}, p={p}"),
-        ));
-    }
-    let d = relative_entropy(a, p)?;
-    Ok((-(n as f64) * d).exp())
-}
-
 /// The paper's Inequality (49): for `A ~ binom(Tνn, p)` and constant
 /// `δ₃ > 0`,
 /// `P[A ≥ (1+δ₃)·E[A]] ≤ exp(−Tνn·D((1+δ₃)p‖p))`.
@@ -114,37 +78,25 @@ pub fn adversary_tail_bound(t_nu_n: u64, p: f64, delta3: f64) -> Result<f64> {
     Ok((-(t_nu_n as f64) * d).exp())
 }
 
-/// Multiplicative Chernoff upper bound:
-/// `P[X ≥ (1+δ)µ] ≤ exp(−δ²µ/(2+δ))` for `δ > 0`, `µ = np`.
-///
-/// A weaker but simpler companion to the entropy bound; used for
-/// cross-checks.
-#[must_use]
-pub fn chernoff_upper(mean: f64, delta: f64) -> f64 {
-    assert!(delta >= 0.0 && mean >= 0.0);
-    (-(delta * delta) * mean / (2.0 + delta)).exp()
-}
-
-/// Multiplicative Chernoff lower bound:
-/// `P[X ≤ (1−δ)µ] ≤ exp(−δ²µ/2)` for `δ ∈ [0, 1]`.
-#[must_use]
-pub fn chernoff_lower(mean: f64, delta: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&delta) && mean >= 0.0);
-    (-(delta * delta) * mean / 2.0).exp()
-}
-
-/// Hoeffding's inequality for `n` independent variables in `[0, 1]`:
-/// `P[|X̄ − E X̄| ≥ t] ≤ 2·exp(−2nt²)`.
-#[must_use]
-pub fn hoeffding_two_sided(n: u64, t: f64) -> f64 {
-    assert!(t >= 0.0);
-    2.0 * (-2.0 * n as f64 * t * t).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binomial::Binomial;
+
+    /// Multiplicative Chernoff upper bound:
+    /// `P[X ≥ (1+δ)µ] ≤ exp(−δ²µ/(2+δ))` for `δ > 0`, `µ = np`: the
+    /// weaker companion the entropy bound is checked against.
+    fn chernoff_upper(mean: f64, delta: f64) -> f64 {
+        assert!(delta >= 0.0 && mean >= 0.0);
+        (-(delta * delta) * mean / (2.0 + delta)).exp()
+    }
+
+    /// Multiplicative Chernoff lower bound:
+    /// `P[X ≤ (1−δ)µ] ≤ exp(−δ²µ/2)` for `δ ∈ [0, 1]`.
+    fn chernoff_lower(mean: f64, delta: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&delta) && mean >= 0.0);
+        (-(delta * delta) * mean / 2.0).exp()
+    }
 
     #[test]
     fn relative_entropy_zero_iff_equal() {
@@ -189,14 +141,15 @@ mod tests {
 
     #[test]
     fn upper_tail_bound_dominates_exact_tail() {
-        // The bound must be ≥ the exact binomial tail.
+        // Ineq. (49)'s bound at (1+δ)p = a must be ≥ the exact binomial
+        // tail P[X ≥ a·n].
         let n = 200u64;
         let p = 0.1;
         let d = Binomial::new(n, p).unwrap();
         for &a in &[0.15, 0.2, 0.3, 0.5] {
             let k = (a * n as f64).ceil() as u64;
             let exact = d.sf(k - 1).unwrap(); // P[X ≥ k]
-            let bound = binomial_upper_tail_bound(n, p, a).unwrap();
+            let bound = adversary_tail_bound(n, p, a / p - 1.0).unwrap();
             assert!(
                 bound + 1e-12 >= exact,
                 "a={a}: bound {bound} < exact {exact}"
@@ -206,13 +159,15 @@ mod tests {
 
     #[test]
     fn lower_tail_bound_dominates_exact_tail() {
+        // The Arratia–Gordon lower tail, P[X ≤ a·n] ≤ exp(−n·D(a‖p))
+        // for a ≤ p, checks `relative_entropy` below the mean.
         let n = 200u64;
         let p = 0.5;
         let d = Binomial::new(n, p).unwrap();
         for &a in &[0.45, 0.4, 0.3, 0.1] {
             let k = (a * n as f64).floor() as u64;
             let exact = d.cdf(k).unwrap(); // P[X ≤ k]
-            let bound = binomial_lower_tail_bound(n, p, a).unwrap();
+            let bound = (-(n as f64) * relative_entropy(a, p).unwrap()).exp();
             assert!(
                 bound + 1e-12 >= exact,
                 "a={a}: bound {bound} < exact {exact}"
@@ -254,11 +209,5 @@ mod tests {
                 "delta={delta}: entropy {entropy} > chernoff {chernoff}"
             );
         }
-    }
-
-    #[test]
-    fn hoeffding_known_value() {
-        let b = hoeffding_two_sided(100, 0.1);
-        assert!((b - 2.0 * (-2.0f64).exp()).abs() < 1e-12);
     }
 }

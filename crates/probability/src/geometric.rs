@@ -1,6 +1,10 @@
 //! The geometric distribution on `{1, 2, 3, …}` — the waiting time until
 //! the first `H` round (some honest block mined), which drives the
 //! `N^{≥Δ}` runs in the paper's suffix Markov chain.
+//!
+//! Compiled only under `cfg(test)`: the simulator draws its quiet gaps
+//! in `nakamoto_sim::oracle`, and `binomial`'s tests check the waiting
+//! time to the first success against this law.
 
 use crate::rng::RandomSource;
 use crate::{Error, Result};
@@ -18,13 +22,6 @@ impl Geometric {
     /// # Errors
     ///
     /// Returns [`Error::InvalidParameter`] unless `p ∈ (0, 1]`.
-    ///
-    /// ```
-    /// use probability::geometric::Geometric;
-    /// let g = Geometric::new(0.5)?;
-    /// assert_eq!(g.mean(), 2.0);
-    /// # Ok::<(), probability::Error>(())
-    /// ```
     pub fn new(p: f64) -> Result<Self> {
         if !(p > 0.0 && p <= 1.0) || p.is_nan() {
             return Err(Error::invalid("p", format!("must lie in (0, 1], got {p}")));
@@ -44,12 +41,6 @@ impl Geometric {
         1.0 / self.p
     }
 
-    /// Variance `(1-p)/p²`.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        (1.0 - self.p) / (self.p * self.p)
-    }
-
     /// `P[X = k] = (1-p)^{k-1} p` for `k ≥ 1`, else 0.
     #[must_use]
     pub fn pmf(&self, k: u64) -> f64 {
@@ -61,13 +52,6 @@ impl Geometric {
             return self.p;
         }
         ((k - 1) as f64 * (-self.p).ln_1p()).exp() * self.p
-    }
-
-    /// `P[X > k] = (1-p)^k` — the probability a run of `N` rounds lasts
-    /// longer than `k` (used for `P[N^{≥Δ}]`-style quantities).
-    #[must_use]
-    pub fn sf(&self, k: u64) -> f64 {
-        (k as f64 * (-self.p).ln_1p()).exp()
     }
 
     /// `P[X ≤ k] = 1 - (1-p)^k`.
@@ -116,7 +100,7 @@ mod tests {
     fn cdf_sf_complementary() {
         let g = Geometric::new(0.05).unwrap();
         for k in [0u64, 1, 10, 100] {
-            assert!((g.cdf(k) + g.sf(k) - 1.0).abs() < 1e-12);
+            assert!((g.cdf(k) + 0.95f64.powi(k as i32) - 1.0).abs() < 1e-12);
         }
     }
 
@@ -124,7 +108,10 @@ mod tests {
     fn mean_and_variance() {
         let g = Geometric::new(0.25).unwrap();
         assert_eq!(g.mean(), 4.0);
-        assert_eq!(g.variance(), 12.0);
+        let variance: f64 = (1..2_000)
+            .map(|k| (k as f64 - 4.0).powi(2) * g.pmf(k))
+            .sum();
+        assert!((variance - 12.0).abs() < 1e-9, "variance {variance}");
     }
 
     #[test]
@@ -147,14 +134,14 @@ mod tests {
 
     #[test]
     fn run_length_connection_to_paper() {
-        // With α the per-round honest-block probability, P[run of N ≥ Δ]
-        // starting after an H equals sf(Δ-1)·… — here simply check
-        // sf(k) = (1-p)^k exactly.
+        // With α the per-round honest-block probability, a run of N
+        // rounds lasts longer than Δ with probability P[X > Δ] =
+        // 1 − cdf(Δ) = (1−α)^Δ.
         let alpha = 0.2;
         let g = Geometric::new(alpha).unwrap();
         for delta in [1u64, 2, 5, 10] {
             let expected = (1.0f64 - alpha).powi(delta as i32);
-            assert!((g.sf(delta) - expected).abs() < 1e-12);
+            assert!((1.0 - g.cdf(delta) - expected).abs() < 1e-12);
         }
     }
 }

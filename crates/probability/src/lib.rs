@@ -5,15 +5,11 @@
 //! simulation result is bit-reproducible. It provides:
 //!
 //! * [`special`] — log-gamma, log-binomial-coefficient, regularized
-//!   incomplete beta, error function.
-//! * [`logfloat`] — [`LogFloat`](logfloat::LogFloat), a non-negative real
-//!   stored as its natural logarithm, for quantities like `ᾱ^{2Δ}` with
-//!   `Δ = 10¹³` that underflow `f64`.
-//! * [`binomial`], [`geometric`] — the distributions the paper's round
-//!   model is built from (Eqs. 7–9 of the paper).
-//! * [`chernoff`] — relative entropy and the binomial tail bounds used in
-//!   Inequality (49) (Arratia–Gordon) plus standard multiplicative
-//!   Chernoff and Hoeffding bounds.
+//!   incomplete beta.
+//! * [`binomial`] — the distribution the paper's round model is built
+//!   from (Eqs. 7–9 of the paper).
+//! * [`chernoff`] — relative entropy and the binomial tail bound used in
+//!   Inequality (49) (Arratia–Gordon).
 //! * [`rootfind`] — bisection and Brent's method, used to invert bound
 //!   curves (e.g. solving `2µ/ln(µ/ν) = c` for `ν_max`).
 //! * [`rare_event`] — the per-level product estimate and relative-error
@@ -36,8 +32,10 @@
 
 pub mod binomial;
 pub mod chernoff;
-pub mod geometric;
-pub mod logfloat;
+#[cfg(test)]
+mod geometric;
+#[cfg(test)]
+mod logfloat;
 pub mod rare_event;
 pub mod rng;
 pub mod rootfind;

@@ -2,8 +2,10 @@
 //!
 //! The paper's central quantity `ᾱ^{2Δ}·α₁` with `Δ = 10¹³` underflows
 //! `f64` catastrophically in linear space (`ᾱ^{2Δ} = exp(2Δ·µn·ln(1-p))`
-//! can be `exp(-10⁸)` or smaller in parameter sweeps). All bound
-//! computations in `consistency-core` therefore run on [`LogFloat`].
+//! can be `exp(-10⁸)` or smaller in parameter sweeps). The bound
+//! computations in `consistency_core` keep such quantities as plain
+//! `f64` logarithms, so this module is compiled only under `cfg(test)`,
+//! where its tests pin the log-space arithmetic.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -13,18 +15,6 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign};
 ///
 /// `LogFloat::ZERO` is represented by `ln = -inf`. Multiplication and
 /// division are exact (log addition); addition uses log-sum-exp.
-///
-/// # Examples
-///
-/// ```
-/// use probability::logfloat::LogFloat;
-///
-/// let tiny = LogFloat::from_ln(-1e6);   // exp(-1e6), far below f64 range
-/// let tinier = tiny * tiny;
-/// assert_eq!(tinier.ln(), -2e6);
-/// assert!(tinier < tiny);
-/// assert_eq!(tiny / tiny, LogFloat::ONE);
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogFloat {
     ln: f64,
@@ -73,14 +63,6 @@ impl LogFloat {
         self.ln
     }
 
-    /// Converts to linear space (may underflow to `0.0` or overflow to
-    /// `+inf`; that is the caller's explicit choice).
-    #[inline]
-    #[must_use]
-    pub fn to_f64(self) -> f64 {
-        self.ln.exp()
-    }
-
     /// Returns `true` iff the value is exactly zero.
     #[inline]
     #[must_use]
@@ -89,12 +71,6 @@ impl LogFloat {
     }
 
     /// Integer power (exact in log space).
-    ///
-    /// ```
-    /// use probability::logfloat::LogFloat;
-    /// let half = LogFloat::new(0.5);
-    /// assert!((half.powi(10).to_f64() - 1.0 / 1024.0).abs() < 1e-18);
-    /// ```
     #[must_use]
     pub fn powi(self, exponent: i64) -> Self {
         if self.is_zero() {
@@ -136,17 +112,6 @@ impl LogFloat {
         LogFloat {
             ln: self.ln + crate::special::ln_1m_exp(ratio_ln),
         }
-    }
-
-    /// Complement `1 - self` for values in `[0, 1]`, computed stably.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self > 1`.
-    #[must_use]
-    pub fn complement(self) -> LogFloat {
-        assert!(self.ln <= 0.0, "complement requires a value in [0, 1]");
-        LogFloat::ONE.saturating_sub(self)
     }
 }
 
@@ -263,6 +228,14 @@ impl std::iter::Product for LogFloat {
 mod tests {
     use super::*;
 
+    impl LogFloat {
+        /// The value in linear space (may underflow to `0.0` or
+        /// overflow to `+inf`).
+        fn to_f64(self) -> f64 {
+            self.ln.exp()
+        }
+    }
+
     #[test]
     fn zero_and_one_constants() {
         assert!(LogFloat::ZERO.is_zero());
@@ -319,7 +292,7 @@ mod tests {
     fn complement_stable_near_one() {
         // 1 - (1 - 1e-18) should keep ~1e-18, not cancel to 0.
         let nearly_one = LogFloat::from_ln(-(1e-18f64));
-        let c = nearly_one.complement();
+        let c = LogFloat::ONE.saturating_sub(nearly_one);
         assert!((c.ln() - (1e-18f64).ln()).abs() < 1e-6);
     }
 

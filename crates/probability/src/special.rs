@@ -235,31 +235,25 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
     }
 }
 
-/// Error function `erf(x)`, accurate to ~1.2e-7 absolute (Abramowitz &
-/// Stegun 7.1.26 with the sign extension), sufficient for the normal-tail
-/// sanity checks in tests; not used on any accuracy-critical path.
-#[must_use]
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.327_591_1 * x);
-    let y = 1.0
-        - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736) * t
-            + 0.254_829_592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
-/// Standard normal CDF `Φ(x)` via [`erf`].
-#[must_use]
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Error function `erf(x)`, accurate to ~1.2e-7 absolute (Abramowitz &
+    /// Stegun 7.1.26 with the sign extension), sufficient for the normal-tail
+    /// sanity checks here.
+    fn erf(x: f64) -> f64 {
+        let sign = if x < 0.0 { -1.0 } else { 1.0 };
+        let x = x.abs();
+        let t = 1.0 / (1.0 + 0.327_591_1 * x);
+        let y = 1.0
+            - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
+                * t
+                + 0.254_829_592)
+                * t
+                * (-x * x).exp();
+        sign * y
+    }
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!(
@@ -391,6 +385,8 @@ mod tests {
 
     #[test]
     fn std_normal_cdf_median_and_tails() {
+        // Φ(x) = (1 + erf(x/√2))/2.
+        let std_normal_cdf = |x: f64| 0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2));
         assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-4);
         assert!(std_normal_cdf(-8.0) < 1e-14);

@@ -65,12 +65,6 @@ impl Extend<f64> for NeumaierSum {
     }
 }
 
-/// Compensated sum of a slice.
-#[must_use]
-pub fn compensated_sum(xs: &[f64]) -> f64 {
-    xs.iter().copied().collect::<NeumaierSum>().value()
-}
-
 /// Pairwise (cascade) summation: O(log n) error growth, cache-friendly.
 #[must_use]
 pub fn pairwise_sum(xs: &[f64]) -> f64 {
@@ -95,7 +89,7 @@ pub fn pairwise_sum(xs: &[f64]) -> f64 {
 ///     m.push(x);
 /// }
 /// assert_eq!(m.mean(), 5.0);
-/// assert_eq!(m.population_variance(), 4.0);
+/// assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningMoments {
@@ -131,17 +125,6 @@ impl RunningMoments {
         self.mean
     }
 
-    /// Population variance (divides by n).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no observations have been added.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        assert!(self.count > 0, "variance of empty accumulator");
-        self.m2 / self.count as f64
-    }
-
     /// Unbiased sample variance (divides by n − 1).
     ///
     /// # Panics
@@ -170,6 +153,10 @@ impl RunningMoments {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compensated_sum(xs: &[f64]) -> f64 {
+        xs.iter().copied().collect::<NeumaierSum>().value()
+    }
 
     #[test]
     fn neumaier_recovers_cancelled_term() {
@@ -213,15 +200,14 @@ mod tests {
         }
         assert_eq!(m.count(), 8);
         assert_eq!(m.mean(), 5.0);
-        assert_eq!(m.population_variance(), 4.0);
         assert!((m.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert!(m.standard_error() > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "empty accumulator")]
+    #[should_panic(expected = "at least 2 observations")]
     fn variance_of_empty_panics() {
-        let _ = RunningMoments::new().population_variance();
+        let _ = RunningMoments::new().sample_variance();
     }
 
     #[test]

@@ -209,12 +209,6 @@ impl PrivateChainAdversary {
         }
     }
 
-    /// Current number of withheld blocks.
-    #[must_use]
-    pub fn withheld_len(&self) -> usize {
-        self.withheld.len()
-    }
-
     /// Dormant-fork bookkeeping (see [`Strategy`]): adopts `best` and
     /// drops the withheld fork iff the fork has strictly fallen behind
     /// — exactly the strategy's own first move on its next
@@ -463,6 +457,13 @@ mod tests {
     use crate::compose::SubSpec;
     use crate::config::SimConfig;
     use crate::execution::run_simulation;
+
+    impl PrivateChainAdversary {
+        /// Current number of withheld blocks.
+        pub(crate) fn withheld_len(&self) -> usize {
+            self.withheld.len()
+        }
+    }
 
     fn tree_with_public_chain(len: u64) -> (BlockTree, BlockId) {
         let mut tree = BlockTree::new();

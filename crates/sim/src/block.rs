@@ -46,20 +46,6 @@ pub enum Provenance {
     Genesis,
 }
 
-impl Provenance {
-    /// `true` iff the block was mined by an honest miner.
-    #[must_use]
-    pub fn is_honest(self) -> bool {
-        matches!(self, Provenance::Honest(_))
-    }
-
-    /// `true` iff the block was mined by the adversary.
-    #[must_use]
-    pub fn is_adversary(self) -> bool {
-        matches!(self, Provenance::Adversary)
-    }
-}
-
 /// Block metadata stored in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Block {
@@ -75,14 +61,6 @@ pub struct Block {
     pub provenance: Provenance,
 }
 
-impl Block {
-    /// `true` iff this is the genesis block.
-    #[must_use]
-    pub fn is_genesis(&self) -> bool {
-        self.id == BlockId::GENESIS
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,16 +69,6 @@ mod tests {
     fn genesis_constants() {
         assert_eq!(BlockId::GENESIS.index(), 0);
         assert_eq!(BlockId::GENESIS.to_string(), "#0");
-    }
-
-    #[test]
-    fn provenance_predicates() {
-        assert!(Provenance::Honest(0).is_honest());
-        assert!(!Provenance::Honest(1).is_adversary());
-        assert!(Provenance::Adversary.is_adversary());
-        assert!(!Provenance::Adversary.is_honest());
-        assert!(!Provenance::Genesis.is_honest());
-        assert!(!Provenance::Genesis.is_adversary());
     }
 
     #[test]

@@ -118,12 +118,6 @@ impl SimConfig {
         self.n_miners - self.n_adversary()
     }
 
-    /// The honest fraction `µ = 1 − ν`.
-    #[must_use]
-    pub fn honest_fraction(&self) -> f64 {
-        1.0 - self.adversary_fraction
-    }
-
     /// The paper's `c = 1/(pnΔ)`: expected number of Δ-delays before any
     /// block is mined.
     #[must_use]
@@ -167,7 +161,6 @@ mod tests {
         let cfg = base();
         assert_eq!(cfg.n_adversary(), 250);
         assert_eq!(cfg.n_honest(), 750);
-        assert_eq!(cfg.honest_fraction(), 0.75);
     }
 
     #[test]

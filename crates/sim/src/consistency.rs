@@ -90,15 +90,6 @@ impl ChainTracker {
         self.base_height
     }
 
-    /// The adopted block of `group` at absolute `height`. Returns
-    /// `None` if the chain is not that tall *or* the entry has been
-    /// pruned away (below [`ChainTracker::base_height`]).
-    #[must_use]
-    pub fn block_at(&self, group: usize, height: u64) -> Option<BlockId> {
-        let idx = height.checked_sub(self.base_height)?;
-        self.chains[group].get(idx as usize).copied()
-    }
-
     /// Discards chain entries below absolute height `floor` for every
     /// group. The caller must pass a finalized height: one at which all
     /// groups agree and below which no future reorg can reach (the
@@ -272,6 +263,16 @@ mod randomized_tests {
     use crate::block::Provenance;
     use crate::tree::BlockTree;
     use probability::rng::{RandomSource, SplitMix64};
+
+    impl ChainTracker {
+        /// The adopted block of `group` at absolute `height`. Returns
+        /// `None` if the chain is not that tall *or* the entry has been
+        /// pruned away (below `base_height`).
+        pub(crate) fn block_at(&self, group: usize, height: u64) -> Option<BlockId> {
+            let idx = height.checked_sub(self.base_height)?;
+            self.chains[group].get(idx as usize).copied()
+        }
+    }
 
     /// Random tree growth + adoption script: (action, argument) pairs where
     /// action 0 extends a random existing block, action 1 offers a random

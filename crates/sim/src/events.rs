@@ -298,20 +298,6 @@ impl SuffixTracker {
             self.state_idx = idx + climb;
         }
     }
-
-    /// Empirical state distribution (occupancy / rounds counted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no rounds have been counted yet.
-    #[must_use]
-    pub fn empirical_distribution(&self) -> Vec<f64> {
-        assert!(self.rounds_counted > 0, "no rounds counted yet");
-        self.occupancy
-            .iter()
-            .map(|&c| c as f64 / self.rounds_counted as f64)
-            .collect()
-    }
 }
 
 /// Streaming count of convergence opportunities
@@ -647,8 +633,6 @@ mod tests {
         }
         let sum: u64 = t.occupancy().iter().sum();
         assert_eq!(sum, t.rounds_counted());
-        let dist = t.empirical_distribution();
-        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 }
 

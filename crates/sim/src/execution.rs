@@ -225,15 +225,6 @@ impl<A: Adversary> Simulation<A> {
         &mut self.adversary
     }
 
-    /// Snapshot of the mining generator state (see
-    /// [`crate::oracle::MiningOracle::rng_clone`]); the scenario
-    /// phase-boundary tests use this to compare a reconfigured engine
-    /// against a from-scratch engine started at the boundary.
-    #[must_use]
-    pub fn mining_rng(&self) -> Xoshiro256PlusPlus {
-        self.oracle.rng_clone()
-    }
-
     /// Replaces the mining generator with `rng`, discarding the
     /// buffered quiet-gap outcome (and its captured sub-adversary
     /// split) sampled from the old stream. This is the splitting
@@ -754,6 +745,15 @@ pub fn run_simulation<A: Adversary>(config: SimConfig, adversary: A, rounds: u64
 mod tests {
     use super::*;
     use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+
+    impl<A: Adversary> Simulation<A> {
+        /// Snapshot of the mining generator state; the scenario
+        /// phase-boundary tests use this to compare a reconfigured
+        /// engine against a from-scratch engine started at the boundary.
+        pub(crate) fn mining_rng(&self) -> Xoshiro256PlusPlus {
+            self.oracle.rng_clone()
+        }
+    }
     use crate::compose::{ComposedAdversary, Composition, SubSpec};
     use crate::scenario::StrategyKind;
     use crate::selfish::SelfishMiningAdversary;

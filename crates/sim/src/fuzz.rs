@@ -25,9 +25,10 @@
 //!    scenario total.
 //!
 //! A violation aborts the run with a [`FuzzFailure`] carrying the full
-//! sampled case as a TOML repro ([`FuzzFailure::repro_toml`]) plus the
-//! `(master_seed, case)` pair that regenerates it exactly via
-//! [`run_case`]. CI runs a few thousand cases per PR with a
+//! sampled case as a TOML repro ([`FuzzFailure::repro_toml`]) whose
+//! `[fuzz]` header holds the `(master_seed, case)` pair that
+//! `scenario_fuzz --replay` regenerates it from exactly. CI runs a few
+//! thousand cases per PR with a
 //! run-unique seed and uploads the repro as an artifact on failure.
 //!
 //! # Example
@@ -70,7 +71,7 @@ pub struct FuzzFailure {
     /// Master seed the fuzzer ran with.
     pub master_seed: u64,
     /// Index of the failing case under that seed (replay with
-    /// [`run_case`]).
+    /// `scenario_fuzz --replay`).
     pub case: u64,
     /// Which invariant was violated.
     pub invariant: &'static str,
@@ -104,8 +105,7 @@ impl FuzzFailure {
     pub fn repro_toml(&self) -> String {
         let mut out = String::new();
         out.push_str("# scenario_fuzz failing case\n");
-        out.push_str("# replay: scenario_fuzz --replay <this file>, or\n");
-        out.push_str("#         nakamoto_sim::fuzz::run_case(master_seed, case)\n");
+        out.push_str("# replay: scenario_fuzz --replay <this file>\n");
         out.push_str(&self.to_spec().to_toml());
         out
     }
@@ -160,7 +160,7 @@ impl ScenarioFuzzer {
     /// # Errors
     ///
     /// Returns a [`FuzzFailure`] describing the first violated
-    /// invariant, replayable via [`run_case`].
+    /// invariant, replayable with `scenario_fuzz --replay`.
     pub fn run(&mut self, budget: u64) -> Result<FuzzStats, Box<FuzzFailure>> {
         let mut stats = FuzzStats {
             cases: 0,
@@ -194,25 +194,6 @@ impl ScenarioFuzzer {
         }
         Ok(stats)
     }
-}
-
-/// Replays a single case of a fuzz run: regenerates the scenario for
-/// `(master_seed, case)` and re-checks every invariant.
-///
-/// # Errors
-///
-/// Returns the same [`FuzzFailure`] the original run reported.
-pub fn run_case(master_seed: u64, case: u64) -> Result<(), Box<FuzzFailure>> {
-    let scenario = sample_scenario(master_seed, case);
-    check_scenario(&scenario).map_err(|(invariant, detail)| {
-        Box::new(FuzzFailure {
-            master_seed,
-            case,
-            invariant,
-            detail,
-            scenario,
-        })
-    })
 }
 
 /// The scenario the generator samples for `(master_seed, case)` — the
@@ -431,7 +412,7 @@ mod tests {
         assert_eq!(a, b);
         let c = sample_scenario(42, 8);
         assert_ne!(a, c, "distinct cases sample distinct scenarios");
-        assert!(run_case(42, 7).is_ok());
+        assert!(check_scenario(&sample_scenario(42, 7)).is_ok());
     }
 
     /// The generator must actually exercise the interesting corners:

@@ -62,12 +62,6 @@ impl SimReport {
         self.chain_honest_blocks as f64 / total as f64
     }
 
-    /// Empirical convergence-opportunity rate `C/T`.
-    #[must_use]
-    pub fn convergence_rate(&self) -> f64 {
-        self.convergence_opportunities as f64 / self.rounds as f64
-    }
-
     /// Empirical adversary block rate `A/T`.
     #[must_use]
     pub fn adversary_rate(&self) -> f64 {
@@ -117,7 +111,6 @@ mod tests {
         let r = report();
         assert!((r.chain_growth_rate() - 0.07).abs() < 1e-12);
         assert!((r.chain_quality() - 60.0 / 70.0).abs() < 1e-12);
-        assert!((r.convergence_rate() - 0.025).abs() < 1e-12);
         assert!((r.adversary_rate() - 0.01).abs() < 1e-12);
         assert_eq!(r.convergence_margin(), 15);
     }

@@ -7,19 +7,15 @@
 //! oracle samples those counts directly instead of looping over miners,
 //! which is what makes 10⁷-round runs feasible.
 //!
-//! Two sampling interfaces are offered:
-//!
-//! * [`MiningOracle::sample_round`] — one round at a time, the model's
-//!   literal transcription.
-//! * [`MiningOracle::sample_gap_to_success`] — samples the geometric
-//!   gap to the next round in which *any* miner succeeds, together with
-//!   that round's block counts conditioned on at least one success.
-//!   Because all miners share the same per-query success probability
-//!   `p`, the round total is `binom(n, p)` and, given the total, the
-//!   split across the subpopulations (two honest groups + adversary) is
-//!   multivariate hypergeometric. This is what the simulator's
-//!   quiet-round fast-forward runs on: empty rounds are skipped in O(1)
-//!   instead of being sampled one by one.
+//! The engine samples through [`MiningOracle::sample_gap_to_success`]:
+//! the geometric gap to the next round in which *any* miner succeeds,
+//! together with that round's block counts conditioned on at least one
+//! success. Because all miners share the same per-query success
+//! probability `p`, the round total is `binom(n, p)` and, given the
+//! total, the split across the subpopulations (two honest groups +
+//! adversary) is multivariate hypergeometric. This is what the
+//! simulator's quiet-round fast-forward runs on: empty rounds are
+//! skipped in O(1) instead of being sampled one by one.
 
 use probability::binomial::Binomial;
 use probability::rng::{RandomSource, Xoshiro256PlusPlus};
@@ -186,8 +182,6 @@ impl GapSampler {
 /// Samples per-round block counts for honest groups and the adversary.
 #[derive(Debug, Clone)]
 pub struct MiningOracle {
-    group_dists: [Option<Binomial>; 2],
-    adversary_dist: Option<Binomial>,
     /// Subpopulation sizes `[group 0, group 1, adversary]`.
     sizes: [u64; 3],
     /// Optional further subdivision of the adversary class into
@@ -216,8 +210,6 @@ impl MiningOracle {
     #[must_use]
     pub fn new(group_sizes: [u64; 2], n_adversary: u64, p: f64, rng: Xoshiro256PlusPlus) -> Self {
         let mut oracle = MiningOracle {
-            group_dists: [None, None],
-            adversary_dist: None,
             sizes: [0; 3],
             sub_sizes: Vec::new(),
             last_split: Vec::new(),
@@ -242,18 +234,12 @@ impl MiningOracle {
     /// Panics if `p ∉ (0, 1)` while any miner exists (same contract as
     /// [`MiningOracle::new`]; validated upstream by `SimConfig`).
     pub fn reconfigure(&mut self, group_sizes: [u64; 2], n_adversary: u64, p: f64) {
-        let make = |n: u64| {
-            if n == 0 {
-                None
-            } else {
-                // detlint: allow(panic-expect) -- SimConfig validation bounds the hardness p to (0, 1]
-                Some(Binomial::new(n, p).expect("hardness validated by SimConfig"))
-            }
-        };
         let sizes = [group_sizes[0], group_sizes[1], n_adversary];
         let n_total: u64 = sizes.iter().sum();
-        self.group_dists = [make(group_sizes[0]), make(group_sizes[1])];
-        self.adversary_dist = make(n_adversary);
+        assert!(
+            n_total == 0 || (0.0..=1.0).contains(&p),
+            "hardness validated by SimConfig"
+        );
         self.sizes = sizes;
         self.gap = GapSampler::new(n_total, p);
         // A reconfigure invalidates any previously configured adversary
@@ -355,15 +341,6 @@ impl MiningOracle {
         }
     }
 
-    /// Snapshot of the oracle's generator state. Used by the scenario
-    /// phase-boundary tests to prove that [`MiningOracle::reconfigure`]
-    /// is indistinguishable from starting a fresh oracle at the
-    /// boundary.
-    #[must_use]
-    pub fn rng_clone(&self) -> Xoshiro256PlusPlus {
-        self.rng.clone()
-    }
-
     /// Replaces the oracle's generator with `rng`, leaving every
     /// distribution untouched. The splitting estimator uses this to
     /// hand a cloned entrance state its own disjoint stream; callers
@@ -373,37 +350,16 @@ impl MiningOracle {
         self.rng = rng;
     }
 
-    /// Samples one round.
-    pub fn sample_round(&mut self) -> RoundOutcome {
-        let mut honest_per_group = [0u64; 2];
-        for (slot, dist) in honest_per_group.iter_mut().zip(self.group_dists.iter()) {
-            if let Some(d) = dist {
-                *slot = d.sample(&mut self.rng);
-            }
-        }
-        let adversary = self
-            .adversary_dist
-            .as_ref()
-            .map_or(0, |d| d.sample(&mut self.rng));
-        // Conditional on the class total, the sub-class split is the
-        // same hypergeometric law the gap interface uses (binomial
-        // splitting), so both interfaces agree on the joint law.
-        self.split_adversary(adversary);
-        RoundOutcome {
-            honest_per_group,
-            adversary,
-        }
-    }
-
     /// Samples the gap to the next round with at least one success and
     /// that round's outcome: returns `(g, outcome)` meaning rounds
     /// `1..g` (relative, 1-based) are all-quiet and round `g` mines
     /// `outcome` (which has ≥ 1 success). Returns `None` when no miner
     /// exists (the gap would be infinite).
     ///
-    /// Distribution: exactly the law of repeatedly calling
-    /// [`MiningOracle::sample_round`] until a non-quiet round appears —
-    /// only the random-number *stream* differs, not the statistics.
+    /// Distribution: exactly the law of sampling the model's rounds one
+    /// at a time until a non-quiet round appears — only the
+    /// random-number *stream* differs, not the statistics (the tests
+    /// check it against a per-round sampler).
     pub fn sample_gap_to_success(&mut self) -> Option<(u64, RoundOutcome)> {
         let gap = self.gap.as_ref()?;
         let g = gap.sample_gap(&mut self.rng);
@@ -436,22 +392,60 @@ impl MiningOracle {
             },
         ))
     }
-
-    /// The probability that no honest miner succeeds in one round —
-    /// the paper's `ᾱ` restricted to this oracle's honest population.
-    #[must_use]
-    pub fn alpha_bar(&self) -> f64 {
-        self.group_dists
-            .iter()
-            .flatten()
-            .map(|d| d.prob_zero())
-            .product()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MiningOracle {
+        /// The binomial law of one round's successes in a subpopulation
+        /// of `n` miners (`None` for an empty one).
+        fn round_law(&self, n: u64) -> Option<Binomial> {
+            let p = self.gap.as_ref().map_or(0.0, |g| g.p);
+            (n > 0).then(|| Binomial::new(n, p).unwrap())
+        }
+
+        /// The probability that no honest miner succeeds in one round —
+        /// the paper's `ᾱ` restricted to this oracle's honest population.
+        fn alpha_bar(&self) -> f64 {
+            self.sizes[..2]
+                .iter()
+                .filter_map(|&n| self.round_law(n))
+                .map(|d| d.prob_zero())
+                .product()
+        }
+
+        /// Samples one round: the per-round law the gap interface is
+        /// checked against.
+        pub(crate) fn sample_round(&mut self) -> RoundOutcome {
+            let mut honest_per_group = [0u64; 2];
+            for (g, slot) in honest_per_group.iter_mut().enumerate() {
+                if let Some(d) = self.round_law(self.sizes[g]) {
+                    *slot = d.sample(&mut self.rng);
+                }
+            }
+            let adversary = self
+                .round_law(self.sizes[2])
+                .map_or(0, |d| d.sample(&mut self.rng));
+            // Conditional on the class total, the sub-class split is the
+            // same hypergeometric law the gap interface uses (binomial
+            // splitting), so both interfaces agree on the joint law.
+            self.split_adversary(adversary);
+            RoundOutcome {
+                honest_per_group,
+                adversary,
+            }
+        }
+
+        /// Snapshot of the oracle's generator state. Used by the
+        /// scenario phase-boundary tests to prove that
+        /// [`MiningOracle::reconfigure`] is indistinguishable from
+        /// starting a fresh oracle at the boundary.
+        pub(crate) fn rng_clone(&self) -> Xoshiro256PlusPlus {
+            self.rng.clone()
+        }
+    }
 
     fn rng(seed: u64) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::seed_from_u64(seed)

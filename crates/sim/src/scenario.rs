@@ -183,14 +183,6 @@ impl PhaseSpec {
         self
     }
 
-    /// Overrides the PoW hardness p for this phase (builder style) —
-    /// e.g. a difficulty-adjustment lag window.
-    #[must_use]
-    pub fn with_hardness(mut self, hardness: f64) -> Self {
-        self.hardness = Some(hardness);
-        self
-    }
-
     /// Sets the detectors' effective delay bound for this phase
     /// (builder style): at the boundary both streaming detectors are
     /// re-derived for `delta` — equivalent to fresh detectors, with the
@@ -807,7 +799,10 @@ mod tests {
         assert!(
             Scenario::new(
                 b,
-                vec![phase(10, StrategyKind::Honest, Regime::Calm).with_hardness(1.5)],
+                vec![PhaseSpec {
+                    hardness: Some(1.5),
+                    ..phase(10, StrategyKind::Honest, Regime::Calm)
+                }],
             )
             .is_err(),
             "invalid hardness override"
@@ -853,9 +848,10 @@ mod tests {
             base(0.1, 3),
             vec![
                 phase(10, StrategyKind::Honest, Regime::Calm),
-                phase(10, StrategyKind::Honest, Regime::Calm)
-                    .with_power(0.3)
-                    .with_hardness(1e-4),
+                PhaseSpec {
+                    hardness: Some(1e-4),
+                    ..phase(10, StrategyKind::Honest, Regime::Calm).with_power(0.3)
+                },
             ],
         )
         .unwrap();

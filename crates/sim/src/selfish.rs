@@ -53,12 +53,6 @@ impl SelfishMiningAdversary {
         self.races_started
     }
 
-    /// Current withheld-block count.
-    #[must_use]
-    pub fn withheld_len(&self) -> usize {
-        self.withheld.len()
-    }
-
     /// Dormant-fork bookkeeping (see
     /// [`crate::adversary::Strategy`]): abandons a fork the public
     /// chain `best` has strictly overtaken, and lets an empty fork
@@ -162,6 +156,13 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::execution::run_simulation;
+
+    impl SelfishMiningAdversary {
+        /// Current withheld-block count.
+        fn withheld_len(&self) -> usize {
+            self.withheld.len()
+        }
+    }
 
     /// Test convenience: run `act` into a fresh buffer.
     fn act_collect(

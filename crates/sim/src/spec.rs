@@ -953,7 +953,7 @@ pub struct SweepSpec {
 
 /// `[fuzz]`: replay coordinates stamped on a fuzz repro so the
 /// document regenerates its failing case exactly (see
-/// [`crate::fuzz::run_case`]).
+/// `scenario_fuzz --replay`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FuzzHeader {
     /// Master seed the fuzzer ran with.

@@ -169,18 +169,6 @@ impl BlockTree {
         self.block(id).parent
     }
 
-    /// Iterator over the chain from `tip` back to the tree root
-    /// (inclusive). On an unpruned tree the root is genesis, matching
-    /// the historical name; on a pruned tree the walk stops at the
-    /// pruned root.
-    #[must_use]
-    pub fn chain_to_genesis(&self, tip: BlockId) -> ChainIter<'_> {
-        ChainIter {
-            tree: self,
-            next: Some(tip),
-        }
-    }
-
     /// The ancestor of `id` at exactly `target_height`.
     ///
     /// # Panics
@@ -295,28 +283,6 @@ impl BlockTree {
     }
 }
 
-/// Iterator returned by [`BlockTree::chain_to_genesis`].
-#[derive(Debug, Clone)]
-pub struct ChainIter<'a> {
-    tree: &'a BlockTree,
-    next: Option<BlockId>,
-}
-
-impl<'a> Iterator for ChainIter<'a> {
-    type Item = &'a Block;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let id = self.next?;
-        let block = self.tree.block(id);
-        self.next = if id == self.tree.root {
-            None
-        } else {
-            Some(block.parent)
-        };
-        Some(block)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,7 +304,7 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.root(), BlockId::GENESIS);
         assert_eq!(t.height(BlockId::GENESIS), 0);
-        assert!(t.block(BlockId::GENESIS).is_genesis());
+        assert_eq!(t.block(BlockId::GENESIS).provenance, Provenance::Genesis);
     }
 
     #[test]
@@ -362,7 +328,7 @@ mod tests {
     #[test]
     fn chain_iteration_order() {
         let (t, a, b, c, _) = fixture();
-        let ids: Vec<BlockId> = t.chain_to_genesis(c).map(|blk| blk.id).collect();
+        let ids: Vec<BlockId> = (0..=3).rev().map(|h| t.ancestor_at_height(c, h)).collect();
         assert_eq!(ids, vec![c, b, a, BlockId::GENESIS]);
     }
 
@@ -439,9 +405,6 @@ mod tests {
         // pruned root itself (1 adversary).
         assert_eq!(t.chain_composition(h5), before);
         assert_eq!(t.chain_composition(h5), (4, 1));
-        // Walks stop at the pruned root.
-        let ids: Vec<BlockId> = t.chain_to_genesis(h5).map(|blk| blk.id).collect();
-        assert_eq!(ids, vec![h5, h4, a3]);
         assert!(t.is_ancestor(a3, h5));
         assert_eq!(t.ancestor_at_height(h5, 3), a3);
         assert_eq!(t.common_ancestor(h5, h4), h4);

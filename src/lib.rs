@@ -5,10 +5,11 @@
 //!
 //! The workspace is organised bottom-up:
 //!
-//! * [`probability`] — numerical substrate (distributions, tail bounds,
-//!   log-space arithmetic, deterministic RNG, root finding).
+//! * [`probability`] — numerical substrate (the binomial law, tail
+//!   bounds, deterministic RNG, root finding, compensated sums).
 //! * [`markov`] — finite discrete-time Markov chains (stationary
-//!   distributions, mixing times, concentration bounds, random walks).
+//!   distributions, mixing times, concentration bounds, the
+//!   private-chain race).
 //! * [`nakamoto_sim`] — a round-based simulator of Nakamoto's protocol in
 //!   the Δ-delay asynchronous model.
 //! * [`consistency_core`] — the paper's contribution: the consistency

@@ -2,7 +2,7 @@
 //! below the neat bound the simulated protocol keeps consistency; under
 //! attack above the attack line it loses it.
 
-use blockchain_consistency::consistency_core::{numax, params::ProtocolParams, theorem1};
+use blockchain_consistency::consistency_core::{params::ProtocolParams, theorem1, theorem2};
 use blockchain_consistency::nakamoto_sim::adversary::{BalanceAdversary, PrivateChainAdversary};
 use blockchain_consistency::nakamoto_sim::config::SimConfig;
 use blockchain_consistency::nakamoto_sim::execution::run_simulation;
@@ -14,7 +14,7 @@ const ROUNDS: u64 = 150_000;
 #[test]
 fn safe_regime_stays_consistent_under_private_attack() {
     let nu = 0.15;
-    let neat = numax::c_required(nu);
+    let neat = theorem2::neat_bound(nu);
     // c three times the bound.
     let cfg = SimConfig::from_c(100, 4, neat * 3.0, nu, 42).unwrap();
     let report = run_simulation(cfg, PrivateChainAdversary::new(4), ROUNDS);
@@ -98,7 +98,7 @@ fn chain_quality_shape() {
 #[test]
 fn convergence_margin_sign_tracks_neat_bound() {
     let nu = 0.25;
-    let neat = numax::c_required(nu);
+    let neat = theorem2::neat_bound(nu);
     // Above the bound.
     let above = SimConfig::from_c(100, 2, neat * 2.0, nu, 47).unwrap();
     let above_report = run_simulation(above, PrivateChainAdversary::new(2), 400_000);
