@@ -11,7 +11,7 @@
 //! `compose_sweep` harnesses; the binaries only differ in how they
 //! pivot the flat cell list for display.
 
-use consistency_core::analytic::{self, AnalyticBounds, BoundVerdict};
+use consistency_core::analytic::{self, AnalyticBounds};
 use nakamoto_sim::exact::ExactRun;
 use nakamoto_sim::executor::{self, TaskKind};
 use nakamoto_sim::montecarlo::MonteCarloRun;
@@ -239,10 +239,8 @@ pub fn apply_budget(
 /// a Wilson 95% CI, a splitting estimate with its relative error, or
 /// the exact probability with its additive truncation bound — and the
 /// theorem-1 margin / consistency verdict columns of the analytic
-/// overlay. When a splitting cell is present, a `vs race bound` column
-/// holds its verdict against the race-analysis failure scale at the
-/// largest threshold. When an exact cell is present, a line under the
-/// table says what its value is.
+/// overlay. When a splitting or an exact cell is present, a line under
+/// the table says what its value is.
 pub fn print_table(results: &[CellResult]) {
     let mut table = String::new();
     write_table(&mut table, results).expect("writing to a String cannot fail");
@@ -254,7 +252,6 @@ pub fn print_table(results: &[CellResult]) {
 /// Writes [`print_table`]'s table to `out`.
 fn write_table(out: &mut String, results: &[CellResult]) -> fmt::Result {
     let thresholds: &[u64] = results.first().map_or(&[], |r| &r.spec.run.thresholds);
-    let has_race_column = results.iter().any(|r| r.splitting().is_some());
     // Each padded field's text is written into this one reused buffer,
     // then padded into `out`.
     let mut cell = String::new();
@@ -270,9 +267,6 @@ fn write_table(out: &mut String, results: &[CellResult]) -> fmt::Result {
         write!(cell, "P[¬{t}-cons]")?;
         write!(out, " {cell:>23}")?;
     }
-    if has_race_column {
-        write!(out, " {:>14}", "vs race bound")?;
-    }
     writeln!(out, " {:>13} {:>10}", "thm1 margin", "consistent")?;
     for result in results {
         cell.clear();
@@ -287,9 +281,6 @@ fn write_table(out: &mut String, results: &[CellResult]) -> fmt::Result {
             write_threshold_cell(&mut cell, result, t)?;
             write!(out, " {cell:>23}")?;
         }
-        if has_race_column {
-            write!(out, " {:>14}", race_verdict_cell(result, thresholds))?;
-        }
         match &result.analytic {
             Some(bounds) => writeln!(
                 out,
@@ -299,6 +290,13 @@ fn write_table(out: &mut String, results: &[CellResult]) -> fmt::Result {
             )?,
             None => writeln!(out, " {:>13} {:>10}", "—", "ν=0")?,
         }
+    }
+    if results.iter().any(|r| r.splitting().is_some()) {
+        writeln!(
+            out,
+            "splitting cells: the probability of a T-violation within `rounds` rounds \
+             under the cell's strategy"
+        )?;
     }
     if results.iter().any(|r| r.exact().is_some()) {
         writeln!(
@@ -340,33 +338,6 @@ fn write_threshold_cell(out: &mut String, result: &CellResult, t: u64) -> fmt::R
                 estimate.probability, estimate.truncation_error
             )
         }
-    }
-}
-
-/// The splitting estimate's verdict at the *largest* threshold — the
-/// cell the race-analysis comparison is about — under the
-/// three-standard-error rule; `—` for other cells or when no race bound
-/// applies.
-fn race_verdict_cell(result: &CellResult, thresholds: &[u64]) -> &'static str {
-    let (Some(&t), Some(bounds), Some(run)) = (
-        thresholds.iter().max(),
-        &result.analytic,
-        result.splitting(),
-    ) else {
-        return "—";
-    };
-    run.estimate_at(t)
-        .and_then(|e| bounds.compare_race_estimate(t, e.probability, e.standard_error()))
-        .map_or("—", |cmp| verdict_token(cmp.verdict))
-}
-
-/// The JSON/table token for a [`BoundVerdict`].
-#[must_use]
-pub fn verdict_token(verdict: BoundVerdict) -> &'static str {
-    match verdict {
-        BoundVerdict::WithinBound => "within-bound",
-        BoundVerdict::ExceedsBound => "exceeds-bound",
-        BoundVerdict::Inconclusive => "inconclusive",
     }
 }
 
@@ -481,7 +452,7 @@ fn write_json(out: &mut String, name: &str, results: &[CellResult]) -> fmt::Resu
         }
         match result.splitting() {
             None => writeln!(out, "      \"splitting\": null,")?,
-            Some(splitting) => write_splitting(out, splitting, result.analytic.as_ref())?,
+            Some(splitting) => write_splitting(out, splitting)?,
         }
         match result.exact() {
             None => writeln!(out, "      \"exact\": null,")?,
@@ -550,11 +521,7 @@ fn write_montecarlo(out: &mut String, run: &MonteCarloRun) -> fmt::Result {
     writeln!(out, "      }},")
 }
 
-fn write_splitting(
-    out: &mut String,
-    splitting: &SplittingRun,
-    analytic: Option<&AnalyticBounds>,
-) -> fmt::Result {
+fn write_splitting(out: &mut String, splitting: &SplittingRun) -> fmt::Result {
     writeln!(out, "      \"splitting\": {{")?;
     writeln!(
         out,
@@ -579,25 +546,15 @@ fn write_splitting(
         if j > 0 {
             out.write_str(", ")?;
         }
-        let comparison = analytic.and_then(|b| {
-            b.compare_race_estimate(
-                estimate.threshold,
-                estimate.probability,
-                estimate.standard_error(),
-            )
-        });
         write!(
             out,
             "{{\"threshold\": {}, \"probability\": {}, \"relative_error\": {}, \
-             \"standard_error\": {}, \"starved_at\": {}, \"race_bound\": {}, \
-             \"race_verdict\": {}}}",
+             \"standard_error\": {}, \"starved_at\": {}}}",
             estimate.threshold,
             Num(estimate.probability),
             OrNull(estimate.relative_error.map(Num)),
             OrNull(estimate.standard_error().map(Num)),
             OrNull(estimate.starved_at),
-            OrNull(comparison.map(|c| Num(c.bound))),
-            OrNull(comparison.map(|c| Quoted(verdict_token(c.verdict)))),
         )?;
     }
     writeln!(out, "]")?;
@@ -1036,9 +993,37 @@ mod tests {
         assert!(json_is_well_formed(&json), "malformed:\n{json}");
         assert!(json.contains("\"estimator\": \"splitting\""));
         assert!(json.contains("\"montecarlo\": null"));
-        assert!(json.contains("\"race_verdict\""));
-        assert!(json.contains("\"race_bound\""));
+        // Each estimate is the splitting number and its error bar, with
+        // no analytic reference beside it: no formula here answers the
+        // finite-horizon question the estimate does.
+        let keys = "threshold, probability, relative_error, standard_error, starved_at";
+        assert_eq!(estimate_keys(&json), [keys; 2]);
         print_table(&results); // must not panic
+    }
+
+    /// The `(key, value)` pairs of every object in the document's
+    /// `"estimates"` arrays, in the order written.
+    fn estimate_fields(json: &str) -> Vec<Vec<(&str, &str)>> {
+        json.lines()
+            .filter_map(|line| line.trim().strip_prefix("\"estimates\": [{"))
+            .flat_map(|objects| objects.trim_end_matches("}]").split("}, {"))
+            .map(|object| {
+                object
+                    .split(", ")
+                    .map(|field| {
+                        let (key, value) = field.split_once(": ").expect("a key-value pair");
+                        (key.trim_matches('"'), value)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Each estimate object's keys, joined by `", "`.
+    fn estimate_keys(json: &str) -> Vec<String> {
+        let fields = estimate_fields(json);
+        let keys = fields.iter().map(|o| o.iter().map(|&(key, _)| key));
+        keys.map(|k| k.collect::<Vec<_>>().join(", ")).collect()
     }
 
     #[test]
@@ -1080,14 +1065,14 @@ mod tests {
         assert!(cell.wilson().is_none(), "exact cells never sample");
         let exact = cell.exact().expect("markov backend selected");
         assert_eq!(exact.estimates.len(), 2);
-        // Exact cells carry no race verdict: it could never fail.
-        assert_eq!(race_verdict_cell(cell, &cell.spec.run.thresholds), "—");
         let json = to_json("markov", &results);
         assert!(json_is_well_formed(&json), "malformed:\n{json}");
         assert!(json.contains("\"backend\": \"markov\""));
         assert!(json.contains("\"montecarlo\": null"));
-        assert!(json.contains("\"truncation_error\""));
-        assert!(!json.contains("\"race_verdict\""));
+        // Exact cells carry no verdict beside the solve: it could never
+        // fail.
+        let keys = "threshold, probability, truncation_error, upper";
+        assert_eq!(estimate_keys(&json), [keys; 2]);
         print_table(&results); // must not panic
     }
 
@@ -1145,6 +1130,25 @@ mod tests {
         );
     }
 
+    /// A splitting cell's table: no column grades the estimate, and the
+    /// line under the table says what it is.
+    #[test]
+    fn splitting_table_bytes_are_pinned() {
+        let spec = ExperimentSpec::parse(SPLITTING_SPEC).unwrap();
+        let results = run_spec(&spec).unwrap();
+        let mut table = String::new();
+        write_table(&mut table, &results).unwrap();
+        assert_eq!(
+            table,
+            concat!(
+                "cell    depth              P[¬3-cons]              P[¬6-cons]   thm1 margin consistent\n",
+                "single      —           2.101e-1 ±30%           6.127e-2 ±43%        -0.727         no\n",
+                "splitting cells: the probability of a T-violation within `rounds` rounds under the \
+                 cell's strategy\n",
+            )
+        );
+    }
+
     /// Every document under `examples/golden/` belongs to a committed
     /// spec and is well-formed JSON. `bin_smoke` compares each spec's
     /// output with its golden byte for byte.
@@ -1175,6 +1179,28 @@ mod tests {
             }
             assert_eq!(goldens, specs, "{set}: one golden per committed spec");
         }
+    }
+
+    /// `splitting_horizon.toml`'s full-budget golden holds the evidence
+    /// the docs cite: the 20,000-round estimate exceeds the 2,500-round
+    /// one by more than three combined standard errors.
+    #[test]
+    fn splitting_estimates_grow_with_the_horizon() {
+        let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/golden_full/splitting_horizon.json");
+        let json = std::fs::read_to_string(golden).expect("golden readable");
+        let cells = estimate_fields(&json);
+        assert_eq!(cells.len(), 4, "one estimate per horizon");
+        let read = |cell: usize, key: &str| -> f64 {
+            let (_, value) = cells[cell].iter().find(|f| f.0 == key).expect(key);
+            value.parse().expect("a number")
+        };
+        let (short, long) = (read(0, "probability"), read(3, "probability"));
+        let se = read(0, "standard_error").hypot(read(3, "standard_error"));
+        assert!(
+            long - short > 3.0 * se,
+            "20k: {long:e}, 2.5k: {short:e}, se {se:e}"
+        );
     }
 
     /// `--trials` is the budget knob CI smokes with, so it must also

@@ -1,8 +1,8 @@
 //! Cross-backend agreement: the exact Markov backend beside the
 //! Monte-Carlo backend on the committed
 //! `examples/specs/markov_exact.toml` grid, plus the exact cell against
-//! the race module and the analytic scale. The suite also pins the
-//! truncation-error bound to observed cap sensitivity: doubling the
+//! the race module and the closed-form race scale. The suite also pins
+//! the truncation-error bound to observed cap sensitivity: doubling the
 //! race cap must move the answer by no more than the bound claimed at
 //! the smaller cap.
 
@@ -56,23 +56,22 @@ fn wilson_interval_contains_the_exact_answer_on_the_golden_grid() {
 }
 
 /// The exact cell's answers must agree with the race module called
-/// directly, and the analytic closed-form race scale must dominate
-/// them (the capped solve under-counts the infinite race).
+/// directly, and the closed-form race scale `(q/(1−q))^T` at the cell's
+/// `q_eff` must dominate them (the capped solve under-counts the
+/// infinite race).
 #[test]
 fn exact_cell_matches_the_race_solve_and_the_analytic_scale() {
     let spec = ExperimentSpec::parse(GOLDEN_SPEC).expect("committed spec parses");
     let results = experiment::run_spec(&spec).expect("committed spec runs");
     let cell = &results[0];
     let exact = cell.exact().expect("markov cell first");
-    let bounds = cell.analytic.as_ref().expect("ν > 0 carries bounds");
+    assert!(exact.q < 0.5, "q_eff = {} must be subcritical", exact.q);
     for estimate in &exact.estimates {
         let direct = race::violation_probability(exact.q, estimate.threshold, exact.cap)
             .expect("validated inputs");
         assert_eq!(estimate.probability, direct.probability);
         assert_eq!(estimate.truncation_error, direct.truncation_error);
-        let scale = bounds
-            .race_failure_scale(estimate.threshold)
-            .expect("q < ½ on the golden grid");
+        let scale = race::rho_pow(exact.q, estimate.threshold);
         // Allow the truncation bound plus float noise between the
         // capped closed form and the uncapped power.
         assert!(

@@ -213,6 +213,7 @@ fn experiment_entry_runs_every_committed_spec() {
         "model_gap",
         "rare_event",
         "scenario_sweep",
+        "splitting_horizon",
         "theorem1_check",
     ];
     let stems: Vec<_> = paths

@@ -8,12 +8,11 @@
 //! the region's three descriptions — Theorem 1's margin
 //! `ln(ᾱ^{2Δ}α₁) − ln(pνn)`, Theorem 2's neat bound `c > 2µ/ln(µ/ν)`,
 //! and Theorem 3's split conditions — into one [`AnalyticBounds`]
-//! record that the `experiment` harness attaches to each cell. For
-//! rare-event cells it additionally exposes the race-analysis failure
-//! scale ([`AnalyticBounds::race_failure_scale`]) and a
-//! three-standard-error bound-vs-estimate verdict
-//! ([`compare_to_bound`]) so splitting estimates can be judged against
-//! the theory they probe.
+//! record that the `experiment` harness attaches to each cell. The
+//! record places the cell's parameter point in that region; it grades
+//! no estimate, because a sampled cell counts `T`-violations within its
+//! own `rounds` under its own strategy, a question none of the three
+//! answers.
 //!
 //! # Example
 //!
@@ -29,10 +28,8 @@
 //! # Ok::<(), nakamoto_sim::config::ConfigError>(())
 //! ```
 
-use crate::catchup;
 use crate::params::ProtocolParams;
 use crate::{numax, pss, theorem1, theorem2, theorem3};
-use markov::race;
 use nakamoto_sim::config::SimConfig;
 
 /// Reference `(ε₁, ε₂)` used for the Theorem-3 split-condition check
@@ -91,111 +88,6 @@ impl AnalyticBounds {
     #[must_use]
     pub fn consistent(&self) -> bool {
         self.theorem1_holds || self.theorem2_holds || self.theorem3_holds
-    }
-
-    /// The analytic *scale* of the `T`-consistency failure probability:
-    /// the catch-up probability `(q/(1−q))^T` of the private-chain race
-    /// at the effective adversarial share
-    /// `q = pνn / (pνn + ᾱ^{2Δ}α₁)` (see
-    /// [`catchup::effective_adversary_share`]). This is the reference
-    /// the rare-event splitting estimator is compared against: not a
-    /// proven bound on the simulated failure rate, but the exponent the
-    /// paper's race analysis predicts, so estimate and scale should
-    /// agree within a modest constant factor.
-    ///
-    /// Returns `None` when the point is outside the race analysis —
-    /// `q ≥ ½` (the adversary wins the race outright, every depth is
-    /// eventually reached) or a convergence rate that underflows.
-    ///
-    /// ```
-    /// use consistency_core::analytic;
-    /// use nakamoto_sim::config::SimConfig;
-    ///
-    /// let cfg = SimConfig::from_c(100, 4, 3.0, 0.15, 7)?;
-    /// let bounds = analytic::for_sim_config(&cfg).expect("ν > 0");
-    /// let scale = bounds.race_failure_scale(13).expect("q < ½ here");
-    /// assert!(scale > 0.0 && scale < 1e-6, "theorem-scale rarity");
-    /// # Ok::<(), nakamoto_sim::config::ConfigError>(())
-    /// ```
-    #[must_use]
-    pub fn race_failure_scale(&self, threshold: u64) -> Option<f64> {
-        let q = catchup::effective_adversary_share(&self.params)?;
-        (q < 0.5).then(|| race::rho_pow(q, threshold))
-    }
-
-    /// Compares an empirical failure estimate against
-    /// [`race_failure_scale`](Self::race_failure_scale) for one
-    /// threshold; see [`compare_to_bound`] for the verdict rule.
-    #[must_use]
-    pub fn compare_race_estimate(
-        &self,
-        threshold: u64,
-        estimate: f64,
-        standard_error: Option<f64>,
-    ) -> Option<BoundComparison> {
-        let bound = self.race_failure_scale(threshold)?;
-        Some(compare_to_bound(bound, estimate, standard_error))
-    }
-}
-
-/// How an empirical failure estimate relates to an analytic reference
-/// value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundVerdict {
-    /// The estimate is at or below the reference.
-    WithinBound,
-    /// The estimate exceeds the reference by more than three standard
-    /// errors — statistically clear disagreement.
-    ExceedsBound,
-    /// The estimate is above the reference but within three standard
-    /// errors of it (or carries no finite error estimate), so the
-    /// comparison is not statistically resolvable.
-    Inconclusive,
-}
-
-/// One bound-vs-estimate comparison, as attached to experiment cells.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundComparison {
-    /// The analytic reference value.
-    pub bound: f64,
-    /// The empirical estimate.
-    pub estimate: f64,
-    /// One standard error of the estimate, when available.
-    pub standard_error: Option<f64>,
-    /// The verdict under the three-standard-error rule.
-    pub verdict: BoundVerdict,
-}
-
-/// The three-standard-error comparison rule: `WithinBound` when
-/// `estimate ≤ bound`; `ExceedsBound` when `estimate − 3·SE > bound`;
-/// `Inconclusive` otherwise (including when no standard error is
-/// available — e.g. a starved splitting chain).
-///
-/// ```
-/// use consistency_core::analytic::{compare_to_bound, BoundVerdict};
-///
-/// let c = compare_to_bound(1e-6, 8e-7, Some(2e-7));
-/// assert_eq!(c.verdict, BoundVerdict::WithinBound);
-/// let c = compare_to_bound(1e-6, 5e-6, Some(1e-6));
-/// assert_eq!(c.verdict, BoundVerdict::ExceedsBound);
-/// let c = compare_to_bound(1e-6, 2e-6, Some(1e-6));
-/// assert_eq!(c.verdict, BoundVerdict::Inconclusive);
-/// ```
-#[must_use]
-pub fn compare_to_bound(bound: f64, estimate: f64, standard_error: Option<f64>) -> BoundComparison {
-    let verdict = if estimate <= bound {
-        BoundVerdict::WithinBound
-    } else {
-        match standard_error {
-            Some(se) if estimate - 3.0 * se > bound => BoundVerdict::ExceedsBound,
-            _ => BoundVerdict::Inconclusive,
-        }
-    };
-    BoundComparison {
-        bound,
-        estimate,
-        standard_error,
-        verdict,
     }
 }
 
@@ -289,65 +181,6 @@ mod tests {
             theorem1::max_delta1(&params).is_some(),
             "margin sign and max_delta1 agree"
         );
-    }
-
-    #[test]
-    fn race_scale_decays_geometrically_in_threshold() {
-        let cfg = SimConfig::from_c(100, 4, 3.0, 0.15, 7).unwrap();
-        let b = for_sim_config(&cfg).unwrap();
-        let s6 = b.race_failure_scale(6).unwrap();
-        let s12 = b.race_failure_scale(12).unwrap();
-        assert!(s6 > s12 && s12 > 0.0);
-        // (q/(1−q))^12 = ((q/(1−q))^6)², so the ratio is the square.
-        assert!((s12 - s6 * s6).abs() < 1e-12 * s6);
-    }
-
-    #[test]
-    fn race_scale_is_none_when_the_adversary_wins() {
-        // Far below the consistency region the effective share passes
-        // ½ and the race analysis no longer bounds anything.
-        let cfg = SimConfig::from_c(1_000, 8, 0.2, 0.4, 0).unwrap();
-        let b = for_sim_config(&cfg).unwrap();
-        assert!(b.race_failure_scale(6).is_none());
-    }
-
-    #[test]
-    fn verdicts_follow_the_three_sigma_rule() {
-        assert_eq!(
-            compare_to_bound(1e-6, 9e-7, Some(1e-8)).verdict,
-            BoundVerdict::WithinBound
-        );
-        assert_eq!(
-            compare_to_bound(1e-6, 1e-5, Some(1e-6)).verdict,
-            BoundVerdict::ExceedsBound
-        );
-        assert_eq!(
-            compare_to_bound(1e-6, 1.5e-6, Some(1e-6)).verdict,
-            BoundVerdict::Inconclusive
-        );
-        // No error estimate (starved splitting chain): never a clear
-        // exceedance.
-        assert_eq!(
-            compare_to_bound(1e-6, 1.0, None).verdict,
-            BoundVerdict::Inconclusive
-        );
-        // Exactly on the bound counts as within.
-        assert_eq!(
-            compare_to_bound(1e-6, 1e-6, None).verdict,
-            BoundVerdict::WithinBound
-        );
-    }
-
-    #[test]
-    fn compare_race_estimate_uses_the_scale_as_reference() {
-        let cfg = SimConfig::from_c(100, 4, 3.0, 0.15, 7).unwrap();
-        let b = for_sim_config(&cfg).unwrap();
-        let scale = b.race_failure_scale(13).unwrap();
-        let cmp = b
-            .compare_race_estimate(13, scale * 0.5, Some(scale * 0.1))
-            .unwrap();
-        assert_eq!(cmp.bound, scale);
-        assert_eq!(cmp.verdict, BoundVerdict::WithinBound);
     }
 
     /// The Figure-1 scale must survive: log-space margins stay finite

@@ -118,8 +118,8 @@ mod tests {
         acc.sqrt()
     }
 
-    /// The linear-space tails of Theorem 3.1 (the paper uses the
-    /// log-space lower tail only).
+    /// The linear-space lower tail of Theorem 3.1 and its inverse in
+    /// `T` (the paper uses the log-space lower tail only).
     impl WalkBoundParams {
         /// Lower-tail bound `P[X ≤ (1−δ)µT]` per Theorem 3.1 — the paper's
         /// Inequality (47) with `X = C(t₀, t₀+T−1)`.
@@ -135,26 +135,6 @@ mod tests {
                 });
             }
             Ok(self.ln_lower_tail(delta)?.exp().min(1.0))
-        }
-
-        /// Upper-tail bound `P[X ≥ (1+δ)µT]` per Theorem 3.1.
-        ///
-        /// # Errors
-        ///
-        /// Propagates `validate`; also rejects `δ ≤ 0`.
-        fn upper_tail(&self, delta: f64) -> Result<f64> {
-            self.validate()?;
-            if !(delta > 0.0) {
-                return Err(Error::BadShape {
-                    message: format!("upper-tail δ must be > 0, got {delta}"),
-                });
-            }
-            // Theorem 3.1's upper tail: exp(−δ²µT/(72τ)) for δ ≤ 1, and
-            // exp(−δµT/(72τ)) for δ > 1.
-            let effective = delta * delta.min(1.0);
-            let exponent = -effective * self.stationary_mean * self.steps as f64
-                / (72.0 * self.mixing_time_eighth as f64);
-            Ok((CHUNG_ET_AL_CONSTANT * self.phi_pi_norm * exponent.exp()).min(1.0))
         }
 
         /// Smallest `T` making the lower-tail bound at most `target`;
@@ -262,7 +242,6 @@ mod tests {
         let p = params();
         assert!(p.lower_tail(0.0).is_err());
         assert!(p.lower_tail(1.0).is_err());
-        assert!(p.upper_tail(-0.1).is_err());
     }
 
     #[test]
@@ -292,14 +271,5 @@ mod tests {
             let q = WalkBoundParams { steps: t - 1, ..p };
             assert!(q.lower_tail(0.5).unwrap() > 1e-6 * 0.9);
         }
-    }
-
-    #[test]
-    fn upper_tail_monotone_in_delta() {
-        let p = params();
-        let b1 = p.upper_tail(0.2).unwrap();
-        let b2 = p.upper_tail(0.5).unwrap();
-        let b3 = p.upper_tail(2.0).unwrap();
-        assert!(b1 >= b2 && b2 >= b3);
     }
 }

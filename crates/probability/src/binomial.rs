@@ -546,20 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn gap_geometric_mean_is_inverse_alpha() {
-        let d = Binomial::new(1_000, 1e-3).unwrap();
-        let g = crate::geometric::Geometric::new(d.prob_positive()).unwrap();
-        assert!((g.p() - d.prob_positive()).abs() < 1e-15);
-        assert!((g.mean() - 1.0 / d.prob_positive()).abs() < 1e-9);
-        for empty in [
-            Binomial::new(0, 0.5).unwrap(),
-            Binomial::new(5, 0.0).unwrap(),
-        ] {
-            assert!(crate::geometric::Geometric::new(empty.prob_positive()).is_err());
-        }
-    }
-
-    #[test]
     fn small_n_direct_sampling_exactness() {
         let d = Binomial::new(8, 0.5).unwrap();
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(45);

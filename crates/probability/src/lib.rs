@@ -32,10 +32,6 @@
 
 pub mod binomial;
 pub mod chernoff;
-#[cfg(test)]
-mod geometric;
-#[cfg(test)]
-mod logfloat;
 pub mod rare_event;
 pub mod rng;
 pub mod rootfind;

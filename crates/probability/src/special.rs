@@ -239,22 +239,6 @@ pub fn reg_inc_beta(a: f64, b: f64, x: f64) -> Result<f64> {
 mod tests {
     use super::*;
 
-    /// Error function `erf(x)`, accurate to ~1.2e-7 absolute (Abramowitz &
-    /// Stegun 7.1.26 with the sign extension), sufficient for the normal-tail
-    /// sanity checks here.
-    fn erf(x: f64) -> f64 {
-        let sign = if x < 0.0 { -1.0 } else { 1.0 };
-        let x = x.abs();
-        let t = 1.0 / (1.0 + 0.327_591_1 * x);
-        let y = 1.0
-            - (((((1.061_405_429 * t - 1.453_152_027) * t) + 1.421_413_741) * t - 0.284_496_736)
-                * t
-                + 0.254_829_592)
-                * t
-                * (-x * x).exp();
-        sign * y
-    }
-
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!(
             (a - b).abs() <= tol * (1.0 + a.abs().max(b.abs())),
@@ -372,23 +356,5 @@ mod tests {
         assert!(reg_inc_beta(0.0, 1.0, 0.5).is_err());
         assert!(reg_inc_beta(1.0, -1.0, 0.5).is_err());
         assert!(reg_inc_beta(1.0, 1.0, 1.5).is_err());
-    }
-
-    #[test]
-    fn erf_known_values() {
-        // The A&S 7.1.26 rational approximation has ~1.5e-7 absolute error.
-        assert!(erf(0.0).abs() < 2e-7);
-        assert!((erf(1.0) - 0.842_700_79).abs() < 2e-7);
-        assert!((erf(-1.0) + 0.842_700_79).abs() < 2e-7);
-        assert!((erf(3.0) - 0.999_977_9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn std_normal_cdf_median_and_tails() {
-        // Φ(x) = (1 + erf(x/√2))/2.
-        let std_normal_cdf = |x: f64| 0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2));
-        assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-4);
-        assert!(std_normal_cdf(-8.0) < 1e-14);
     }
 }

@@ -49,12 +49,11 @@ use std::sync::Arc;
 /// the confidence level every reporting surface defaults to.
 pub const STOP_Z: f64 = 1.96;
 
-/// Default number of trials per stopping-rule wave when
-/// [`TrialPlan::stop_half_width`] is set but no explicit cadence was
-/// chosen. Checkpoints land on fixed trial counts (multiples of the
+/// Trials per stopping-rule wave when [`TrialPlan::stop_half_width`]
+/// is set. Checkpoints land on fixed trial counts (multiples of the
 /// wave size), so the stopping decision is a pure function of the
 /// master seed — never of pool width.
-pub const DEFAULT_STOP_CHECK_EVERY: u64 = 64;
+pub const STOP_CHECK_EVERY: u64 = 64;
 
 /// A Monte-Carlo experiment: `trials` independent simulations of
 /// `rounds` rounds each, all sharing one validated configuration.
@@ -74,16 +73,12 @@ pub struct TrialPlan {
     /// tallied (see [`TrialAggregate::failure_counts`]).
     pub consistency_thresholds: Vec<u64>,
     /// Sequential stopping target: when set, trials run in
-    /// deterministic waves of [`TrialPlan::check_every`] and stop at
+    /// deterministic waves of [`STOP_CHECK_EVERY`] and stop at
     /// the first wave boundary where every threshold's Wilson
     /// half-width (at [`STOP_Z`]) is at most this value — `trials`
     /// then acts as the *maximum* budget. Requires at least one
     /// consistency threshold.
     pub stop_half_width: Option<f64>,
-    /// Trials per stopping-rule wave; `0` selects
-    /// [`DEFAULT_STOP_CHECK_EVERY`]. Ignored without
-    /// [`TrialPlan::stop_half_width`].
-    pub check_every: u64,
 }
 
 impl TrialPlan {
@@ -114,7 +109,6 @@ impl TrialPlan {
             trials,
             consistency_thresholds: Vec::new(),
             stop_half_width: None,
-            check_every: 0,
         })
     }
 
@@ -126,14 +120,12 @@ impl TrialPlan {
     }
 
     /// Enables the sequential stopping rule (builder style): run in
-    /// deterministic waves of `check_every` trials (`0` selects
-    /// [`DEFAULT_STOP_CHECK_EVERY`]) until every threshold's Wilson
-    /// half-width at [`STOP_Z`] is at most `half_width`, capped by the
-    /// plan's `trials` budget.
+    /// deterministic waves of [`STOP_CHECK_EVERY`] trials until every
+    /// threshold's Wilson half-width at [`STOP_Z`] is at most
+    /// `half_width`, capped by the plan's `trials` budget.
     #[must_use]
-    pub fn with_stopping(mut self, half_width: f64, check_every: u64) -> Self {
+    pub fn with_stopping(mut self, half_width: f64) -> Self {
         self.stop_half_width = Some(half_width);
-        self.check_every = check_every;
         self
     }
 
@@ -410,10 +402,10 @@ pub(crate) fn aggregate_reports(
 }
 
 /// Sequential-stopping fan-out: runs trials in deterministic waves of
-/// [`TrialPlan::check_every`] (default [`DEFAULT_STOP_CHECK_EVERY`])
-/// and stops at the first wave boundary where every plan threshold's
-/// Wilson half-width at [`STOP_Z`] is at most the target — or when the
-/// `plan.trials` budget is exhausted. Returns the trial-ordered reports.
+/// [`STOP_CHECK_EVERY`] and stops at the first wave boundary where
+/// every plan threshold's Wilson half-width at [`STOP_Z`] is at most the
+/// target — or when the `plan.trials` budget is exhausted. Returns the
+/// trial-ordered reports.
 ///
 /// Checkpoints land on trial counts that are pure functions of the plan
 /// (multiples of the wave size, capped by the budget), and each
@@ -435,12 +427,6 @@ where
         !plan.consistency_thresholds.is_empty(),
         "the stopping rule tracks consistency failure rates: set at least one threshold"
     );
-    let check = if plan.check_every == 0 {
-        DEFAULT_STOP_CHECK_EVERY
-    } else {
-        plan.check_every
-    };
-
     let mut master = Xoshiro256PlusPlus::seed_from_u64(plan.config.seed);
     let mut reports: Vec<SimReport> = Vec::new();
     let mut failures: Vec<(u64, u64)> = plan
@@ -449,7 +435,7 @@ where
         .map(|&t| (t, 0))
         .collect();
     while (reports.len() as u64) < plan.trials {
-        let wave = check.min(plan.trials - reports.len() as u64);
+        let wave = STOP_CHECK_EVERY.min(plan.trials - reports.len() as u64);
         let wave_streams: Vec<Xoshiro256PlusPlus> = (0..wave)
             .map(|_| {
                 let stream = master.clone();
@@ -639,7 +625,7 @@ mod tests {
             let plan = TrialPlan::new(cfg, 4_000, 4_096)
                 .unwrap()
                 .thresholds(vec![4, 12])
-                .with_stopping(0.05, 16);
+                .with_stopping(0.05);
             executor::with_test_width(width, || plan.run(|_| PrivateChainAdversary::new(3)))
         };
         let reference = run(1);
@@ -648,7 +634,7 @@ mod tests {
             "stopping rule never fired; tighten the test target"
         );
         assert_eq!(
-            reference.aggregate.trials % 16,
+            reference.aggregate.trials % STOP_CHECK_EVERY,
             0,
             "stopping must land on a wave boundary"
         );
@@ -669,11 +655,11 @@ mod tests {
         let adaptive = TrialPlan::new(cfg, 4_000, 4_096)
             .unwrap()
             .thresholds(vec![4, 12])
-            .with_stopping(0.05, 16)
+            .with_stopping(0.05)
             .run(|_| PrivateChainAdversary::new(3));
         let n = adaptive.aggregate.trials;
         assert!(n < 4_096, "stopping rule never fired; tighten the target");
-        assert_eq!(n % 16, 0, "stopping must land on a wave boundary");
+        assert_eq!(n % STOP_CHECK_EVERY, 0, "stopping lands on a wave boundary");
         let fixed = TrialPlan::new(cfg, 4_000, n)
             .unwrap()
             .thresholds(vec![4, 12])
@@ -689,7 +675,7 @@ mod tests {
         let run = TrialPlan::new(cfg, 2_000, 40)
             .unwrap()
             .thresholds(vec![0])
-            .with_stopping(1e-6, 16)
+            .with_stopping(1e-6)
             .run(|_| PrivateChainAdversary::new(3));
         assert_eq!(run.aggregate.trials, 40);
     }
@@ -700,7 +686,7 @@ mod tests {
         let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, 45).unwrap();
         let _ = TrialPlan::new(cfg, 2_000, 40)
             .unwrap()
-            .with_stopping(0.05, 16)
+            .with_stopping(0.05)
             .run(|_| PrivateChainAdversary::new(3));
     }
 

@@ -1391,7 +1391,7 @@ impl ExperimentSpec {
                     .map_err(|e| Fault::new("stationary", e))?
                     .thresholds(run.thresholds.clone());
                 if let Some(half_width) = run.stop_half_width {
-                    plan = plan.with_stopping(half_width, 0);
+                    plan = plan.with_stopping(half_width);
                 }
                 Ok(ExperimentPlan::Stationary {
                     plan,
