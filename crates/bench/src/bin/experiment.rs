@@ -21,10 +21,11 @@
 //! are byte-identical at every job count), `--verbose` streams
 //! per-cell completions and the executor's counters to stderr, `--out`
 //! writes JSON. The closing summary line reports the simulated rounds
-//! and the grid's wall time. Budgets and expected runtimes: see
-//! EXPERIMENTS.md.
+//! and the grid's wall time. A closed stdout (`| head`) ends printing,
+//! not the run: `--out` is still written and the exit status stays 0.
+//! Budgets and expected runtimes: see EXPERIMENTS.md.
 
-use consistency_bench::{cli, experiment};
+use consistency_bench::{cli, experiment, print_stdout};
 use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
 use std::time::Instant;
@@ -64,10 +65,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.run.trials
     ));
     if let Some(fuzz) = &spec.fuzz {
-        println!(
-            "fuzz repro: master_seed = {}, case = {}, invariant = `{}`",
+        print_stdout(&format!(
+            "fuzz repro: master_seed = {}, case = {}, invariant = `{}`\n",
             fuzz.master_seed, fuzz.case, fuzz.invariant
-        );
+        ));
     }
 
     let verbose = args.verbose;
@@ -87,7 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wall = started.elapsed().as_secs_f64();
     experiment::print_table(&results);
     let rounds: u64 = results.iter().map(|r| r.estimate.simulated_rounds()).sum();
-    println!("\n{rounds} simulated rounds: grid wall time {wall:.2} s");
+    print_stdout(&format!(
+        "\n{rounds} simulated rounds: grid wall time {wall:.2} s\n"
+    ));
     if verbose {
         let stats = executor::global_stats();
         eprintln!(
@@ -106,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(out) = &args.out {
         std::fs::write(out, experiment::to_json(&name, &results))
             .map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {out}");
+        print_stdout(&format!("wrote {out}\n"));
     }
     Ok(())
 }

@@ -7,15 +7,14 @@
 //!
 //! ```text
 //! cargo run --release -p consistency_bench --bin scenario_fuzz -- \
-//!     [--budget N] [--seed S | --seed-from-env] [--out PATH] [--replay repro.toml]
+//!     [--budget N] [--seed S] [--out PATH] [--replay repro.toml]
 //! ```
 //!
 //! * `--budget N` — number of generated cases (default 2000).
 //! * `--seed S` — master seed (default a fixed constant, so plain runs
-//!   are reproducible).
-//! * `--seed-from-env` — take the seed from `SCENARIO_FUZZ_SEED`, or
-//!   `GITHUB_RUN_ID` as a fallback (how CI gets fresh coverage every
-//!   run while keeping the failing seed in the job log and repro).
+//!   are reproducible; CI passes its run id, so every run explores
+//!   fresh cases while the failing seed stays in the job log and
+//!   repro).
 //! * `--out PATH` — where to write the failing case's repro spec
 //!   (default `scenario_fuzz_failure.toml`).
 //! * `--replay PATH` — load a saved repro through the experiment-spec
@@ -32,8 +31,7 @@ use nakamoto_sim::spec::ExperimentSpec;
 /// Fixed default seed for reproducible local runs.
 const DEFAULT_SEED: u64 = 0x5CE7_F022_5EED;
 
-const USAGE: &str =
-    "scenario_fuzz [--budget N] [--seed S | --seed-from-env] [--out PATH] [--replay repro.toml]";
+const USAGE: &str = "scenario_fuzz [--budget N] [--seed S] [--out PATH] [--replay repro.toml]";
 
 /// Re-runs a saved repro: parse the spec, rebuild the scenario, check
 /// every invariant again. Exits non-zero if the case still fails.
@@ -74,20 +72,12 @@ fn replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args = cli::Args::parse(
-        USAGE,
-        0,
-        &["--budget", "--seed", "--seed-from-env", "--out", "--replay"],
-    )?;
+    let args = cli::Args::parse(USAGE, 0, &["--budget", "--seed", "--out", "--replay"])?;
     if let Some(path) = &args.replay {
         return replay(path);
     }
     let budget = args.budget.unwrap_or(2_000);
-    let seed = if args.seed_from_env {
-        cli::seed_from_env(DEFAULT_SEED)
-    } else {
-        args.seed.unwrap_or(DEFAULT_SEED)
-    };
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
     let out_path = args
         .out
         .unwrap_or_else(|| String::from("scenario_fuzz_failure.toml"));

@@ -3,6 +3,9 @@
 //! harness scans attack runs for the worst window at several T.
 //!
 //! `cargo run --release -p consistency-bench --bin window_scan [rounds]`
+//!
+//! The windows are 5,000, 20,000 and 80,000 rounds; a run shorter than
+//! a window skips it, and one shorter than 5,000 rounds is an error.
 
 use consistency_core::params::ProtocolParams;
 use consistency_core::window::simulate_and_scan;
@@ -11,7 +14,15 @@ use nakamoto_sim::adversary::PrivateChainAdversary;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = consistency_bench::cli::Args::parse("window_scan [rounds]", 1, &[])?;
     let rounds = args.pos_u64(0)?.unwrap_or(300_000);
-    let windows = [5_000u64, 20_000, 80_000];
+    const WINDOWS: [u64; 3] = [5_000, 20_000, 80_000];
+    let windows: Vec<u64> = WINDOWS.into_iter().filter(|&w| w <= rounds).collect();
+    if windows.is_empty() {
+        return Err(format!(
+            "{rounds} rounds hold no window; the shortest is {}",
+            WINDOWS[0]
+        )
+        .into());
+    }
 
     consistency_bench::section("Worst window of C − A under the private-chain attack (Δ = 2)");
     println!(

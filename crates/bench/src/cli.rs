@@ -22,7 +22,7 @@
 /// Flags a binary may opt into (`Args::parse`'s `allowed` list).
 /// Value-taking: `--jobs N`, `--seed N`, `--budget N`, `--rounds N`,
 /// `--trials N`, `--out PATH`, `--replay PATH`, `--write [PATH]`,
-/// `--check [PATH]`. Boolean: `--seed-from-env`, `--verbose`.
+/// `--check [PATH]`. Boolean: `--verbose`.
 pub const KNOWN_FLAGS: &[&str] = &[
     "--jobs",
     "--seed",
@@ -33,16 +33,12 @@ pub const KNOWN_FLAGS: &[&str] = &[
     "--replay",
     "--write",
     "--check",
-    "--seed-from-env",
     "--verbose",
 ];
 
 /// Flags whose value may be omitted (a following flag or end-of-args
 /// leaves them at their default path).
 const OPTIONAL_VALUE_FLAGS: &[&str] = &["--write", "--check"];
-
-/// Boolean flags (no value).
-const BOOL_FLAGS: &[&str] = &["--seed-from-env", "--verbose"];
 
 /// Parsed command line: positionals in order plus the recognised flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -69,8 +65,6 @@ pub struct Args {
     pub write: Option<Option<String>>,
     /// `--check [PATH]`: check against a committed baseline.
     pub check: Option<Option<String>>,
-    /// `--seed-from-env`: take the seed from the environment.
-    pub seed_from_env: bool,
     /// `--verbose`: stream per-cell completions and executor counters
     /// to stderr.
     pub verbose: bool,
@@ -124,12 +118,8 @@ impl Args {
             if !allowed.contains(&arg.as_str()) {
                 return Err(format!("unknown argument `{arg}`; usage: {usage}"));
             }
-            if BOOL_FLAGS.contains(&arg.as_str()) {
-                match arg.as_str() {
-                    "--seed-from-env" => parsed.seed_from_env = true,
-                    "--verbose" => parsed.verbose = true,
-                    _ => unreachable!("BOOL_FLAGS ⊆ KNOWN_FLAGS"),
-                }
+            if arg == "--verbose" {
+                parsed.verbose = true;
                 continue;
             }
             let value = if OPTIONAL_VALUE_FLAGS.contains(&arg.as_str()) {
@@ -217,25 +207,6 @@ impl Args {
     }
 }
 
-/// Resolves `--seed-from-env`: `SCENARIO_FUZZ_SEED`, then
-/// `GITHUB_RUN_ID`, then the given default (how CI gets fresh fuzz
-/// coverage per run while keeping the seed reproducible from the log).
-#[must_use]
-pub fn seed_from_env(default: u64) -> u64 {
-    for var in ["SCENARIO_FUZZ_SEED", "GITHUB_RUN_ID"] {
-        if let Ok(value) = std::env::var(var) {
-            if let Ok(seed) = value.trim().parse::<u64>() {
-                return seed;
-            }
-        }
-    }
-    eprintln!(
-        "--seed-from-env: neither SCENARIO_FUZZ_SEED nor GITHUB_RUN_ID parse as u64; \
-         using the default seed"
-    );
-    default
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,9 +266,9 @@ mod tests {
         assert_eq!(args.check, Some(None));
         let args = Args::parse_from(["--write", "fresh.json"], "u", 0, ALL).unwrap();
         assert_eq!(args.write, Some(Some("fresh.json".into())));
-        let args = Args::parse_from(["--check", "--seed-from-env"], "u", 0, ALL).unwrap();
+        let args = Args::parse_from(["--check", "--verbose"], "u", 0, ALL).unwrap();
         assert_eq!(args.check, Some(None));
-        assert!(args.seed_from_env);
+        assert!(args.verbose);
     }
 
     #[test]
@@ -305,10 +276,8 @@ mod tests {
         let args = Args::parse_from(["--jobs", "4", "--verbose"], "u", 0, ALL).unwrap();
         assert_eq!(args.jobs, Some(4));
         assert!(args.verbose);
-        assert!(
-            !args.seed_from_env,
-            "--verbose must not leak into other bools"
-        );
+        let args = Args::parse_from(["--verbose", "7"], "u", 1, ALL).unwrap();
+        assert_eq!(args.positionals, ["7"], "--verbose takes no value");
         let err = Args::parse_from(["--jobs"], "u", 0, ALL).unwrap_err();
         assert!(err.contains("needs a value"), "{err}");
         let err = Args::parse_from(["--jobs", "many"], "u", 0, ALL).unwrap_err();

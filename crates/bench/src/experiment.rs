@@ -244,9 +244,9 @@ pub fn apply_budget(
 pub fn print_table(results: &[CellResult]) {
     let mut table = String::new();
     write_table(&mut table, results).expect("writing to a String cannot fail");
-    // One `print!` is one write to stdout: stdout is line-buffered even
-    // when it is a file, so a `println!` per row would be one per row.
-    print!("{table}");
+    // One write to stdout: stdout is line-buffered even when it is a
+    // file, so a `println!` per row would be one per row.
+    crate::print_stdout(&table);
 }
 
 /// Writes [`print_table`]'s table to `out`.

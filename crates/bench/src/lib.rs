@@ -12,6 +12,8 @@ pub mod cli;
 pub mod experiment;
 pub mod table;
 
+use std::io::Write;
+
 /// Formats a floating-point value in compact scientific-or-fixed form
 /// for the harness tables.
 #[must_use]
@@ -29,8 +31,19 @@ pub fn fmt(v: f64) -> String {
 
 /// Prints a header followed by an underline of the same width.
 pub fn section(title: &str) {
-    println!("\n{title}");
-    println!("{}", "=".repeat(title.len()));
+    print_stdout(&format!("\n{title}\n{}\n", "=".repeat(title.len())));
+}
+
+/// Writes `text` to stdout. A closed stdout (a pipe whose reader, such
+/// as `head`, has exited) ends printing, not the run: the text is
+/// dropped. Any other write error panics, as `print!` does.
+pub fn print_stdout(text: &str) {
+    if let Err(e) = std::io::stdout().write_all(text.as_bytes()) {
+        assert!(
+            e.kind() == std::io::ErrorKind::BrokenPipe,
+            "failed printing to stdout: {e}"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,13 @@
-//! Smoke tests: one per harness binary in `src/bin/`, exercising each
-//! binary's core entry functions on tiny parameters so a refactor that
-//! breaks a harness code path fails `cargo test` instead of waiting to be
-//! caught by someone running the binary by hand.
+//! The harness binaries and the committed specs, tested directly:
+//! `every_binary_runs_at_a_tiny_budget` runs each binary under
+//! `src/bin/` once, `experiment_entry_runs_every_committed_spec`
+//! compares every committed spec's document with its golden, and the
+//! `<bin>_entry` tests check, on tiny parameters, library results that
+//! the binary of the same name prints.
+
+use std::io::BufRead;
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 use consistency_core::params::ProtocolParams;
 use nakamoto_sim::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
@@ -14,6 +20,92 @@ const ROUNDS: u64 = 2_000;
 
 fn tiny_params() -> ProtocolParams {
     ProtocolParams::from_c(100, 2, 3.0, 0.25).expect("valid tiny parameters")
+}
+
+fn examples_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples")
+}
+
+/// A path in the temp directory that no other test process shares.
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("bin_smoke_{}_{name}", std::process::id()))
+}
+
+/// One row of [`every_binary_runs_at_a_tiny_budget`]'s table: the
+/// binary's name, its executable and its tiny arguments.
+macro_rules! bin {
+    ($name:literal $(, $arg:expr)*) => {
+        ($name, env!(concat!("CARGO_BIN_EXE_", $name)), &[$($arg),*] as &[&str])
+    };
+}
+
+/// Every binary under `src/bin/`, run once at a tiny budget in a fresh
+/// directory: the table must name exactly the binaries there, and each
+/// must exit 0 with a non-empty stdout. `bench_sim` has no budget
+/// argument, so it runs `--check` against a baseline whose every
+/// `check_*` throughput is 1.
+#[test]
+fn every_binary_runs_at_a_tiny_budget() {
+    const SPEC: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/specs/theorem1_check.toml"
+    );
+    let bins = [
+        bin!("attack_sweep", "200", "1"),
+        bin!("bench_sim", "--check", "baseline.json"),
+        bin!("catchup_table", "2000"),
+        bin!("chain_metrics", "2000"),
+        bin!("compose_sweep", "200", "1"),
+        bin!("concentration", "4"),
+        bin!("convergence_validation", "2000", "2"),
+        bin!("experiment", SPEC, "--rounds", "200", "--trials", "1"),
+        bin!("figure1", "5"),
+        bin!("kiffer_ablation"),
+        bin!("lemma_audit"),
+        bin!("remark1"),
+        bin!("scenario_fuzz", "--budget", "2", "--seed", "1"),
+        bin!("scenario_sweep", "200", "1"),
+        bin!("stationary_check"),
+        bin!("table1"),
+        // Below 20,000 rounds: only the windows the run holds are scanned.
+        bin!("window_scan", "6000"),
+    ];
+    let mut stems: Vec<String> =
+        std::fs::read_dir(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin"))
+            .expect("src/bin exists")
+            .map(|entry| entry.expect("readable dir entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+    stems.sort();
+    let names: Vec<&str> = bins.iter().map(|(name, ..)| *name).collect();
+    assert_eq!(
+        names, stems,
+        "every binary under src/bin/ needs one row in this table, in name order"
+    );
+    let dir = temp_path("bins");
+    std::fs::create_dir_all(&dir).expect("scratch directory created");
+    std::fs::write(
+        dir.join("baseline.json"),
+        "{\"check_rounds_per_sec\": 1, \"check_grid_rounds_per_sec\": 1}\n",
+    )
+    .expect("baseline written");
+    for (name, exe, args) in bins {
+        let output = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap_or_else(|e| panic!("{name} starts: {e}"));
+        assert!(
+            output.status.success(),
+            "{name} {}: {}\n{}",
+            args.join(" "),
+            output.status,
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(!output.stdout.is_empty(), "{name}: nothing on stdout");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `figure1`: curve generation and the exact-PSS cross-check.
@@ -133,25 +225,13 @@ fn compose_sweep_entry() {
     );
 }
 
-/// `scenario_fuzz`: a deterministic slice of the fuzz gate's budget
-/// (`scenario_fuzz_replay_entry` covers `--replay`).
-#[test]
-fn scenario_fuzz_entry() {
-    use nakamoto_sim::fuzz::ScenarioFuzzer;
-    let stats = ScenarioFuzzer::new(0xC1_5EED)
-        .run(6)
-        .unwrap_or_else(|failure| panic!("{failure}\n{}", failure.repro_toml()));
-    assert_eq!(stats.cases, 6);
-}
-
 /// `scenario_fuzz --replay`: a written repro file loads back through
 /// the experiment-spec parser, reconstructs exactly the case its
 /// `[fuzz]` coordinates name, and re-runs the invariant checks — the
-/// full write → parse → verify → re-check loop of the replay flag.
+/// binary's own write → parse → verify → re-check loop.
 #[test]
 fn scenario_fuzz_replay_entry() {
-    use nakamoto_sim::fuzz::{check_scenario, sample_scenario_for, FuzzFailure};
-    use nakamoto_sim::spec::ExperimentSpec;
+    use nakamoto_sim::fuzz::{sample_scenario_for, FuzzFailure};
     let (master_seed, case) = (0xC1_5EED, 4u64);
     let failure = FuzzFailure {
         master_seed,
@@ -160,20 +240,28 @@ fn scenario_fuzz_replay_entry() {
         detail: "smoke repro (healthy case)".into(),
         scenario: sample_scenario_for(master_seed, case),
     };
-    let path = std::env::temp_dir().join("bin_smoke_scenario_fuzz_repro.toml");
+    let path = temp_path("scenario_fuzz_repro.toml");
     std::fs::write(&path, failure.repro_toml()).expect("repro written");
-    let source = std::fs::read_to_string(&path).expect("repro read back");
+    let output = Command::new(env!("CARGO_BIN_EXE_scenario_fuzz"))
+        .arg("--replay")
+        .arg(&path)
+        .output()
+        .expect("scenario_fuzz starts");
     let _ = std::fs::remove_file(&path);
-    let spec = ExperimentSpec::parse(&source).expect("repro parses as an experiment spec");
-    let fuzz = spec.fuzz.clone().expect("replay coordinates present");
-    assert_eq!((fuzz.master_seed, fuzz.case), (master_seed, case));
-    let scenario = spec.scenario().expect("repro scenario rebuilds");
-    assert_eq!(
-        scenario,
-        sample_scenario_for(fuzz.master_seed, fuzz.case),
-        "the repro body must match its replay coordinates"
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "{}: {stdout}\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
     );
-    check_scenario(&scenario).expect("a healthy case replays clean");
+    for line in [
+        "replay coordinates: master_seed = 0xc15eed, case = 4",
+        "coordinates verified: the spec matches the generated case",
+        "PASS: every invariant holds on the replayed case",
+    ] {
+        assert!(stdout.contains(line), "missing `{line}`:\n{stdout}");
+    }
 }
 
 /// `experiment`: golden-file check — every committed spec under
@@ -194,36 +282,13 @@ fn scenario_fuzz_replay_entry() {
 fn experiment_entry_runs_every_committed_spec() {
     use consistency_bench::experiment;
     use nakamoto_sim::spec::ExperimentSpec;
-    let examples = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+    let examples = examples_dir();
     let mut paths: Vec<_> = std::fs::read_dir(examples.join("specs"))
         .expect("examples/specs exists")
         .map(|entry| entry.expect("readable dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "toml"))
         .collect();
     paths.sort();
-    // The literal stem list keeps every committed spec pinned to this
-    // smoke test (detlint's xref-spec-used rule cross-checks it): a new
-    // spec must be added here, a deleted one must be removed.
-    let expected = [
-        "adaptive_stopping",
-        "attack_sweep",
-        "attack_window",
-        "compose_sweep",
-        "markov_exact",
-        "model_gap",
-        "rare_event",
-        "scenario_sweep",
-        "splitting_horizon",
-        "theorem1_check",
-    ];
-    let stems: Vec<_> = paths
-        .iter()
-        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
-        .collect();
-    assert_eq!(
-        stems, expected,
-        "committed specs drifted from the pinned list"
-    );
     for path in &paths {
         let name = path.file_stem().unwrap().to_string_lossy().into_owned();
         let source = std::fs::read_to_string(path).expect("spec readable");
@@ -262,15 +327,12 @@ fn experiment_entry_runs_every_committed_spec() {
             );
         }
         for jobs in ["1", "8"] {
-            let out = std::env::temp_dir().join(format!(
-                "bin_smoke_{}_{name}_jobs{jobs}.json",
-                std::process::id()
-            ));
-            let status = std::process::Command::new(env!("CARGO_BIN_EXE_experiment"))
+            let out = temp_path(&format!("{name}_jobs{jobs}.json"));
+            let status = Command::new(env!("CARGO_BIN_EXE_experiment"))
                 .arg(path)
                 .args(["--rounds", "500", "--trials", "2", "--jobs", jobs, "--out"])
                 .arg(&out)
-                .stdout(std::process::Stdio::null())
+                .stdout(Stdio::null())
                 .status()
                 .expect("experiment binary runs");
             assert!(status.success(), "{name} --jobs {jobs}: {status}");
@@ -302,6 +364,40 @@ fn assert_same_bytes(what: &str, got: &str, golden: &str) {
             ),
         }
     }
+}
+
+/// `experiment … | head -1`: a closed stdout ends printing, not the
+/// run. The reader here takes the first line and closes the pipe while
+/// the grid runs; the binary must still exit 0 without a panic and
+/// write its `--out` document, equal to the golden.
+#[test]
+fn experiment_writes_out_after_stdout_closes() {
+    let examples = examples_dir();
+    let out = temp_path("closed_stdout.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiment"))
+        .arg(examples.join("specs/attack_sweep.toml"))
+        .args(["--rounds", "500", "--trials", "2", "--out"])
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("experiment starts");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first line");
+    let output = child.wait_with_output().expect("experiment exits");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success() && !stderr.contains("panicked"),
+        "{}: {stderr}",
+        output.status
+    );
+    let document = std::fs::read_to_string(&out).expect("--out document written");
+    let _ = std::fs::remove_file(&out);
+    let golden = std::fs::read_to_string(examples.join("golden/attack_sweep.json"))
+        .expect("committed golden readable");
+    assert_same_bytes("attack_sweep with stdout closed", &document, &golden);
 }
 
 /// `bench_sim`: the throughput harness's single-run workload at a tiny
@@ -368,15 +464,6 @@ fn concentration_entry() {
     let t_nu_n = ROUNDS * params.to_sim_config(0).n_adversary();
     let tail = probability::chernoff::adversary_tail_bound(t_nu_n, params.p(), 0.05).unwrap();
     assert!(tail > 0.0 && tail <= 1.0);
-}
-
-/// `lemma_audit`: Theorem 3's split condition and the lemma chain.
-#[test]
-fn lemma_audit_entry() {
-    let params = ProtocolParams::from_c(10_000, 4, 5.0, 0.2).unwrap();
-    if consistency_core::theorem3::holds(&params, 0.1, 0.1) {
-        consistency_core::lemmas::audit_chain(&params, 0.1, 0.1).unwrap();
-    }
 }
 
 /// `kiffer_ablation`: corrected vs incorrect interarrival estimates.

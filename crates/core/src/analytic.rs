@@ -51,11 +51,6 @@ pub struct AnalyticBounds {
     pub theorem1_holds: bool,
     /// The largest admissible `δ₁`, when the margin is positive.
     pub theorem1_max_delta1: Option<f64>,
-    /// Per-round convergence-opportunity rate `ᾱ^{2Δ}α₁` in log space
-    /// (Eq. 44; may be far below `f64` range in linear space).
-    pub ln_convergence_rate: f64,
-    /// Per-round adversary block rate `pνn` (Eq. 27).
-    pub adversary_rate: f64,
     /// Theorem 2's neat bound `2µ/ln(µ/ν)` on `c` (Ineq. 11).
     pub theorem2_neat_bound_c: f64,
     /// Whether `c` exceeds the neat bound.
@@ -103,8 +98,6 @@ pub fn bounds(params: &ProtocolParams) -> AnalyticBounds {
         theorem1_ln_margin: ln_margin,
         theorem1_holds: ln_margin > 0.0,
         theorem1_max_delta1: theorem1::max_delta1(params),
-        ln_convergence_rate: theorem1::ln_convergence_rate(params),
-        adversary_rate: theorem1::adversary_rate(params),
         theorem2_neat_bound_c: theorem2::neat_bound(params.nu()),
         theorem2_holds: params.is_consistent_by_neat_bound(),
         theorem3_holds: theorem3::holds(params, eps1, eps2),
@@ -175,7 +168,6 @@ mod tests {
         let b = bounds(&params);
         assert_eq!(b.theorem1_ln_margin, theorem1::ln_margin(&params));
         assert_eq!(b.theorem2_neat_bound_c, theorem2::neat_bound(0.25));
-        assert_eq!(b.adversary_rate, theorem1::adversary_rate(&params));
         assert_eq!(
             b.theorem1_holds,
             theorem1::max_delta1(&params).is_some(),
@@ -190,7 +182,6 @@ mod tests {
         let params = ProtocolParams::from_c(100_000, 10_000_000_000_000, 3.0, 0.3).unwrap();
         let b = bounds(&params);
         assert!(b.theorem1_ln_margin.is_finite());
-        assert!(b.ln_convergence_rate.is_finite());
         assert!(b.theorem1_holds, "c = 3 at ν = 0.3 is inside the region");
     }
 }

@@ -28,11 +28,9 @@
 //!   `crates/sim` and `crates/core`.
 //! * **U — unsafe** ([`rules`]): every library crate root asserts
 //!   `#![forbid(unsafe_code)]`.
-//! * **X — cross-artifact** ([`xref`]): bench binaries need smoke
-//!   tests, committed specs need users, the documented spec schema
-//!   must match the codec, and library modules and public items need a
-//!   non-test user — an item that computes a numbered statement of the
-//!   paper stays only through a waiver naming it.
+//! * **X — cross-artifact** ([`xref`]): library modules and public
+//!   items need a non-test user — an item that computes a numbered
+//!   statement of the paper stays only through a waiver naming it.
 //!
 //! Violations are suppressed per line with a justified waiver
 //! ([`waiver`]): `// detlint: allow(<rule>) -- <why>`. Unused waivers
@@ -51,10 +49,10 @@ use diag::{Finding, ScanReport};
 use rules::RuleSet;
 use xref::XrefConfig;
 
-/// Which rule families apply to which crates, plus the cross-artifact
-/// layout. The default ([`Policy::workspace_default`]) encodes this
-/// workspace's contract; tests build narrower policies around fixture
-/// files.
+/// Which rule families apply to which crates, plus the library trees
+/// the usage rules read. The default ([`Policy::workspace_default`])
+/// encodes this workspace's contract; tests build narrower policies
+/// around fixture files.
 #[derive(Debug, Clone)]
 pub struct Policy {
     /// Crates (by `crates/<dir>` name; `"root"` = the umbrella crate)
@@ -81,7 +79,8 @@ pub struct Policy {
     /// Workspace-relative path prefixes excluded from scanning
     /// entirely (fixtures with seeded violations, build output).
     pub exclude_prefixes: Vec<String>,
-    /// Cross-artifact rule layout; `None` disables the X family.
+    /// Library trees the usage rules read; `None` disables the X
+    /// family.
     pub xref: Option<XrefConfig>,
 }
 
@@ -274,7 +273,7 @@ pub fn scan_workspace(root: &Path, policy: &Policy) -> Result<ScanReport, String
         }
     }
     if let (Some(cfg), Some(index)) = (&policy.xref, &index) {
-        report.findings.extend(xref::check(root, cfg, index));
+        report.findings.extend(xref::check(cfg, index));
     }
     Ok(report)
 }

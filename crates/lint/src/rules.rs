@@ -12,7 +12,7 @@ use crate::waiver::WaiverSet;
 
 /// Every per-line rule id `detlint` knows, in catalogue order. The
 /// waiver parser validates against this list; keep `docs/LINTING.md`
-/// in sync (rule X checks that the docs name each id).
+/// in sync.
 pub const RULE_IDS: &[&str] = &[
     // D — determinism.
     "det-collections",
@@ -27,11 +27,8 @@ pub const RULE_IDS: &[&str] = &[
     "panic-slice-index",
     // U — unsafe.
     "unsafe-forbid",
-    // X — cross-artifact (workspace level; only `xref-item-used`,
-    // reported at a declaration, is waivable per line).
-    "xref-bin-smoke",
-    "xref-spec-used",
-    "xref-doc-schema",
+    // X — cross-artifact (only `xref-item-used`, reported at a
+    // declaration, is waivable per line).
     "xref-mod-used",
     "xref-item-used",
     // Meta.

@@ -160,27 +160,20 @@ fn findings_carry_line_numbers() {
 
 fn mini_xref_config() -> xref::XrefConfig {
     xref::XrefConfig {
-        bin_dir: "bins".into(),
-        bin_smoke: "smoke.rs".into(),
-        specs_dir: "specs".into(),
-        spec_ref_dirs: vec!["smoketests".into()],
-        experiments_md: "DOC.md".into(),
-        schema_heading: "## Schema".into(),
-        spec_rs: "spec.rs".into(),
         lib_roots: vec![("fixture_lib".into(), "lib/src/lib.rs".into())],
         mod_ref_exclude: Vec::new(),
     }
 }
 
 /// Every X finding over a fixture tree, as the workspace scan finds
-/// them: [`xref::check`] for the workspace-level rules, then
+/// them: [`xref::check`] for `xref-mod-used`, then
 /// [`check_source`] with the tree's reference index on each library
 /// file for `xref-item-used` and its waivers.
 fn xref_findings(tree: &str) -> Vec<Finding> {
     let root = fixture_dir().join(tree);
     let cfg = mini_xref_config();
     let index = xref::RefIndex::build(&root, &cfg);
-    let mut findings = xref::check(&root, &cfg, &index);
+    let mut findings = xref::check(&cfg, &index);
     let mut libs: Vec<PathBuf> = std::fs::read_dir(root.join("lib/src"))
         .expect("fixture library tree exists")
         .map(|entry| entry.expect("readable entry").path())
@@ -220,8 +213,6 @@ fn xref_bad_tree_fires_every_x_rule() {
         fired,
         [
             ("waiver-unused", "lib/src/lib.rs", 24),
-            ("xref-bin-smoke", "bins/run_all.rs", 0),
-            ("xref-doc-schema", "DOC.md", 7),
             // `no_caller`; `cfg_test_caller`, called from test code only;
             // `tests_dir_caller`, called from `tests/` only; `doc_caller`
             // and `string_caller`, named in a doc comment and a string;
@@ -237,7 +228,6 @@ fn xref_bad_tree_fires_every_x_rule() {
             // `test_only`, named from `#[cfg(test)]` only, and `unused`.
             ("xref-mod-used", "lib/src/lib.rs", 1),
             ("xref-mod-used", "lib/src/lib.rs", 2),
-            ("xref-spec-used", "specs/orphan.toml", 0),
         ],
         "{findings:#?}"
     );

@@ -1492,28 +1492,8 @@ impl ExperimentSpec {
     /// Returns [`SpecError`] (line 0) for unknown paths, missing
     /// tables and the values the key's setter rejects.
     pub fn apply_patch(&mut self, path: &str, value: &SpecValue) -> Result<(), SpecError> {
-        let unknown = || SpecError::whole(format!("unknown patch path `{path}`"));
-        let mut segments = path.split('.');
-        let section = segments
-            .next()
-            .and_then(|name| Section::ALL.into_iter().find(|s| s.name() == name))
-            .filter(|&section| section != Section::Fuzz)
-            .ok_or_else(unknown)?;
-        let index = if section.repeated() {
-            segments
-                .next()
-                .and_then(|index| index.parse().ok())
-                .ok_or_else(unknown)?
-        } else {
-            0
-        };
-        let key = segments.next().ok_or_else(unknown)?;
-        let field = section
-            .fields()
-            .iter()
-            .find(|f| f.key == key)
-            .filter(|_| segments.next().is_none())
-            .ok_or_else(unknown)?;
+        let (section, index, field) = patch_target(path)
+            .ok_or_else(|| SpecError::whole(format!("unknown patch path `{path}`")))?;
         self.set(section, field, index, value)
             .map_err(SpecError::whole)
     }
@@ -1810,6 +1790,25 @@ impl Field {
             ..self
         }
     }
+}
+
+/// The field a dotted patch path names, with its table index:
+/// `table.key`, or `table.N.key` in a repeated section. `[fuzz]` is not
+/// patchable.
+fn patch_target(path: &str) -> Option<(Section, usize, &'static Field)> {
+    let mut segments = path.split('.');
+    let name = segments.next()?;
+    let section = Section::ALL
+        .into_iter()
+        .find(|s| s.name() == name && *s != Section::Fuzz)?;
+    let index = if section.repeated() {
+        segments.next()?.parse().ok()?
+    } else {
+        0
+    };
+    let key = segments.next()?;
+    let field = section.fields().iter().find(|f| f.key == key)?;
+    segments.next().is_none().then_some((section, index, field))
 }
 
 const EXPERIMENT: &[Field] = &[
@@ -3009,6 +3008,71 @@ mod tests {
             }
         }
         assert!(checked > 300, "only {checked} field/value pairs checked");
+    }
+
+    /// EXPERIMENTS.md's schema block against the field table, in both
+    /// directions: every documented table is a section or `[sweep]`,
+    /// every documented key is a field its table reads, and every field
+    /// is documented — a patch-only one as the last segment of a
+    /// documented patch path.
+    #[test]
+    fn experiments_md_documents_every_field() {
+        let md = include_str!("../../../EXPERIMENTS.md");
+        let fence = "```toml\n";
+        let start = md
+            .find("## Spec-driven experiments")
+            .and_then(|heading| Some(heading + md[heading..].find(fence)? + fence.len()))
+            .expect("a ```toml block under \"## Spec-driven experiments\"");
+        let (block, _) = md[start..].split_once("\n```").expect("a closed block");
+        let offset = md[..start].lines().count();
+        let fail = |e: SpecError| -> ! {
+            panic!("EXPERIMENTS.md line {}: {}", offset + e.line, e.message)
+        };
+        let mut root = parse_document(block).unwrap_or_else(|e| fail(e));
+        let mut keys = Vec::new();
+        for section in Section::ALL {
+            let tables = root
+                .take_tables(section.name(), section.repeated())
+                .unwrap_or_else(|e| fail(e));
+            for mut table in tables {
+                for field in section.fields().iter().filter(|f| f.need != Need::Patch) {
+                    if table.take(field.key).is_some() {
+                        keys.push((section, field.key));
+                    }
+                }
+                table
+                    .expect_empty(&section.header())
+                    .unwrap_or_else(|e| fail(e));
+            }
+        }
+        let sweep = root.take_tables("sweep", false).unwrap_or_else(|e| fail(e));
+        root.expect_empty("the schema block")
+            .unwrap_or_else(|e| fail(e));
+        let sweep = SweepSpec::parse(sweep.into_iter().next().expect("a documented [sweep]"))
+            .unwrap_or_else(|e| fail(e));
+        let mut patched = Vec::new();
+        for cell in sweep.axes.iter().flat_map(|axis| &axis.cells) {
+            for (path, _) in &cell.patches {
+                let (section, _, field) = patch_target(path)
+                    .unwrap_or_else(|| panic!("documented patch path `{path}` names no field"));
+                patched.push((section, field.key));
+            }
+        }
+        for section in Section::ALL {
+            for field in section.fields() {
+                let documented = if field.need == Need::Patch {
+                    &patched
+                } else {
+                    &keys
+                };
+                assert!(
+                    documented.contains(&(section, field.key)),
+                    "`{}.{}` is not documented in EXPERIMENTS.md's schema block",
+                    section.name(),
+                    field.key
+                );
+            }
+        }
     }
 
     #[test]
