@@ -15,7 +15,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
-use consistency_bench::{cli, experiment, table};
+use consistency_bench::{cli, experiment, outln, table};
 use consistency_core::{numax, pss};
 use nakamoto_sim::spec::ExperimentSpec;
 
@@ -54,10 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             numax::nu_max_for_c(c)?,
             pss::attack_nu_threshold(c)
         ));
-        println!("{:>6} {:>34} {:>34}", "ν", "private-chain", "balance");
-        println!(
+        outln!("{:>6} {:>34} {:>34}", "ν", "private-chain", "balance");
+        outln!(
             "{:>6} {:>9} {:>24} {:>9} {:>24}",
-            "", "max_reorg", "P[¬T-cons] (95% CI)", "max_div", "P[¬T-cons] (95% CI)"
+            "",
+            "max_reorg",
+            "P[¬T-cons] (95% CI)",
+            "max_div",
+            "P[¬T-cons] (95% CI)"
         );
         for (ni, nu_cell) in sweep.axes[1].cells.iter().enumerate() {
             let at = (ci * n_nu + ni) * n_attacks;
@@ -69,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .wilson()
                 .expect("committed spec samples")
                 .aggregate;
-            println!(
+            outln!(
                 "{:>6} {:>9} {:>24} {:>9} {:>24}",
                 nu_cell.label,
                 private.max_reorg_depth,
@@ -79,8 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    println!("\nShape to verify against the paper: failure rates leave 0 somewhere between");
-    println!("the paper's ν_max (below it runs stay consistent) and ν = 1/2; smaller");
-    println!("c tolerates less adversarial power on every line.");
+    outln!("\nShape to verify against the paper: failure rates leave 0 somewhere between");
+    outln!("the paper's ν_max (below it runs stay consistent) and ν = 1/2; smaller");
+    outln!("c tolerates less adversarial power on every line.");
     Ok(())
 }

@@ -24,7 +24,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
-use consistency_bench::experiment;
+use consistency_bench::{experiment, outln};
 use nakamoto_sim::adversary::{ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
 use nakamoto_sim::execution::run_simulation;
@@ -147,41 +147,50 @@ fn measure() -> Baseline {
 
 fn print_table(b: &Baseline) {
     consistency_bench::section(&format!(
-        "Simulator throughput (1 worker; {} CPU(s) visible)",
+        "Simulator throughput (1 thread; {} CPU(s) visible)",
         b.cpus
     ));
-    println!(
+    outln!(
         "{:<28} {:>16} {:>16} {:>9}",
-        "workload", "rounds/sec", "seed rounds/sec", "speedup"
+        "workload",
+        "rounds/sec",
+        "seed rounds/sec",
+        "speedup"
     );
-    println!(
+    outln!(
         "{:<28} {:>16.0} {:>16.0} {:>8.1}x",
         "private_chain_c3 (1 thread)",
         b.private_rps,
         SEED_PRIVATE_C3_RPS,
         b.private_rps / SEED_PRIVATE_C3_RPS
     );
-    println!(
+    outln!(
         "{:<28} {:>16.0} {:>16.0} {:>8.1}x",
         "immediate_n1000 (1 thread)",
         b.immediate_rps,
         SEED_IMMEDIATE_N1000_RPS,
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS
     );
-    println!(
+    outln!(
         "{:<28} {:>15.3}s {:>16.0} {:>9}",
         format!("spec grid ({} cells, e2e)", b.grid_cells),
         b.grid_wall,
         b.grid_rounds as f64 / b.grid_wall,
         "-"
     );
-    println!(
+    outln!(
         "{:<28} {:>16.0} {:>16} {:>9}",
-        "check workload (CI smoke)", b.check_rps, "-", "-"
+        "check workload (CI smoke)",
+        b.check_rps,
+        "-",
+        "-"
     );
-    println!(
+    outln!(
         "{:<28} {:>16.0} {:>16} {:>9}",
-        "check grid workload", b.check_grid_rps, "-", "-"
+        "check grid workload",
+        b.check_grid_rps,
+        "-",
+        "-"
     );
 }
 
@@ -235,7 +244,8 @@ fn json_number(source: &str, key: &str) -> Option<f64> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every row is a single-thread measurement: pin the shared pool
-    // to one worker before any workload can create it.
+    // to width 1 (the calling thread, no worker) before any workload
+    // can create it.
     executor::configure_global_width(1);
     let args = consistency_bench::cli::Args::parse(
         "bench_sim [--write [PATH] | --check [PATH]]",
@@ -252,7 +262,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut failed = false;
             let fresh = check_throughput();
             let ratio = fresh / baseline;
-            println!(
+            outln!(
                 "check workload: {fresh:.0} rounds/sec vs committed {baseline:.0} \
                  (ratio {ratio:.2}, floor {floor:.2})"
             );
@@ -263,13 +273,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Some(grid_baseline) => {
                     let fresh = check_grid_throughput();
                     let ratio = fresh / grid_baseline;
-                    println!(
+                    outln!(
                         "check grid workload: {fresh:.0} rounds/sec vs committed \
                          {grid_baseline:.0} (ratio {ratio:.2}, floor {floor:.2})"
                     );
                     failed |= ratio < floor;
                 }
-                None => println!("check grid workload: no committed row (pre-v3 baseline)"),
+                None => outln!("check grid workload: no committed row (pre-v3 baseline)"),
             }
             if failed {
                 eprintln!(
@@ -279,14 +289,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
                 std::process::exit(1);
             }
-            println!("OK: within the regression budget");
+            outln!("OK: within the regression budget");
         }
         (None, Some(path)) => {
             let path = path.as_deref().unwrap_or("BENCH_sim.json");
             let baseline = measure();
             print_table(&baseline);
             std::fs::write(path, to_json(&baseline))?;
-            println!("\nwrote {path}");
+            outln!("\nwrote {path}");
         }
         (Some(_), Some(_)) => {
             return Err("pass either --check or --write, not both".into());

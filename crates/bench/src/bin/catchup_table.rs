@@ -5,6 +5,7 @@
 //!
 //! `cargo run --release -p consistency-bench --bin catchup_table [rounds]`
 
+use consistency_bench::outln;
 use consistency_core::catchup;
 use markov::race;
 use nakamoto_sim::adversary::PrivateChainAdversary;
@@ -16,13 +17,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = args.pos_u64(0)?.unwrap_or(300_000);
 
     consistency_bench::section("Catch-up probability: closed form vs capped at z + h");
-    println!(
+    outln!(
         "{:>6} {:>4} {:>16} {:>16}",
-        "q", "z", "closed", "capped (h=100)"
+        "q",
+        "z",
+        "closed",
+        "capped (h=100)"
     );
     for &q in &[0.1, 0.3, 0.45] {
         for &z in &[1u32, 3, 6, 10] {
-            println!(
+            outln!(
                 "{q:>6} {z:>4} {:>16.6e} {:>16.6e}",
                 catchup::catchup_probability(q, z)?,
                 race::violation_probability(q, u64::from(z), u64::from(z) + 100)?.probability,
@@ -31,9 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     consistency_bench::section("Reorg-depth distribution under the private-chain attack");
-    println!(
+    outln!(
         "{:>6} {:>10} {:>12} {:>12} {:>16}",
-        "ν", "reorgs", "max depth", "mean depth*", "geometric ref"
+        "ν",
+        "reorgs",
+        "max depth",
+        "mean depth*",
+        "geometric ref"
     );
     for &nu in &[0.15, 0.25, 0.35, 0.45] {
         let cfg = SimConfig::from_c(100, 4, 1.0, nu, 9_999)?;
@@ -52,11 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         } else {
             0.0
         };
-        println!(
+        outln!(
             "{:>6} {:>10} {:>12} {:>12.2} {:>16.2}",
-            nu, report.reorg_count, report.max_reorg_depth, mean_proxy, mean_ref
+            nu,
+            report.reorg_count,
+            report.max_reorg_depth,
+            mean_proxy,
+            mean_ref
         );
     }
-    println!("(*discarded-honest-blocks per reorg, a proxy for mean reorg depth)");
+    outln!("(*discarded-honest-blocks per reorg, a proxy for mean reorg depth)");
     Ok(())
 }

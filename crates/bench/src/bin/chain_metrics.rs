@@ -5,6 +5,7 @@
 //!
 //! `cargo run --release -p consistency-bench --bin chain_metrics [rounds]`
 
+use consistency_bench::outln;
 use nakamoto_sim::adversary::{ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
 use nakamoto_sim::execution::run_simulation;
@@ -17,9 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let delta = 4u64;
 
     consistency_bench::section("Chain growth & quality vs (ν, c), honest-behaving adversary");
-    println!(
+    outln!(
         "{:>6} {:>6} {:>12} {:>14} {:>12} {:>14}",
-        "ν", "c", "growth/round", "α_h + νnp ref", "quality", "α_h/(α_h+νnp)"
+        "ν",
+        "c",
+        "growth/round",
+        "α_h + νnp ref",
+        "quality",
+        "α_h/(α_h+νnp)"
     );
     for &c in &[0.5f64, 1.0, 3.0, 10.0] {
         for &nu in &[0.1, 0.3] {
@@ -34,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let adv_rate = cfg.n_adversary() as f64 * p;
             let growth_ref = alpha_h + adv_rate;
             let quality_ref = alpha_h / (alpha_h + adv_rate);
-            println!(
+            outln!(
                 "{:>6} {:>6} {:>12.6} {:>14.6} {:>12.4} {:>14.4}",
                 nu,
                 c,
@@ -47,15 +53,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     consistency_bench::section("Same metrics under the private-chain attack");
-    println!(
+    outln!(
         "{:>6} {:>6} {:>12} {:>12}",
-        "ν", "c", "growth/round", "quality"
+        "ν",
+        "c",
+        "growth/round",
+        "quality"
     );
     for &c in &[0.5f64, 1.0, 3.0] {
         for &nu in &[0.1, 0.3, 0.45] {
             let cfg = SimConfig::from_c(n, delta, c, nu, 556)?;
             let report = run_simulation(cfg, PrivateChainAdversary::new(delta), rounds);
-            println!(
+            outln!(
                 "{:>6} {:>6} {:>12.6} {:>12.4}",
                 nu,
                 c,
@@ -65,15 +74,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     consistency_bench::section("Selfish mining (Eyal–Sirer, extension): revenue vs honest share");
-    println!(
+    outln!(
         "{:>6} {:>12} {:>14} {:>14}",
-        "ν", "quality", "honest share µ", "profitable?"
+        "ν",
+        "quality",
+        "honest share µ",
+        "profitable?"
     );
     for &nu in &[0.1, 0.2, 0.3, 0.35, 0.4, 0.45] {
         let cfg = SimConfig::from_c(n, 2, 2.0, nu, 557)?;
         let report = run_simulation(cfg, SelfishMiningAdversary::new(2), rounds);
         let mu = 1.0 - nu;
-        println!(
+        outln!(
             "{:>6} {:>12.4} {:>14.4} {:>14}",
             nu,
             report.chain_quality(),
@@ -86,9 +98,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
         );
     }
-    println!("\nShape: quality degrades towards (and below) the honest-mining line");
-    println!("under attack; growth stays near the honest reference (the adversary");
-    println!("cannot slow mining, only waste honest work). Selfish mining turns");
-    println!("profitable above the γ=0 threshold ν ≈ 1/3.");
+    outln!("\nShape: quality degrades towards (and below) the honest-mining line");
+    outln!("under attack; growth stays near the honest reference (the adversary");
+    outln!("cannot slow mining, only waste honest work). Selfish mining turns");
+    outln!("profitable above the γ=0 threshold ν ≈ 1/3.");
     Ok(())
 }

@@ -25,7 +25,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
-use consistency_bench::{cli, experiment, table};
+use consistency_bench::{cli, experiment, out, outln, table};
 use nakamoto_sim::compose::{ComposedAdversary, Composition, SubSpec};
 use nakamoto_sim::execution::Simulation;
 use nakamoto_sim::scenario::StrategyKind;
@@ -60,14 +60,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base.delta,
         base.c(),
     ));
-    print!("{:>7}", "split");
+    out!("{:>7}", "split");
     for pair in &pair_axis.cells {
-        print!(" {:>37}", pair.label);
+        out!(" {:>37}", pair.label);
     }
-    println!();
-    print!("{:>7}", "");
+    outln!();
+    out!("{:>7}", "");
     for _ in 0..n_pairs {
-        print!(
+        out!(
             " {}",
             format_args!(
                 "{:>6} {:>30}",
@@ -76,25 +76,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         );
     }
-    println!();
+    outln!();
 
     let results = experiment::run_spec(&spec)?;
     assert_eq!(results.len(), n_splits * n_pairs);
     for (row, split) in split_axis.cells.iter().enumerate() {
-        print!("{:>7}", split.label);
+        out!("{:>7}", split.label);
         for col in 0..n_pairs {
             let cell = &results[row * n_pairs + col];
             let aggregate = &cell.wilson().expect("committed spec samples").aggregate;
             let w = aggregate
                 .failure_interval(t_consistency, 1.96)
                 .expect("threshold was requested");
-            print!(
+            out!(
                 " {:>6} {:>30}",
                 table::depth_cell(aggregate),
                 table::ci_cell(&w)
             );
         }
-        println!();
+        outln!();
     }
 
     // Arbitration anatomy: same weights, flipped priority. Balance
@@ -104,9 +104,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section(&format!(
         "Arbitration anatomy: balance+private at 2:2, both priority orders ({rounds} rounds)"
     ));
-    println!(
+    outln!(
         "{:>18} {:>10} {:>10} {:>9} {:>11} {:>10}",
-        "priority", "divergence", "reorg≤", "reorgs", "throttled", "quality"
+        "priority",
+        "divergence",
+        "reorg≤",
+        "reorgs",
+        "throttled",
+        "quality"
     );
     for (label, first, second) in [
         (
@@ -130,7 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut sim = Simulation::new(cfg, ComposedAdversary::new(cfg.delta, composition));
         sim.run(rounds);
         let report = sim.report();
-        println!(
+        outln!(
             "{:>18} {:>10} {:>10} {:>9} {:>11} {:>10.3}",
             label,
             report.max_divergence_depth,
@@ -141,10 +146,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\nShape to verify: the 4:0 and 0:4 rows reproduce the pure strategies (a");
-    println!("single-sub composition is bit-identical to the bare adversary); mixed rows");
-    println!("interpolate, with the balance-heavy mixes carrying the divergence depth and");
-    println!("the fork-heavy mixes the reorg depth. In the anatomy, only the balance-first");
-    println!("order throttles releases. Results are bit-identical at any thread count.");
+    outln!("\nShape to verify: the 4:0 and 0:4 rows reproduce the pure strategies (a");
+    outln!("single-sub composition is bit-identical to the bare adversary); mixed rows");
+    outln!("interpolate, with the balance-heavy mixes carrying the divergence depth and");
+    outln!("the fork-heavy mixes the reorg depth. In the anatomy, only the balance-first");
+    outln!("order throttles releases. Results are bit-identical at any thread count.");
     Ok(())
 }

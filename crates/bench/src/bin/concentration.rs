@@ -11,6 +11,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
+use consistency_bench::outln;
 use consistency_core::extended_chain;
 use consistency_core::params::ProtocolParams;
 use consistency_core::theorem1;
@@ -48,9 +49,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section(&format!(
         "Ineq. 19/47: P[C ≤ (1−δ₂)E[C]] with δ₂ = {delta2}, decay in T ({trials} trials)"
     ));
-    println!(
+    outln!(
         "{:>9} {:>12} {:>11} {:>22} {:>14} {:>22}",
-        "T", "E[C]", "empirical", "95% Wilson CI", "ln(empirical)", "ln(bnd, φ=π start)"
+        "T",
+        "E[C]",
+        "empirical",
+        "95% Wilson CI",
+        "ln(empirical)",
+        "ln(bnd, φ=π start)"
     );
     for (t, run) in &runs {
         let expected = theorem1::expected_convergence_opportunities(&params, *t);
@@ -59,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tail_freq(&run.aggregate.convergence_counts, |c| c as f64 <= threshold);
         let analytic =
             extended_chain::walk_bound_params(&params, *t, 1.0)?.ln_lower_tail(delta2)?;
-        println!(
+        outln!(
             "{:>9} {:>12.1} {:>11} {:>22} {:>14} {:>22.3}",
             t,
             expected,
@@ -77,9 +83,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section(&format!(
         "Ineq. 20/49: P[A ≥ (1+δ₃)E[A]] with δ₃ = {delta3} vs Arratia–Gordon ({trials} trials)"
     ));
-    println!(
+    outln!(
         "{:>9} {:>12} {:>11} {:>22} {:>14} {:>22}",
-        "T", "E[A]", "empirical", "95% Wilson CI", "ln(empirical)", "ln(analytic bnd)"
+        "T",
+        "E[A]",
+        "empirical",
+        "95% Wilson CI",
+        "ln(empirical)",
+        "ln(analytic bnd)"
     );
     for (t, run) in &runs {
         let expected = theorem1::expected_adversary_blocks(&params, *t);
@@ -87,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (hits, wilson) = tail_freq(&run.aggregate.adversary_counts, |a| a as f64 >= threshold);
         let t_nu_n = t * params.to_sim_config(0).n_adversary();
         let analytic = adversary_tail_bound(t_nu_n, params.p(), delta3)?;
-        println!(
+        outln!(
             "{:>9} {:>12.1} {:>11} {:>22} {:>14} {:>22.3}",
             t,
             expected,
@@ -101,8 +112,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             analytic.ln(),
         );
     }
-    println!("\nExpected shape: empirical frequencies fall roughly exponentially in T");
-    println!("and always sit below the analytic bounds (which are loose but valid;");
-    println!("the Chung-et-al. constant 72 dominates at these scales).");
+    outln!("\nExpected shape: empirical frequencies fall roughly exponentially in T");
+    outln!("and always sit below the analytic bounds (which are loose but valid;");
+    outln!("the Chung-et-al. constant 72 dominates at these scales).");
     Ok(())
 }

@@ -8,6 +8,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
+use consistency_bench::outln;
 use consistency_core::convergence::validate_trials;
 use consistency_core::params::ProtocolParams;
 
@@ -23,9 +24,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section(&format!(
         "Eq. 26/27 validation: mean over {trials} trials × {rounds} rounds vs analytic"
     ));
-    println!(
+    outln!(
         "{:>5} {:>6} {:>6} {:>6} {:>12} {:>12} {:>9} {:>7} {:>12} {:>12} {:>9}",
-        "Δ", "n", "ν", "c", "E[C]", "mean C", "err%", "z", "E[A]", "mean A", "err%"
+        "Δ",
+        "n",
+        "ν",
+        "c",
+        "E[C]",
+        "mean C",
+        "err%",
+        "z",
+        "E[A]",
+        "mean A",
+        "err%"
     );
     let mut seed = 10_000u64;
     for &delta in &[1u64, 2, 4] {
@@ -37,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let params = ProtocolParams::from_c(n, delta, c, nu)?;
                 seed += 1;
                 let row = validate_trials(&params, rounds, trials, seed)?;
-                println!(
+                outln!(
                     "{:>5} {:>6} {:>6} {:>6.1} {:>12.1} {:>12.1} {:>8.2}% {:>7.2} {:>12.1} {:>12.1} {:>8.2}%",
                     delta,
                     n,
@@ -54,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    println!("\nEvery row should show errors at Monte-Carlo noise scale: |z| ≲ 3 and");
-    println!("err% shrinking like 1/√(trials·rounds).");
+    outln!("\nEvery row should show errors at Monte-Carlo noise scale: |z| ≲ 3 and");
+    outln!("err% shrinking like 1/√(trials·rounds).");
     Ok(())
 }

@@ -25,7 +25,7 @@
 //! not the run: `--out` is still written and the exit status stays 0.
 //! Budgets and expected runtimes: see EXPERIMENTS.md.
 
-use consistency_bench::{cli, experiment, print_stdout};
+use consistency_bench::{cli, experiment, outln};
 use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
 use std::time::Instant;
@@ -65,10 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         spec.run.trials
     ));
     if let Some(fuzz) = &spec.fuzz {
-        print_stdout(&format!(
-            "fuzz repro: master_seed = {}, case = {}, invariant = `{}`\n",
-            fuzz.master_seed, fuzz.case, fuzz.invariant
-        ));
+        outln!(
+            "fuzz repro: master_seed = {}, case = {}, invariant = `{}`",
+            fuzz.master_seed,
+            fuzz.case,
+            fuzz.invariant
+        );
     }
 
     let verbose = args.verbose;
@@ -88,9 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let wall = started.elapsed().as_secs_f64();
     experiment::print_table(&results);
     let rounds: u64 = results.iter().map(|r| r.estimate.simulated_rounds()).sum();
-    print_stdout(&format!(
-        "\n{rounds} simulated rounds: grid wall time {wall:.2} s\n"
-    ));
+    outln!("\n{rounds} simulated rounds: grid wall time {wall:.2} s");
     if verbose {
         let stats = executor::global_stats();
         eprintln!(
@@ -109,7 +109,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(out) = &args.out {
         std::fs::write(out, experiment::to_json(&name, &results))
             .map_err(|e| format!("{out}: {e}"))?;
-        print_stdout(&format!("wrote {out}\n"));
+        outln!("wrote {out}");
     }
     Ok(())
 }

@@ -3,6 +3,7 @@
 //!
 //! `cargo run -p consistency-bench --bin figure1 [n_points]`
 
+use consistency_bench::{outln, print_stdout};
 use consistency_core::{figure1, pss};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -10,15 +11,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_points = args.pos_usize(0)?.unwrap_or(41);
     consistency_bench::section("Figure 1: nu_max vs c (log-spaced grid)");
     let pts = figure1::generate(n_points)?;
-    print!("{}", figure1::to_table(&pts));
+    print_stdout(&figure1::to_table(&pts));
 
     consistency_bench::section("Exact-PSS cross-check (alpha[1-(2D+2)alpha] > beta)");
-    println!("c\texact_pss_numax\tclosed_form_blue");
+    outln!("c\texact_pss_numax\tclosed_form_blue");
     for &c in &[2.5, 3.0, 5.0, 10.0, 30.0, 100.0] {
         let exact = pss::exact_consistency_nu_max(figure1::FIGURE1_N, figure1::FIGURE1_DELTA, c)?
             .unwrap_or(0.0);
         let blue = pss::consistency_nu_max(c).unwrap_or(0.0);
-        println!(
+        outln!(
             "{c}\t{}\t{}",
             consistency_bench::fmt(exact),
             consistency_bench::fmt(blue)

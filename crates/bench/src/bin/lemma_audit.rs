@@ -4,6 +4,7 @@
 //!
 //! `cargo run --release -p consistency-bench --bin lemma_audit`
 
+use consistency_bench::outln;
 use consistency_core::lemmas;
 use consistency_core::params::ProtocolParams;
 
@@ -33,31 +34,39 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    println!("grid points checked:        {points}");
-    println!("Theorem-3 premises held at: {premise_holds}");
-    println!("broken implications:        {}", failures.len());
+    outln!("grid points checked:        {points}");
+    outln!("Theorem-3 premises held at: {premise_holds}");
+    outln!("broken implications:        {}", failures.len());
     for f in &failures {
-        println!("  FAIL {f}");
+        outln!("  FAIL {f}");
     }
 
     consistency_bench::section("Lemma 7 sandwich tightness (Ineq. 82)");
-    println!(
+    outln!(
         "{:>10} {:>8} {:>14} {:>14} {:>14}",
-        "Δ", "ν", "2/L", "middle", "2/L + 1/Δ"
+        "Δ",
+        "ν",
+        "2/L",
+        "middle",
+        "2/L + 1/Δ"
     );
     for &delta in &[1u64, 16, 1_024, 10_000_000_000_000] {
         for &nu in &[0.1, 0.4] {
             let params = ProtocolParams::from_c(100_000, delta, 3.0, nu)?;
             let (lo, mid, hi) = lemmas::lemma7(&params);
-            println!(
+            outln!(
                 "{:>10} {:>8} {:>14.8} {:>14.8} {:>14.8}",
-                delta, nu, lo, mid, hi
+                delta,
+                nu,
+                lo,
+                mid,
+                hi
             );
         }
     }
 
     if failures.is_empty() {
-        println!("\nAll implications of the proof chain verified on the grid.");
+        outln!("\nAll implications of the proof chain verified on the grid.");
         Ok(())
     } else {
         Err("lemma audit found broken implications".into())

@@ -24,7 +24,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
-use consistency_bench::cli;
+use consistency_bench::{cli, outln};
 use nakamoto_sim::fuzz::{check_scenario, sample_scenario_for, ScenarioFuzzer};
 use nakamoto_sim::spec::ExperimentSpec;
 
@@ -45,23 +45,25 @@ fn replay(path: &str) -> Result<(), Box<dyn std::error::Error>> {
         scenario.total_rounds()
     ));
     if let Some(fuzz) = &spec.fuzz {
-        println!(
+        outln!(
             "replay coordinates: master_seed = {:#x}, case = {}, recorded invariant = `{}`",
-            fuzz.master_seed, fuzz.case, fuzz.invariant
+            fuzz.master_seed,
+            fuzz.case,
+            fuzz.invariant
         );
         // The repro must actually be the case it claims to be: the
         // generator stream for (master_seed, case) regenerates the
         // document's scenario.
         let regenerated = sample_scenario_for(fuzz.master_seed, fuzz.case);
         if regenerated == scenario {
-            println!("coordinates verified: the spec matches the generated case");
+            outln!("coordinates verified: the spec matches the generated case");
         } else {
-            println!("note: the spec differs from the generated case (edited repro?); checking the spec's scenario");
+            outln!("note: the spec differs from the generated case (edited repro?); checking the spec's scenario");
         }
     }
     match check_scenario(&scenario) {
         Ok(()) => {
-            println!("PASS: every invariant holds on the replayed case");
+            outln!("PASS: every invariant holds on the replayed case");
             Ok(())
         }
         Err((invariant, detail)) => {
@@ -88,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let started = std::time::Instant::now();
     match ScenarioFuzzer::new(seed).run(budget) {
         Ok(stats) => {
-            println!(
+            outln!(
                 "PASS: {} cases ({} with composed phases), {} phases, {} scenario rounds \
                  per execution in {:.2} s",
                 stats.cases,
@@ -97,7 +99,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stats.rounds,
                 started.elapsed().as_secs_f64(),
             );
-            println!("Invariants held: pool bit-identity, pruning-liveness, prefix monotonicity.");
+            outln!("Invariants held: pool bit-identity, pruning-liveness, prefix monotonicity.");
             Ok(())
         }
         Err(failure) => {

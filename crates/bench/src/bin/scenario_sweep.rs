@@ -21,7 +21,7 @@
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
-use consistency_bench::{cli, experiment, table};
+use consistency_bench::{cli, experiment, out, outln, table};
 use nakamoto_sim::scenario::{run_scenario, PhaseSpec, Regime, Scenario, StrategyKind};
 use nakamoto_sim::spec::ExperimentSpec;
 use probability::rng::{RandomSource, SplitMix64};
@@ -59,14 +59,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base.delta,
         base.c(),
     ));
-    print!("{:>8}", "ν_attack");
+    out!("{:>8}", "ν_attack");
     for window in &window_axis.cells {
-        print!(" {:>30}", window.label);
+        out!(" {:>30}", window.label);
     }
-    println!();
-    print!("{:>8}", "");
+    outln!();
+    out!("{:>8}", "");
     for _ in 0..n_windows {
-        print!(
+        out!(
             " {}",
             format_args!(
                 "{:>6} {:>23}",
@@ -75,25 +75,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         );
     }
-    println!();
+    outln!();
 
     let results = experiment::run_spec(&spec)?;
     assert_eq!(results.len(), n_power * n_windows);
     for (row, power) in power_axis.cells.iter().enumerate() {
-        print!("{:>8}", power.label);
+        out!("{:>8}", power.label);
         for col in 0..n_windows {
             let cell = &results[row * n_windows + col];
             let aggregate = &cell.wilson().expect("committed spec samples").aggregate;
             let w = aggregate
                 .failure_interval(t_consistency, 1.96)
                 .expect("threshold was requested");
-            print!(
+            out!(
                 " {:>6} {:>23}",
                 table::depth_cell(aggregate),
                 table::ci_cell(&w)
             );
         }
-        println!();
+        outln!();
     }
 
     // Per-phase anatomy of one showcase cell: where in the scenario the
@@ -122,13 +122,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section(&format!(
         "Showcase cell anatomy: private+eclipse(1) window at ν = 0.35 ({rounds_per_phase} rounds per phase)"
     ));
-    println!(
+    outln!(
         "{:>7} {:>9} {:>9} {:>8} {:>8} {:>12} {:>12}",
-        "phase", "honest", "adversary", "conv", "reorgs", "cum_reorg≤", "cum_diverg≤"
+        "phase",
+        "honest",
+        "adversary",
+        "conv",
+        "reorgs",
+        "cum_reorg≤",
+        "cum_diverg≤"
     );
     let report = run_scenario(&scenario);
     for (i, p) in report.phase_reports.iter().enumerate() {
-        println!(
+        outln!(
             "{:>7} {:>9} {:>9} {:>8} {:>8} {:>12} {:>12}",
             i,
             p.honest_blocks,
@@ -140,11 +146,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!("\nShape to verify: failure rates grow with the attack-window power on every");
-    println!("column; the eclipse column fails hardest (one group is cut off for the whole");
-    println!("window); the composed column blends the balance divergence with selfish");
-    println!("withholding under one budget; the showcase anatomy concentrates adversary");
-    println!("blocks and depth growth in phase 1, with clean recovery in phase 2. Results");
-    println!("are bit-identical for a fixed seed at any thread count.");
+    outln!("\nShape to verify: failure rates grow with the attack-window power on every");
+    outln!("column; the eclipse column fails hardest (one group is cut off for the whole");
+    outln!("window); the composed column blends the balance divergence with selfish");
+    outln!("withholding under one budget; the showcase anatomy concentrates adversary");
+    outln!("blocks and depth growth in phase 1, with clean recovery in phase 2. Results");
+    outln!("are bit-identical for a fixed seed at any thread count.");
     Ok(())
 }

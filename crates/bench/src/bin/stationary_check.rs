@@ -5,6 +5,7 @@
 //!
 //! `cargo run --release -p consistency-bench --bin stationary_check`
 
+use consistency_bench::outln;
 use consistency_core::suffix_chain;
 use markov::hitting::expected_return_time;
 use markov::stationary::{stationarity_residual, stationary_gth, stationary_power, PowerConfig};
@@ -12,9 +13,15 @@ use markov::structure::is_ergodic;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     consistency_bench::section("Eq. 37 closed form vs numeric stationary distributions");
-    println!(
+    outln!(
         "{:>5} {:>8} {:>10} {:>14} {:>14} {:>14} {:>14}",
-        "Δ", "α", "states", "gth_max_err", "power_max_err", "residual", "kac_rel_err"
+        "Δ",
+        "α",
+        "states",
+        "gth_max_err",
+        "power_max_err",
+        "residual",
+        "kac_rel_err"
     );
     for &delta in &[1u64, 2, 4, 8, 16, 32, 64] {
         for &alpha in &[0.01f64, 0.1, 0.5, 0.9] {
@@ -39,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let long_gap = delta as usize;
             let kac = expected_return_time(&chain, long_gap)?;
             let kac_err = (kac - 1.0 / closed[long_gap]).abs() / kac;
-            println!(
+            outln!(
                 "{:>5} {:>8} {:>10} {:>14.3e} {:>14.3e} {:>14.3e} {:>14.3e}",
                 delta,
                 alpha,
@@ -51,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    println!("\nAll errors at f64 rounding level confirm the Fig. 2 transition");
-    println!("structure and the Eq. 37 closed form agree.");
+    outln!("\nAll errors at f64 rounding level confirm the Fig. 2 transition");
+    outln!("structure and the Eq. 37 closed form agree.");
     Ok(())
 }

@@ -7,6 +7,7 @@
 //! The windows are 5,000, 20,000 and 80,000 rounds; a run shorter than
 //! a window skips it, and one shorter than 5,000 rounds is an error.
 
+use consistency_bench::outln;
 use consistency_core::params::ProtocolParams;
 use consistency_core::window::simulate_and_scan;
 use nakamoto_sim::adversary::PrivateChainAdversary;
@@ -25,9 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     consistency_bench::section("Worst window of C − A under the private-chain attack (Δ = 2)");
-    println!(
+    outln!(
         "{:>6} {:>8} {:>10} {:>14} {:>14} {:>14}",
-        "ν", "c/bound", "window", "worst C−A", "violating", "all safe"
+        "ν",
+        "c/bound",
+        "window",
+        "worst C−A",
+        "violating",
+        "all safe"
     );
     for &nu in &[0.1, 0.25, 0.4] {
         let neat = consistency_core::theorem2::neat_bound(nu);
@@ -41,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 88_000 + (nu * 100.0) as u64,
             )?;
             for r in &reports {
-                println!(
+                outln!(
                     "{:>6} {:>8} {:>10} {:>14} {:>14} {:>14}",
                     nu,
                     format!("{factor}×"),
@@ -53,8 +59,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
     }
-    println!("\nShape: above the bound (2×) large windows are uniformly safe and the");
-    println!("worst margin grows with the window; below it (0.5×) every window is");
-    println!("in deficit — Lemma 1's premise fails at all scales simultaneously.");
+    outln!("\nShape: above the bound (2×) large windows are uniformly safe and the");
+    outln!("worst margin grows with the window; below it (0.5×) every window is");
+    outln!("in deficit — Lemma 1's premise fails at all scales simultaneously.");
     Ok(())
 }

@@ -46,7 +46,8 @@ pub struct Args {
     /// Non-flag arguments, in order.
     pub positionals: Vec<String>,
     /// `--jobs N`: width of the process-wide executor pool — the only
-    /// parallelism knob (0 = one worker per CPU).
+    /// parallelism knob: `N` threads, the calling thread included
+    /// (0 = one per CPU).
     pub jobs: Option<usize>,
     /// `--seed N`: master-seed override.
     pub seed: Option<u64>,

@@ -46,6 +46,27 @@ pub fn print_stdout(text: &str) {
     }
 }
 
+/// `print!` through [`print_stdout`]: a closed stdout ends printing, not
+/// the run. The harness binaries print with this and [`outln!`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_stdout(&format!($($arg)*))
+    };
+}
+
+/// `println!` through [`print_stdout`]: a closed stdout ends printing,
+/// not the run.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_stdout("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::print_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

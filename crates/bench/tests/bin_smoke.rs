@@ -41,7 +41,9 @@ macro_rules! bin {
 
 /// Every binary under `src/bin/`, run once at a tiny budget in a fresh
 /// directory: the table must name exactly the binaries there, and each
-/// must exit 0 with a non-empty stdout. `bench_sim` has no budget
+/// must exit 0 with a non-empty stdout. Each then runs once more with
+/// its stdout closed after the first line, as under `| head -1`, and
+/// must still exit 0 without a panic. `bench_sim` has no budget
 /// argument, so it runs `--check` against a baseline whose every
 /// `check_*` throughput is 1.
 #[test]
@@ -104,6 +106,25 @@ fn every_binary_runs_at_a_tiny_budget() {
             String::from_utf8_lossy(&output.stderr)
         );
         assert!(!output.stdout.is_empty(), "{name}: nothing on stdout");
+        let mut child = Command::new(exe)
+            .args(args)
+            .current_dir(&dir)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("{name} starts: {e}"));
+        let mut first = String::new();
+        std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut first)
+            .expect("a first line");
+        let output = child.wait_with_output().expect("the binary exits");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            output.status.success() && !stderr.contains("panicked"),
+            "{name} {} with stdout closed: {}\n{stderr}",
+            args.join(" "),
+            output.status
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

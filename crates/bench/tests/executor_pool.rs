@@ -66,8 +66,8 @@ fn an_n_cell_grid_spawns_one_pool_not_n_scopes() {
     );
     assert_eq!(executor::global_width(), 2, "--jobs width sticks");
     assert_eq!(
-        after_first.threads_spawned, 2,
-        "exactly the pool width, not one scope per cell"
+        after_first.threads_spawned, 1,
+        "the pool width minus the joining caller, not one scope per cell"
     );
 
     // A second grid reuses the same workers: no new pool, no new

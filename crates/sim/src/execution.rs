@@ -106,16 +106,11 @@ pub struct Simulation<A: Adversary> {
     release_buf: Vec<crate::adversary::ReleaseDirective>,
     /// Buffered mining outcome: `Some((k, out))` means the next `k − 1`
     /// rounds are quiet and the `k`-th applies `out` (which has ≥ 1
-    /// success). Refilled from the oracle's gap sampler when empty.
+    /// success). Refilled from the oracle's gap sampler only when empty,
+    /// so the oracle's latest sub-adversary split
+    /// ([`MiningOracle::adversary_split`]) is always the buffered
+    /// outcome's.
     pending_outcome: Option<(u64, RoundOutcome)>,
-    /// Sub-adversary miner counts for strategies that split the
-    /// corrupted population ([`Adversary::sub_miner_counts`]); `None`
-    /// for a monolithic strategy, which `act` hands the round's total.
-    sub_counts: Option<Vec<u64>>,
-    /// Sub-adversary split of the buffered `pending_outcome`, captured
-    /// at sampling time (the oracle's split buffer is overwritten by the
-    /// next sample, but the buffered outcome applies rounds later).
-    pending_split: Vec<u64>,
     /// Rounds between automatic prunes; `None` disables pruning.
     prune_interval: Option<u64>,
     last_prune: Round,
@@ -150,9 +145,8 @@ impl<A: Adversary> Simulation<A> {
         let n_groups = adversary.group_count();
         assert!(n_groups == 1 || n_groups == 2, "1 or 2 honest groups");
         let group_sizes = split_honest(n_groups, config.n_honest());
-        let sub_counts = adversary.sub_miner_counts(config.n_adversary());
         let mut oracle = MiningOracle::new(group_sizes, config.n_adversary(), config.hardness, rng);
-        oracle.set_adversary_split(sub_counts.as_deref());
+        oracle.set_adversary_split(adversary.sub_miner_counts(config.n_adversary()).as_deref());
         Simulation {
             tree: BlockTree::new(),
             network: Network::new(),
@@ -170,8 +164,6 @@ impl<A: Adversary> Simulation<A> {
             delivery_buf: Vec::new(),
             release_buf: Vec::new(),
             pending_outcome: None,
-            sub_counts,
-            pending_split: Vec::new(),
             prune_interval: Some(DEFAULT_PRUNE_INTERVAL),
             last_prune: 0,
             config,
@@ -226,17 +218,16 @@ impl<A: Adversary> Simulation<A> {
     }
 
     /// Replaces the mining generator with `rng`, discarding the
-    /// buffered quiet-gap outcome (and its captured sub-adversary
-    /// split) sampled from the old stream. This is the splitting
-    /// estimator's replica restart: a cloned entrance state continues
-    /// under its own disjoint stream, and because geometric gaps are
-    /// memoryless, restarting the gap at the boundary leaves the
-    /// process law identical to never having buffered at all (the same
-    /// argument [`Simulation::reconfigure_mining`] relies on).
+    /// buffered quiet-gap outcome sampled from the old stream. This is
+    /// the splitting estimator's replica restart: a cloned entrance
+    /// state continues under its own disjoint stream, and because
+    /// geometric gaps are memoryless, restarting the gap at the
+    /// boundary leaves the process law identical to never having
+    /// buffered at all (the same argument
+    /// [`Simulation::reconfigure_mining`] relies on).
     pub fn reseed_mining(&mut self, rng: Xoshiro256PlusPlus) {
         self.oracle.replace_rng(rng);
         self.pending_outcome = None;
-        self.pending_split.clear();
     }
 
     /// The run's consistency depth so far: the deeper of the deepest
@@ -288,7 +279,7 @@ impl<A: Adversary> Simulation<A> {
         new_config.adversary_fraction = adversary_fraction;
         new_config.hardness = hardness;
         let new_subs = self.adversary.sub_miner_counts(new_config.n_adversary());
-        if !params_changed && new_subs == self.sub_counts {
+        if !params_changed && new_subs.as_deref() == self.oracle.adversary_sub_sizes() {
             return;
         }
         new_config
@@ -299,12 +290,10 @@ impl<A: Adversary> Simulation<A> {
         self.oracle
             .reconfigure(group_sizes, self.config.n_adversary(), hardness);
         self.oracle.set_adversary_split(new_subs.as_deref());
-        self.sub_counts = new_subs;
-        // The buffered gap (and its captured split) were sampled under
-        // the old law; discard both — gaps are memoryless, so this does
-        // not skew the post-boundary distribution.
+        // The buffered gap was sampled under the old law; discard it —
+        // gaps are memoryless, so this does not skew the post-boundary
+        // distribution.
         self.pending_outcome = None;
-        self.pending_split.clear();
     }
 
     /// Re-derives both streaming detectors for a new *effective* delay
@@ -352,20 +341,6 @@ impl<A: Adversary> Simulation<A> {
         self.prune_interval = interval;
     }
 
-    /// Samples the next gap outcome, capturing its sub-adversary split
-    /// into the engine buffer: the oracle's split is overwritten by the
-    /// next sample, but the buffered outcome only applies after the
-    /// quiet stretch it heads.
-    fn sample_gap_outcome(&mut self) -> Option<(u64, RoundOutcome)> {
-        let sampled = self.oracle.sample_gap_to_success();
-        if self.sub_counts.is_some() {
-            self.pending_split.clear();
-            self.pending_split
-                .extend_from_slice(self.oracle.adversary_split());
-        }
-        sampled
-    }
-
     /// Both group tips (duplicated in the single-group setting).
     fn group_tips(&self) -> [BlockId; 2] {
         if self.tracker.n_groups() == 1 {
@@ -407,7 +382,7 @@ impl<A: Adversary> Simulation<A> {
         // precede the next success together with that round's counts.
         // `applied_success` marks the round that consumes the buffered
         // success outcome — the only round whose sub-adversary split
-        // (captured at sampling time) is nonzero.
+        // (the oracle's latest) is nonzero.
         let mut applied_success = false;
         let outcome = match &mut self.pending_outcome {
             Some((1, out)) => {
@@ -422,7 +397,7 @@ impl<A: Adversary> Simulation<A> {
                 *left -= 1;
                 RoundOutcome::quiet()
             }
-            None => match self.sample_gap_outcome() {
+            None => match self.oracle.sample_gap_to_success() {
                 Some((1, out)) => {
                     applied_success = true;
                     out
@@ -491,9 +466,10 @@ impl<A: Adversary> Simulation<A> {
             // oracle allocated for this round, a monolithic one the
             // total; a round without wins passes no entries.
             let total = [outcome.adversary];
-            let successes: &[u64] = match (&self.sub_counts, applied_success) {
-                (Some(_), true) => &self.pending_split,
-                (None, _) if outcome.adversary > 0 => &total,
+            let composed = self.oracle.adversary_sub_sizes().is_some();
+            let successes: &[u64] = match (composed, applied_success) {
+                (true, true) => self.oracle.adversary_split(),
+                (false, _) if outcome.adversary > 0 => &total,
                 _ => &[],
             };
             debug_assert_eq!(successes.iter().sum::<u64>(), outcome.adversary);
@@ -580,7 +556,7 @@ impl<A: Adversary> Simulation<A> {
         // otherwise execute just to draw the next gap becomes
         // skippable like the rest of the quiet stretch.
         if self.pending_outcome.is_none() {
-            self.pending_outcome = self.sample_gap_outcome();
+            self.pending_outcome = self.oracle.sample_gap_to_success();
         }
         let Some((left, _)) = self.pending_outcome else {
             return 0;
@@ -1016,6 +992,16 @@ mod tests {
             original.consistency_depth(),
             "{name}"
         );
+    }
+
+    /// The splitting estimator stores thousands of engine states at
+    /// once, so the inline size of one is memory at its peak: the
+    /// oracle's gap constants are shared between clones and a composed
+    /// strategy's split is boxed in the oracle.
+    #[test]
+    fn a_stored_engine_state_stays_small() {
+        let size = std::mem::size_of::<Simulation<BalanceAdversary>>();
+        assert!(size <= 640, "Simulation<BalanceAdversary> is {size} bytes");
     }
 
     #[test]

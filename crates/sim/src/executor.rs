@@ -21,6 +21,11 @@
 //! task per slot, not one per unit, the queue stays short (a few
 //! hundred tasks over a whole sweep grid) and one lock serves it.
 //!
+//! A pool of width `N` is `N` threads **counting the caller**: it
+//! spawns `N − 1` workers, and the thread that joins a job runs that
+//! job's tasks as the `N`-th (see below). So `--jobs N` lets at most
+//! `N` threads compute and allocate at once.
+//!
 //! # Determinism contract
 //!
 //! The executor never touches a random stream and never influences
@@ -54,6 +59,8 @@
 //! Its width defaults to [`std::thread::available_parallelism`] and
 //! can be fixed *before first use* with [`configure_global_width`]
 //! (the `--jobs` CLI flag), the one parallelism knob in the workspace.
+//! The width counts the joining caller, so the pool spawns one worker
+//! fewer than its width.
 //! Every trial and splitting-stage fan-out asks for [`global_width`]
 //! slots, so concurrent [`crate::spec::ExperimentPlan`]s cannot
 //! oversubscribe the host: the pool owns every worker thread in the
@@ -93,8 +100,9 @@ struct Task {
 /// tests. None of these values ever feeds a simulation result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Worker threads the pool has spawned (its width once it exists;
-    /// it never grows per job).
+    /// Worker threads the pool has spawned: its width minus one once it
+    /// exists, because the joining caller is the width's last thread.
+    /// It never grows per job.
     pub threads_spawned: u64,
     /// Jobs that went through the queue.
     pub jobs_submitted: u64,
@@ -165,13 +173,14 @@ fn configured_width() -> usize {
     }
 }
 
-/// Spawns the pool's workers on first call. They are detached: they
-/// live for the remainder of the process.
+/// Spawns the pool's `width − 1` workers on first call; the joining
+/// caller is the width's last thread. They are detached: they live for
+/// the remainder of the process.
 fn ensure_pool() {
     POOL_WIDTH.get_or_init(|| {
         POOLS_CREATED.fetch_add(1, Ordering::SeqCst);
         let width = configured_width();
-        for me in 0..width {
+        for me in 1..width {
             THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
             thread::Builder::new()
                 .name(format!("sim-exec-{me}"))
@@ -426,7 +435,7 @@ mod tests {
     }
 
     /// The deadlock regression the helping join exists for, as on a
-    /// width-1 pool whose one worker runs the joining cell: a composite
+    /// width-2 pool whose one worker runs a joining cell: a composite
     /// job with more slots than the pool has threads, whose every unit
     /// joins a nested leaf job, so every pool thread can be inside a
     /// composite at once. Hangs if helping breaks.
@@ -514,6 +523,6 @@ mod tests {
         let _ = run_ordered(16, 4, TaskKind::Leaf, |i| i);
         assert_eq!(global_pools_created(), 1);
         let stats = global_stats();
-        assert_eq!(stats.threads_spawned, global_width() as u64);
+        assert_eq!(stats.threads_spawned, global_width() as u64 - 1);
     }
 }

@@ -19,6 +19,7 @@
 
 use probability::binomial::Binomial;
 use probability::rng::{RandomSource, Xoshiro256PlusPlus};
+use std::sync::Arc;
 
 /// Per-round mining outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,21 +180,31 @@ impl GapSampler {
     }
 }
 
+/// The subdivision of the adversary class into sub-adversaries for a
+/// composed strategy (see [`MiningOracle::set_adversary_split`]).
+#[derive(Debug, Clone)]
+struct AdversarySplit {
+    /// Sub-adversary miner counts; sums to the adversary population.
+    sizes: Vec<u64>,
+    /// Per-sub-adversary success counts of the most recently sampled
+    /// outcome (parallel to `sizes`).
+    last: Vec<u64>,
+}
+
 /// Samples per-round block counts for honest groups and the adversary.
+///
+/// Clones share the gap sampler's constants, which depend only on the
+/// population and the hardness: the splitting estimator stores
+/// thousands of engine states of one cell, and each pays for its own
+/// generator and sizes only.
 #[derive(Debug, Clone)]
 pub struct MiningOracle {
     /// Subpopulation sizes `[group 0, group 1, adversary]`.
     sizes: [u64; 3],
-    /// Optional further subdivision of the adversary class into
-    /// sub-adversary miner counts (empty = monolithic adversary). Set by
-    /// [`MiningOracle::set_adversary_split`]; sums to `sizes[2]`.
-    sub_sizes: Vec<u64>,
-    /// Per-sub-adversary success counts of the most recently sampled
-    /// outcome (parallel to `sub_sizes`; all zero when monolithic).
-    last_split: Vec<u64>,
-    /// Scratch for the without-replacement sub-class draw.
-    sub_scratch: Vec<u64>,
-    gap: Option<GapSampler>,
+    /// Further subdivision of the adversary class, `None` for a
+    /// monolithic adversary. Boxed: only composed strategies set it.
+    split: Option<Box<AdversarySplit>>,
+    gap: Option<Arc<GapSampler>>,
     rng: Xoshiro256PlusPlus,
 }
 
@@ -211,9 +222,7 @@ impl MiningOracle {
     pub fn new(group_sizes: [u64; 2], n_adversary: u64, p: f64, rng: Xoshiro256PlusPlus) -> Self {
         let mut oracle = MiningOracle {
             sizes: [0; 3],
-            sub_sizes: Vec::new(),
-            last_split: Vec::new(),
-            sub_scratch: Vec::new(),
+            split: None,
             gap: None,
             rng,
         };
@@ -241,13 +250,12 @@ impl MiningOracle {
             "hardness validated by SimConfig"
         );
         self.sizes = sizes;
-        self.gap = GapSampler::new(n_total, p);
+        self.gap = GapSampler::new(n_total, p).map(Arc::new);
         // A reconfigure invalidates any previously configured adversary
         // subdivision (the sub counts were derived from the old
         // population); callers re-establish it via
         // [`MiningOracle::set_adversary_split`].
-        self.sub_sizes.clear();
-        self.last_split.clear();
+        self.split = None;
     }
 
     /// Subdivides the adversary class into sub-adversary miner counts
@@ -276,23 +284,24 @@ impl MiningOracle {
     /// Panics if `subs` does not sum to the configured adversary
     /// population.
     pub fn set_adversary_split(&mut self, subs: Option<&[u64]>) {
-        match subs {
-            None => {
-                self.sub_sizes.clear();
-                self.last_split.clear();
-            }
-            Some(subs) => {
-                assert_eq!(
-                    subs.iter().sum::<u64>(),
-                    self.sizes[2],
-                    "sub-adversary counts must sum to the adversary population"
-                );
-                self.sub_sizes.clear();
-                self.sub_sizes.extend_from_slice(subs);
-                self.last_split.clear();
-                self.last_split.resize(subs.len(), 0);
-            }
-        }
+        self.split = subs.map(|subs| {
+            assert_eq!(
+                subs.iter().sum::<u64>(),
+                self.sizes[2],
+                "sub-adversary counts must sum to the adversary population"
+            );
+            Box::new(AdversarySplit {
+                sizes: subs.to_vec(),
+                last: vec![0; subs.len()],
+            })
+        });
+    }
+
+    /// The sub-adversary miner counts [`MiningOracle::set_adversary_split`]
+    /// configured, `None` for a monolithic adversary.
+    #[must_use]
+    pub fn adversary_sub_sizes(&self) -> Option<&[u64]> {
+        self.split.as_deref().map(|split| split.sizes.as_slice())
     }
 
     /// Per-sub-adversary success counts of the most recently sampled
@@ -300,42 +309,44 @@ impl MiningOracle {
     /// outcome's `adversary` count.
     #[must_use]
     pub fn adversary_split(&self) -> &[u64] {
-        &self.last_split
+        self.split
+            .as_deref()
+            .map_or(&[], |split| split.last.as_slice())
     }
 
     /// Splits `k_adv` adversary successes across the configured
-    /// sub-adversaries into `last_split`. Successes occupy `k_adv`
-    /// distinct adversary miners chosen uniformly, so classes are drawn
-    /// without replacement; when at most one sub-class has miners the
-    /// split is deterministic and consumes no randomness.
+    /// sub-adversaries into the split's `last` counts. Successes occupy
+    /// `k_adv` distinct adversary miners chosen uniformly, so classes
+    /// are drawn without replacement; when at most one sub-class has
+    /// miners the split is deterministic and consumes no randomness.
     fn split_adversary(&mut self, k_adv: u64) {
-        if self.sub_sizes.is_empty() {
+        let Some(split) = self.split.as_deref_mut() else {
             return;
-        }
-        self.last_split.iter_mut().for_each(|c| *c = 0);
+        };
+        split.last.iter_mut().for_each(|c| *c = 0);
         if k_adv == 0 {
             return;
         }
-        let nonzero = self.sub_sizes.iter().filter(|&&s| s > 0).count();
+        let nonzero = split.sizes.iter().filter(|&&s| s > 0).count();
         if nonzero <= 1 {
-            if let Some(i) = self.sub_sizes.iter().position(|&s| s > 0) {
-                self.last_split[i] = k_adv;
+            if let Some(i) = split.sizes.iter().position(|&s| s > 0) {
+                split.last[i] = k_adv;
             }
             return;
         }
-        self.sub_scratch.clear();
-        self.sub_scratch.extend_from_slice(&self.sub_sizes);
-        let mut pool: u64 = self.sub_scratch.iter().sum();
+        let mut pool: u64 = split.sizes.iter().sum();
         debug_assert!(k_adv <= pool, "more successes than adversary miners");
         for _ in 0..k_adv {
             let mut x = self.rng.next_below(pool);
-            for (count, rem) in self.last_split.iter_mut().zip(self.sub_scratch.iter_mut()) {
-                if x < *rem {
+            // A class's remaining miners are its size less the
+            // successes it already drew.
+            for (count, &size) in split.last.iter_mut().zip(&split.sizes) {
+                let rem = size - *count;
+                if x < rem {
                     *count += 1;
-                    *rem -= 1;
                     break;
                 }
-                x -= *rem;
+                x -= rem;
             }
             pool -= 1;
         }
@@ -361,7 +372,7 @@ impl MiningOracle {
     /// random-number *stream* differs, not the statistics (the tests
     /// check it against a per-round sampler).
     pub fn sample_gap_to_success(&mut self) -> Option<(u64, RoundOutcome)> {
-        let gap = self.gap.as_ref()?;
+        let gap = self.gap.as_deref()?;
         let g = gap.sample_gap(&mut self.rng);
         let k = gap.sample_total(&mut self.rng);
         // Split k successes across the subpopulations: successes occupy
@@ -402,7 +413,7 @@ mod tests {
         /// The binomial law of one round's successes in a subpopulation
         /// of `n` miners (`None` for an empty one).
         fn round_law(&self, n: u64) -> Option<Binomial> {
-            let p = self.gap.as_ref().map_or(0.0, |g| g.p);
+            let p = self.gap.as_deref().map_or(0.0, |g| g.p);
             (n > 0).then(|| Binomial::new(n, p).unwrap())
         }
 

@@ -40,6 +40,12 @@
 //! memory scales with effort × live fork window rather than with the
 //! rounds already simulated.
 //!
+//! Survivors that no replica of the next stage resamples are dropped
+//! before that stage runs (about e⁻¹ of them when all `effort`
+//! replicas survive), on the joining thread while the workers sleep;
+//! the kept ones are cloned by the same replicas as before, so this
+//! changes no result either.
+//!
 //! # Determinism contract
 //!
 //! Identical to the trial engine's: parent selections and replica
@@ -306,9 +312,10 @@ impl SplittingPlan {
         let stage_seed = stage_seeder.next_u64();
         let selection_seed = stage_seeder.next_u64();
         let mut selection = SplitMix64::new(selection_seed);
-        let parents: Vec<usize> = (0..effort)
+        let mut parents: Vec<usize> = (0..effort)
             .map(|_| selection.next_below(entrants.len() as u64) as usize)
             .collect();
+        let entrants = keep_resampled(entrants, &mut parents);
         let streams = trial_streams(stage_seed, effort);
         fan_out_stage(effort, self.rounds, level, move |replica| {
             let mut sim = Simulation::clone(&entrants[parents[replica as usize]]);
@@ -316,6 +323,34 @@ impl SplittingPlan {
             sim
         })
     }
+}
+
+/// Keeps the entrance states that at least one replica resamples, in
+/// their order, and remaps `parents` onto the kept states, so every
+/// replica still clones the same state. The joiner calls it before a
+/// stage's fan-out: the states no replica resamples (about e⁻¹ of them
+/// when as many parents are drawn, uniformly with replacement, as there
+/// are states) are freed there, while the workers sleep, instead of
+/// being held through the stage.
+fn keep_resampled<T>(mut entrants: Vec<T>, parents: &mut [usize]) -> Vec<T> {
+    let mut picked = vec![false; entrants.len()];
+    for &parent in parents.iter() {
+        picked[parent] = true;
+    }
+    // `kept_before[i]`: how many picked states precede state `i`, its
+    // index among the kept states when it is picked itself.
+    let mut kept_before = Vec::with_capacity(picked.len());
+    let mut kept = 0;
+    for &is_picked in &picked {
+        kept_before.push(kept);
+        kept += usize::from(is_picked);
+    }
+    let mut picked = picked.into_iter();
+    entrants.retain(|_| picked.next() == Some(true));
+    for parent in parents.iter_mut() {
+        *parent = kept_before[*parent];
+    }
+    entrants
 }
 
 /// One stage of a splitting run: how many of the `effort` replicas
@@ -607,6 +642,38 @@ mod tests {
         let p3 = run.estimate_at(3).unwrap().probability;
         assert!(p3 <= p1, "P[depth ≥ 4] = {p3} > P[depth ≥ 2] = {p1}");
         assert!((0.0..=1.0).contains(&p1));
+    }
+
+    /// The resample step drops the states no replica picks: after the
+    /// drop and remap, each replica's parent is the same state as
+    /// before, and every kept state has at least one replica.
+    #[test]
+    fn resampling_drops_unpicked_states_and_keeps_every_parent() {
+        let mut selection = SplitMix64::new(5);
+        for (states, effort) in [(1usize, 1usize), (1, 9), (9, 1), (40, 40), (400, 4000)] {
+            let entrants: Vec<Box<u64>> = (0..states as u64).map(|v| Box::new(v * 7)).collect();
+            let before: Vec<u64> = entrants.iter().map(|state| **state).collect();
+            let old_parents: Vec<usize> = (0..effort)
+                .map(|_| selection.next_below(states as u64) as usize)
+                .collect();
+            let mut parents = old_parents.clone();
+            let kept = keep_resampled(entrants, &mut parents);
+            for (&old, &new) in old_parents.iter().zip(&parents) {
+                assert_eq!(*kept[new], before[old], "{states} states, effort {effort}");
+            }
+            let mut picks = vec![0usize; kept.len()];
+            for &parent in &parents {
+                picks[parent] += 1;
+            }
+            assert!(
+                picks.iter().all(|&n| n > 0),
+                "{states} states, effort {effort}: a kept state has no replica"
+            );
+            assert!(
+                kept.windows(2).all(|w| w[0] < w[1]),
+                "kept states stay in order"
+            );
+        }
     }
 
     #[test]
