@@ -18,7 +18,6 @@ use nakamoto_sim::montecarlo::MonteCarloRun;
 use nakamoto_sim::spec::{Estimate, ExperimentCell, ExperimentMode, ExperimentSpec, SpecError};
 use nakamoto_sim::splitting::SplittingRun;
 use std::fmt::{self, Write as _};
-use std::sync::Arc;
 
 /// One executed cell: its sweep labels, the concrete spec it ran, the
 /// backend-tagged estimate, and the analytic overlay (absent for the
@@ -110,18 +109,18 @@ where
     C: FnMut(usize, &CellResult),
 {
     let cells = spec.expand()?;
-    let total = cells.len() as u64;
     let width = if jobs == 0 {
         executor::global_width()
     } else {
         jobs
     };
-    let cells = Arc::new(cells);
-    let results = executor::run_ordered_with(
-        total,
+    // Each unit takes its cell by value: the cell's labels and spec move
+    // into its result rather than being cloned out of shared storage.
+    let results = executor::run_owned_with(
+        cells,
         width,
         TaskKind::Composite,
-        move |i| run_cell(cells[i as usize].clone()),
+        run_cell,
         |i, result: &Result<CellResult, SpecError>| {
             if let Ok(cell) = result {
                 on_cell(i as usize, cell);

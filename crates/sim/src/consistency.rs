@@ -24,7 +24,7 @@ use crate::tree::BlockTree;
 /// finalized prefix, memory stays proportional to the live fork window
 /// instead of the full chain length. All heights in the API remain
 /// absolute.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ChainTracker {
     /// Per group: `chains[g][h - base_height]` is the adopted block at
     /// absolute height `h`.
@@ -41,6 +41,43 @@ pub struct ChainTracker {
     max_reorg_depth: u64,
     max_divergence_depth: u64,
     reorg_count: u64,
+}
+
+/// The path buffer is scratch, not state: a clone starts with an empty
+/// one, and `clone_from` keeps its own.
+impl Clone for ChainTracker {
+    fn clone(&self) -> Self {
+        ChainTracker {
+            chains: self.chains.clone(),
+            scratch: Vec::new(),
+            base_height: self.base_height,
+            common_prefix_height: self.common_prefix_height,
+            max_reorg_depth: self.max_reorg_depth,
+            max_divergence_depth: self.max_divergence_depth,
+            reorg_count: self.reorg_count,
+        }
+    }
+
+    /// Copies `source` into this tracker's chains, reusing their
+    /// allocations. The pattern names every field, so a field added
+    /// later must be copied here too or the build fails.
+    fn clone_from(&mut self, source: &Self) {
+        let ChainTracker {
+            chains,
+            scratch: _,
+            base_height,
+            common_prefix_height,
+            max_reorg_depth,
+            max_divergence_depth,
+            reorg_count,
+        } = source;
+        self.chains.clone_from(chains);
+        self.base_height = *base_height;
+        self.common_prefix_height = *common_prefix_height;
+        self.max_reorg_depth = *max_reorg_depth;
+        self.max_divergence_depth = *max_divergence_depth;
+        self.reorg_count = *reorg_count;
+    }
 }
 
 impl ChainTracker {
@@ -116,15 +153,6 @@ impl ChainTracker {
         }
         self.base_height = floor;
         debug_assert!(self.common_prefix_height >= self.base_height || self.chains.len() == 1);
-    }
-
-    /// Releases the chains' spare capacity and the path buffer (see
-    /// [`crate::execution::Simulation::compact`]).
-    pub(crate) fn shrink_to_fit(&mut self) {
-        for chain in &mut self.chains {
-            chain.shrink_to_fit();
-        }
-        self.scratch = Vec::new();
     }
 
     /// Offers a block to a group; it is adopted iff strictly higher than

@@ -119,7 +119,7 @@ impl SuffixState {
 /// `N` climbs consecutive indices until the absorbing `LongGap`),
 /// which keeps the twice-per-event update off the branchy enum match.
 /// Observable behaviour is identical to the enum-driven automaton.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SuffixTracker {
     delta: u64,
     /// Flat state index, or [`SUFFIX_WARMUP`] while undefined.
@@ -134,6 +134,39 @@ pub struct SuffixTracker {
 
 /// Sentinel index for the warm-up phase (state not yet defined).
 const SUFFIX_WARMUP: u64 = u64::MAX;
+
+impl Clone for SuffixTracker {
+    fn clone(&self) -> Self {
+        SuffixTracker {
+            delta: self.delta,
+            state_idx: self.state_idx,
+            h_rounds_seen: self.h_rounds_seen,
+            warmup_gap: self.warmup_gap,
+            occupancy: self.occupancy.clone(),
+            rounds_counted: self.rounds_counted,
+        }
+    }
+
+    /// Copies `source` into this tracker, reusing its occupancy
+    /// buffer. The pattern names every field, so a field added later
+    /// must be copied here too or the build fails.
+    fn clone_from(&mut self, source: &Self) {
+        let SuffixTracker {
+            delta,
+            state_idx,
+            h_rounds_seen,
+            warmup_gap,
+            occupancy,
+            rounds_counted,
+        } = source;
+        self.delta = *delta;
+        self.state_idx = *state_idx;
+        self.h_rounds_seen = *h_rounds_seen;
+        self.warmup_gap = *warmup_gap;
+        self.occupancy.clone_from(occupancy);
+        self.rounds_counted = *rounds_counted;
+    }
+}
 
 impl SuffixTracker {
     /// Creates a tracker for delay bound `delta`.

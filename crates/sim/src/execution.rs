@@ -82,9 +82,10 @@ pub struct RoundRecord {
 /// per-round strategy calls are statically dispatched.
 ///
 /// A simulation with a `Clone` adversary is itself `Clone`: the
-/// splitting estimator snapshots entrance states this way and restarts
-/// them on fresh streams via [`Simulation::reseed_mining`].
-#[derive(Clone)]
+/// splitting estimator snapshots entrance states this way, copies one
+/// into a working engine with `clone_from` (which reuses the working
+/// engine's allocations) and restarts it on a fresh stream via
+/// [`Simulation::reseed_mining`].
 pub struct Simulation<A: Adversary> {
     config: SimConfig,
     tree: BlockTree,
@@ -114,6 +115,79 @@ pub struct Simulation<A: Adversary> {
     /// Rounds between automatic prunes; `None` disables pruning.
     prune_interval: Option<u64>,
     last_prune: Round,
+}
+
+/// The two per-round buffers are scratch, not state: a clone starts
+/// with empty ones, and `clone_from` keeps its own.
+impl<A: Adversary + Clone> Clone for Simulation<A> {
+    fn clone(&self) -> Self {
+        Simulation {
+            config: self.config,
+            tree: self.tree.clone(),
+            network: self.network.clone(),
+            tracker: self.tracker.clone(),
+            oracle: self.oracle.clone(),
+            adversary: self.adversary.clone(),
+            suffix: self.suffix.clone(),
+            convergence: self.convergence.clone(),
+            round: self.round,
+            honest_blocks: self.honest_blocks,
+            adversary_blocks: self.adversary_blocks,
+            h_rounds: self.h_rounds,
+            h1_rounds: self.h1_rounds,
+            round_log: self.round_log.clone(),
+            delivery_buf: Vec::new(),
+            release_buf: Vec::new(),
+            pending_outcome: self.pending_outcome,
+            prune_interval: self.prune_interval,
+            last_prune: self.last_prune,
+        }
+    }
+
+    /// Copies `source` into this engine, reusing the allocations of its
+    /// block tree, network, trackers and round log. The pattern names
+    /// every field, so a field added later must be copied here too or
+    /// the build fails.
+    fn clone_from(&mut self, source: &Self) {
+        let Simulation {
+            config,
+            tree,
+            network,
+            tracker,
+            oracle,
+            adversary,
+            suffix,
+            convergence,
+            round,
+            honest_blocks,
+            adversary_blocks,
+            h_rounds,
+            h1_rounds,
+            round_log,
+            delivery_buf: _,
+            release_buf: _,
+            pending_outcome,
+            prune_interval,
+            last_prune,
+        } = source;
+        self.config = *config;
+        self.tree.clone_from(tree);
+        self.network.clone_from(network);
+        self.tracker.clone_from(tracker);
+        self.oracle.clone_from(oracle);
+        self.adversary.clone_from(adversary);
+        self.suffix.clone_from(suffix);
+        self.convergence.clone_from(convergence);
+        self.round = *round;
+        self.honest_blocks = *honest_blocks;
+        self.adversary_blocks = *adversary_blocks;
+        self.h_rounds = *h_rounds;
+        self.h1_rounds = *h1_rounds;
+        self.round_log.clone_from(round_log);
+        self.pending_outcome = *pending_outcome;
+        self.prune_interval = *prune_interval;
+        self.last_prune = *last_prune;
+    }
 }
 
 impl<A: Adversary> std::fmt::Debug for Simulation<A> {
@@ -655,20 +729,19 @@ impl<A: Adversary> Simulation<A> {
         }
     }
 
-    /// Shrinks a simulation that will be stored rather than stepped: the
-    /// block tree and chain trackers are pruned to the live root now,
-    /// whatever the prune cadence, and spare capacity and scratch
-    /// buffers are released. The splitting estimator stores each
-    /// entrance state this way, so a stored state costs its live fork
-    /// window, not its history. Like the periodic prune, this changes no
-    /// observable of the continued run.
-    pub(crate) fn compact(&mut self) {
+    /// A boxed copy to store rather than step: the block tree and chain
+    /// trackers are pruned to the live root first, whatever the prune
+    /// cadence, and the copy's buffers hold exactly their contents, with
+    /// empty scratch. The splitting estimator stores each entrance state
+    /// this way, so a stored state costs its live fork window, not its
+    /// history. Like the periodic prune, this changes no observable of
+    /// the continued run, of `self` or of the copy.
+    pub(crate) fn stored_copy(&mut self) -> Box<Self>
+    where
+        A: Clone,
+    {
         self.prune_to_live_root();
-        self.tree.shrink_to_fit();
-        self.tracker.shrink_to_fit();
-        self.network.shrink_to_fit();
-        self.delivery_buf = Vec::new();
-        self.release_buf = Vec::new();
+        Box::new(self.clone())
     }
 
     /// Produces the aggregated report for everything simulated so far.
@@ -974,8 +1047,7 @@ mod tests {
     ) {
         let mut original = Simulation::new(config, adversary);
         original.run(3_000);
-        let mut compacted = original.clone();
-        compacted.compact();
+        let mut compacted = *original.clone().stored_copy();
         assert!(
             compacted.tree().len() < original.tree().len(),
             "{name}: compaction dropped no block"
@@ -992,6 +1064,64 @@ mod tests {
             original.consistency_depth(),
             "{name}"
         );
+    }
+
+    /// `clone_from` leaves nothing of the engine it overwrites: an
+    /// engine that ran longer on another seed, unpruned, so its buffers
+    /// are larger and hold other blocks, copies a shorter run that has
+    /// pruned once and then continues exactly like it on one reseeded
+    /// stream, for every strategy.
+    #[test]
+    fn clone_from_continues_exactly_like_its_source() {
+        let composition = Composition::new(vec![
+            SubSpec::new(StrategyKind::Balance, 1),
+            SubSpec::new(StrategyKind::Selfish, 1),
+        ])
+        .unwrap();
+        let config = SimConfig::from_c(100, 4, 1.0, 0.35, 4321).unwrap();
+        assert_clone_from_exact("private-chain", config, PrivateChainAdversary::new(4));
+        assert_clone_from_exact("balance", config, BalanceAdversary::new(4));
+        assert_clone_from_exact("selfish", config, SelfishMiningAdversary::new(4));
+        assert_clone_from_exact(
+            "balance:selfish",
+            config,
+            ComposedAdversary::new(4, composition),
+        );
+    }
+
+    fn assert_clone_from_exact<A: Adversary + Clone>(name: &str, config: SimConfig, adversary: A) {
+        let mut source = Simulation::new(config, adversary.clone());
+        source.run(DEFAULT_PRUNE_INTERVAL + 2_000);
+        assert_ne!(source.last_prune, 0, "{name}: the source never pruned");
+        let mut other = config;
+        other.seed ^= 0x5eed;
+        let mut copy = Simulation::new(other, adversary);
+        copy.set_prune_interval(None);
+        copy.run(20_000);
+        assert!(copy.tree.len() > source.tree.len(), "{name}");
+        copy.clone_from(&source);
+        let stream = Xoshiro256PlusPlus::seed_from_u64(7);
+        source.reseed_mining(stream.clone());
+        copy.reseed_mining(stream);
+        source.run(20_000);
+        copy.run(20_000);
+        assert_eq!(copy.report(), source.report(), "{name}");
+        assert_eq!(
+            copy.consistency_depth(),
+            source.consistency_depth(),
+            "{name}"
+        );
+        let debug = |sim: &Simulation<A>| {
+            [
+                format!("{:?}", sim.tree),
+                format!("{:?}", sim.network),
+                format!("{:?}", sim.tracker),
+                format!("{:?}", sim.suffix),
+                format!("{:?}", sim.convergence),
+                format!("{:?}", sim.oracle),
+            ]
+        };
+        assert_eq!(debug(&copy), debug(&source), "{name}");
     }
 
     /// The splitting estimator stores thousands of engine states at

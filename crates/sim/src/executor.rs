@@ -32,11 +32,12 @@
 //! *what* a unit of work computes — only *where* it runs. A job is a
 //! contiguous range of unit indices `0..total`; each unit's inputs
 //! (its jump-seeded RNG stream, its config) are derived from the unit
-//! index alone by the caller, and results are reduced **in unit-index
-//! order** at the join. Scheduling therefore cannot perturb any
-//! aggregate: outputs are bit-identical for every pool width, job
-//! width, and task interleaving, which is exactly the contract the
-//! old scoped fan-outs had (see METHODOLOGY.md, "Executor
+//! index alone by the caller, or handed to unit `i` by value as the
+//! caller's `i`-th input ([`run_owned_with`]), and results are reduced
+//! **in unit-index order** at the join. Scheduling therefore cannot
+//! perturb any aggregate: outputs are bit-identical for every pool
+//! width, job width, and task interleaving, which is exactly the
+//! contract the old scoped fan-outs had (see METHODOLOGY.md, "Executor
 //! determinism").
 //!
 //! # Task kinds and deadlock freedom
@@ -253,6 +254,45 @@ where
     F: Fn(u64) -> T + Send + Sync + 'static,
 {
     run_ordered_with(total, width, kind, run_unit, |_, _| {})
+}
+
+/// [`run_ordered_with`] over owned inputs: unit `i` takes `inputs[i]`
+/// by value, so a unit consumes its input, and frees what it does not
+/// hand back, where it runs, instead of cloning it out of storage the
+/// units share. Results come back in unit order, as there.
+pub fn run_owned_with<I, T, F, C>(
+    inputs: Vec<I>,
+    width: usize,
+    kind: TaskKind,
+    run_unit: F,
+    on_complete: C,
+) -> Vec<T>
+where
+    I: Send + 'static,
+    T: Send + 'static,
+    F: Fn(I) -> T + Send + Sync + 'static,
+    C: FnMut(u64, &T),
+{
+    let total = inputs.len() as u64;
+    // `map(Some)` collects in place (an `Option` of a type with a niche,
+    // such as one holding a `Vec`, is the same size), so the inputs are
+    // not copied into a second buffer; the lock is held only to take one.
+    let inputs = Mutex::new(inputs.into_iter().map(Some).collect::<Vec<_>>());
+    run_ordered_with(
+        total,
+        width,
+        kind,
+        move |i| {
+            let input = lock(&inputs)
+                .get_mut(usize::try_from(i).unwrap_or(usize::MAX))
+                .and_then(Option::take);
+            match input {
+                Some(input) => run_unit(input),
+                None => panic!("executor: unit {i} ran twice"), // detlint: allow(panic-macro) -- the job's counter hands out each unit index exactly once
+            }
+        },
+        on_complete,
+    )
 }
 
 /// The state a job shares between its slot tasks and its joiner.
@@ -495,6 +535,26 @@ mod tests {
             .collect();
         assert_eq!(got, expected);
         assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
+    }
+
+    /// Each owned input reaches exactly its own unit, and the results
+    /// come back in unit order at every width.
+    #[test]
+    fn owned_inputs_are_each_consumed_by_their_unit() {
+        for width in [1, 2, 4, 8] {
+            let inputs: Vec<String> = (0..57).map(|i| format!("cell {i}")).collect();
+            let mut seen = 0;
+            let got = run_owned_with(
+                inputs,
+                width,
+                TaskKind::Leaf,
+                |input| input + " ran",
+                |_, _| seen += 1,
+            );
+            let expected: Vec<String> = (0..57).map(|i| format!("cell {i} ran")).collect();
+            assert_eq!(got, expected, "width {width}");
+            assert_eq!(seen, 57, "width {width}");
+        }
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl WilsonInterval {
 ///
 /// Everything in here is a pure function of the master seed and the
 /// plan — never of pool width or scheduling (verified by the
-/// determinism tests). Wall-clock metrics live on [`MonteCarloRun`].
+/// determinism tests).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialAggregate {
     /// Number of trials aggregated.

@@ -41,7 +41,7 @@ impl PartialOrd for Delivery {
 }
 
 /// Queue of pending deliveries bucketed by round.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Network {
     /// `slots[r % slots.len()]` holds the deliveries due at round `r`,
     /// for `r` in the active window `(drained, drained + slots.len()]`.
@@ -56,6 +56,39 @@ pub struct Network {
     /// Deliveries whose requested round was already drained and were
     /// re-timed to `drained + 1` (see [`Network::schedule`]).
     late: u64,
+}
+
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            slots: self.slots.clone(),
+            pending: self.pending,
+            earliest: self.earliest,
+            drained: self.drained,
+            delivered: self.delivered,
+            late: self.late,
+        }
+    }
+
+    /// Copies `source` into this ring's buckets, reusing their
+    /// allocations. The pattern names every field, so a field added
+    /// later must be copied here too or the build fails.
+    fn clone_from(&mut self, source: &Self) {
+        let Network {
+            slots,
+            pending,
+            earliest,
+            drained,
+            delivered,
+            late,
+        } = source;
+        self.slots.clone_from(slots);
+        self.pending = *pending;
+        self.earliest = *earliest;
+        self.drained = *drained;
+        self.delivered = *delivered;
+        self.late = *late;
+    }
 }
 
 impl Network {
@@ -170,15 +203,6 @@ impl Network {
     pub fn advance_drained(&mut self, round: Round) {
         debug_assert!(self.next_due().map_or(true, |due| due > round));
         self.drained = self.drained.max(round);
-    }
-
-    /// Releases the spare capacity of every round bucket (see
-    /// [`crate::execution::Simulation::compact`]); the ring keeps its
-    /// length, so the window arithmetic is unchanged.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        for slot in &mut self.slots {
-            slot.shrink_to_fit();
-        }
     }
 
     /// Blocks referenced by pending deliveries (arbitrary order); used

@@ -75,23 +75,26 @@ impl SelfishMiningAdversary {
         }
     }
 
+    /// Releases every withheld block at or below `height`, oldest
+    /// first, and keeps the rest withheld in place, so the fork's buffer
+    /// is reused rather than rebuilt.
     fn release_up_to(&mut self, height: u64, tree: &BlockTree, out: &mut Vec<ReleaseDirective>) {
-        let mut remaining = Vec::new();
-        for &block in &self.withheld {
-            if tree.height(block) <= height {
-                for group in 0..2 {
-                    out.push(ReleaseDirective {
-                        block,
-                        group,
-                        delay: 1,
-                    });
-                }
-                self.revealed_height = self.revealed_height.max(tree.height(block));
-            } else {
-                remaining.push(block);
+        let revealed_height = &mut self.revealed_height;
+        self.withheld.retain(|&block| {
+            let block_height = tree.height(block);
+            if block_height > height {
+                return true;
             }
-        }
-        self.withheld = remaining;
+            for group in 0..2 {
+                out.push(ReleaseDirective {
+                    block,
+                    group,
+                    delay: 1,
+                });
+            }
+            *revealed_height = (*revealed_height).max(block_height);
+            false
+        });
     }
 }
 
@@ -231,6 +234,31 @@ mod tests {
         for r in &releases {
             assert!(tree.height(r.block) <= 3);
         }
+    }
+
+    /// A partial reveal releases the oldest withheld blocks, each to
+    /// both groups, and keeps the rest in the same buffer: no block of
+    /// the adversary's allocates once the buffer has grown.
+    #[test]
+    fn a_partial_reveal_keeps_the_withheld_buffer() {
+        let mut tree = BlockTree::new();
+        let mut adv = SelfishMiningAdversary::new(4);
+        let genesis = [BlockId::GENESIS, BlockId::GENESIS];
+        let _ = act_collect(&mut adv, 1, genesis, &mut tree, 5);
+        let capacity = adv.withheld.capacity();
+        let mut tip = BlockId::GENESIS;
+        for r in 2..=3 {
+            tip = tree.add_block(tip, r, Provenance::Honest(0));
+        }
+        // Lead 3 over public height 2: reveal up to height 3.
+        let releases = act_collect(&mut adv, 4, [tip, tip], &mut tree, 0);
+        let released: Vec<(u64, usize)> = releases
+            .iter()
+            .map(|r| (tree.height(r.block), r.group))
+            .collect();
+        assert_eq!(released, [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]);
+        assert_eq!(adv.withheld_len(), 2);
+        assert_eq!(adv.withheld.capacity(), capacity, "the buffer was rebuilt");
     }
 
     #[test]

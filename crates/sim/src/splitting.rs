@@ -34,17 +34,24 @@
 //! A crossing state is stored pruned to its live fork: the block tree
 //! and chain trackers keep only what descends from the common ancestor
 //! of the group tips, the in-flight deliveries and the adversary's live
-//! blocks, the state is stripped of spare capacity and boxed
-//! (`Simulation::compact`). Only that future can
+//! blocks, and the state is copied without spare capacity and boxed
+//! (`Simulation::stored_copy`). Only that future can
 //! influence the next stage, so this changes no result, and a stage's
 //! memory scales with effort × live fork window rather than with the
 //! rounds already simulated.
 //!
-//! Survivors that no replica of the next stage resamples are dropped
-//! before that stage runs (about e⁻¹ of them when all `effort`
-//! replicas survive), on the joining thread while the workers sleep;
-//! the kept ones are cloned by the same replicas as before, so this
-//! changes no result either.
+//! A resampled stage runs in parent order. Its replicas are grouped by
+//! the survivor they resample into units of consecutive picked parents.
+//! A unit owns its parents and runs all their children in one working
+//! engine: for each child it copies the parent with `clone_from`,
+//! reusing the engine's allocations, reseeds it and races it. The unit
+//! frees each parent once its children have run, and survivors that no
+//! replica resamples (about e⁻¹ of them when all `effort` replicas
+//! survive) are dropped when the units are built. Every child still
+//! starts from its parent's state on its own stream, and the joiner
+//! puts the new survivors back in replica order, so this changes no
+//! result either. A stage then holds at most `effort` stored states
+//! beside one unit's parents and one working engine per slot.
 //!
 //! # Determinism contract
 //!
@@ -62,7 +69,7 @@ use crate::execution::Simulation;
 use crate::executor::{self, TaskKind};
 use crate::montecarlo::trial_streams;
 use probability::rare_event::{product_estimate, LevelOutcome};
-use probability::rng::{RandomSource, SplitMix64};
+use probability::rng::{RandomSource, SplitMix64, Xoshiro256PlusPlus};
 use std::sync::Arc;
 
 /// Domain-separation tag mixed into `config.seed` for the stage-seed
@@ -300,57 +307,129 @@ impl SplittingPlan {
             let streams = trial_streams(self.config.seed, effort);
             let make_adversary = Arc::clone(make_adversary);
             let config = self.config;
-            return fan_out_stage(effort, self.rounds, level, move |replica| {
-                let rng = streams[replica as usize].clone();
-                Simulation::with_rng(config, make_adversary(replica), rng)
+            let units = (0..effort)
+                .step_by(UNIT_CHILDREN)
+                .map(|first| first..effort.min(first + UNIT_CHILDREN as u64))
+                .collect();
+            return fan_out_stage(units, self.rounds, level, move |replicas, crossings| {
+                for replica in replicas {
+                    let rng = streams[replica as usize].clone();
+                    let mut sim = Simulation::with_rng(config, make_adversary(replica), rng);
+                    crossings.race(replica, &mut sim);
+                }
             });
         }
         // Later stages: resample entrance states with replacement and
-        // restart each clone on its own disjoint stream. Both the parent
+        // restart each child on its own disjoint stream. Both the parent
         // selections and the streams are fixed before the fan-out, so
         // scheduling cannot perturb them.
-        let stage_seed = stage_seeder.next_u64();
-        let selection_seed = stage_seeder.next_u64();
-        let mut selection = SplitMix64::new(selection_seed);
-        let mut parents: Vec<usize> = (0..effort)
-            .map(|_| selection.next_below(entrants.len() as u64) as usize)
-            .collect();
-        let entrants = keep_resampled(entrants, &mut parents);
-        let streams = trial_streams(stage_seed, effort);
-        fan_out_stage(effort, self.rounds, level, move |replica| {
-            let mut sim = Simulation::clone(&entrants[parents[replica as usize]]);
-            sim.reseed_mining(streams[replica as usize].clone());
-            sim
+        let (parents, streams) = resample(stage_seeder, entrants.len(), effort);
+        let units = group_by_parent(entrants, &parents);
+        fan_out_stage(units, self.rounds, level, move |unit, crossings| {
+            let Brood { parents, replicas } = unit;
+            let mut replicas = replicas.into_iter();
+            // One working engine runs every child of the unit: it copies
+            // each child's parent with `clone_from`, reusing its own
+            // allocations, instead of allocating a fresh clone per child.
+            let mut working: Option<Simulation<A>> = None;
+            for (parent, children) in parents {
+                for replica in replicas.by_ref().take(children) {
+                    if let Some(sim) = &mut working {
+                        sim.clone_from(&parent);
+                    }
+                    let sim = working.get_or_insert_with(|| Simulation::clone(&parent));
+                    sim.reseed_mining(streams[replica as usize].clone());
+                    crossings.race(replica, sim);
+                }
+                // `parent` is freed here, once its children have run.
+            }
         })
     }
 }
 
-/// Keeps the entrance states that at least one replica resamples, in
-/// their order, and remaps `parents` onto the kept states, so every
-/// replica still clones the same state. The joiner calls it before a
-/// stage's fan-out: the states no replica resamples (about e⁻¹ of them
-/// when as many parents are drawn, uniformly with replacement, as there
-/// are states) are freed there, while the workers sleep, instead of
-/// being held through the stage.
-fn keep_resampled<T>(mut entrants: Vec<T>, parents: &mut [usize]) -> Vec<T> {
-    let mut picked = vec![false; entrants.len()];
-    for &parent in parents.iter() {
-        picked[parent] = true;
+/// Children one unit of a stage races, at least: a unit of a resampled
+/// stage closes at the parent that brings its children to this many
+/// (so it holds at most this many parents), and stage 1's units are
+/// runs of this many replicas. A unit's work is then even whether its
+/// parents have one child each or many, and a stage splits into about
+/// `effort / UNIT_CHILDREN` units for the pool to balance.
+///
+/// Measured on perfbench's `rare_split` (effort 4,000, `--jobs 2`, a
+/// shared 2-vCPU host), 14 alternating runs each: units of 32, 64 and
+/// 128 children, and of 32 parents, read median peak RSS 9.51, 9.43,
+/// 9.36 and 9.42 MB and `wall_s` 0.90, 0.90, 0.89 and 0.84 s, all
+/// within the runs' spread (0.61–1.52 s). 32 keeps the most units per
+/// stage (125) for the pool to balance. Each unit's working engine
+/// starts as an exact-size copy and grows, so smaller units cost more
+/// reallocations (about 48,000 per run at `--jobs 1`, against 21,000
+/// at 128) but no measurable time.
+const UNIT_CHILDREN: usize = 32;
+
+/// Draws a resampled stage's randomness from `stage_seeder`: each of
+/// the `effort` replicas' parent among `entrants` entrance states,
+/// uniformly with replacement, and each replica's disjoint stream.
+fn resample(
+    stage_seeder: &mut SplitMix64,
+    entrants: usize,
+    effort: u64,
+) -> (Vec<usize>, Vec<Xoshiro256PlusPlus>) {
+    let stage_seed = stage_seeder.next_u64();
+    let selection_seed = stage_seeder.next_u64();
+    let mut selection = SplitMix64::new(selection_seed);
+    let parents = (0..effort)
+        .map(|_| selection.next_below(entrants as u64) as usize)
+        .collect();
+    (parents, trial_streams(stage_seed, effort))
+}
+
+/// One unit of a resampled stage: consecutive picked parents, in
+/// parent order, each with its number of children, and the children's
+/// replica indices, parent by parent and in replica order within a
+/// parent.
+#[derive(Debug)]
+struct Brood<T> {
+    parents: Vec<(T, usize)>,
+    replicas: Vec<u64>,
+}
+
+/// Groups a resampled stage's replicas by the entrant they resample
+/// (`parents[replica]`) into units of consecutive picked entrants (see
+/// [`UNIT_CHILDREN`]). The entrants no replica picks are dropped here,
+/// before the fan-out.
+fn group_by_parent<T>(entrants: Vec<T>, parents: &[usize]) -> Vec<Brood<T>> {
+    let mut children = vec![0usize; entrants.len()];
+    for &parent in parents {
+        children[parent] += 1;
     }
-    // `kept_before[i]`: how many picked states precede state `i`, its
-    // index among the kept states when it is picked itself.
-    let mut kept_before = Vec::with_capacity(picked.len());
-    let mut kept = 0;
-    for &is_picked in &picked {
-        kept_before.push(kept);
-        kept += usize::from(is_picked);
+    // The replicas entrant by entrant; the sort is stable, so each
+    // entrant's stay in replica order.
+    let mut by_parent: Vec<u64> = (0..parents.len() as u64).collect();
+    by_parent.sort_by_key(|&replica| parents[replica as usize]);
+    let mut by_parent = by_parent.into_iter();
+    let mut units = Vec::new();
+    let mut unit_parents = Vec::new();
+    let mut unit_children = 0;
+    for (entrant, n) in entrants.into_iter().zip(children) {
+        if n == 0 {
+            continue;
+        }
+        unit_parents.push((entrant, n));
+        unit_children += n;
+        if unit_children >= UNIT_CHILDREN {
+            units.push(Brood {
+                parents: std::mem::take(&mut unit_parents),
+                replicas: by_parent.by_ref().take(unit_children).collect(),
+            });
+            unit_children = 0;
+        }
     }
-    let mut picked = picked.into_iter();
-    entrants.retain(|_| picked.next() == Some(true));
-    for parent in parents.iter_mut() {
-        *parent = kept_before[*parent];
+    if !unit_parents.is_empty() {
+        units.push(Brood {
+            parents: unit_parents,
+            replicas: by_parent.collect(),
+        });
     }
-    entrants
+    units
 }
 
 /// One stage of a splitting run: how many of the `effort` replicas
@@ -411,49 +490,72 @@ impl SplittingRun {
     }
 }
 
-/// One stage's fan-out: enters replica `i` as `enter(i)` and races it
-/// toward `level` until the absolute round `horizon`, as one ordered job
-/// on the shared [`crate::executor`] pool at the pool's width, and
-/// reduces the results **in replica order** (the mirror of
-/// `fan_out_reports`, carrying engine states instead of reports).
-/// Returns the survivors and the rounds simulated.
-///
-/// A survivor is compacted ([`Simulation::compact`]) and boxed on its
-/// worker as it crosses: a stored state then costs its live fork window,
-/// not its history, and each of the `effort` result slots the job keeps
-/// costs a pointer, not a whole engine. Compaction changes no result.
-fn fan_out_stage<A, F>(
-    effort: u64,
+/// What one unit of a stage hands back: the replicas that crossed the
+/// stage's level, each stored with its replica index, and the rounds
+/// the unit simulated.
+struct Crossings<A: Adversary> {
     horizon: u64,
     level: u64,
-    enter: F,
+    survivors: Vec<(u64, Box<Simulation<A>>)>,
+    rounds: u64,
+}
+
+impl<A: Adversary + Clone> Crossings<A> {
+    /// Races replica `replica`, entered as `sim`, toward the level
+    /// until the absolute round `horizon`, and stores a copy of it if
+    /// it crosses ([`Simulation::stored_copy`]): a stored state costs
+    /// its live fork window, not its history, and changes no result.
+    fn race(&mut self, replica: u64, sim: &mut Simulation<A>) {
+        let entered_at = sim.round();
+        let hit = sim.run_until_depth(self.horizon, self.level);
+        self.rounds += sim.round() - entered_at;
+        if hit {
+            self.survivors.push((replica, sim.stored_copy()));
+        }
+    }
+}
+
+/// One stage's fan-out: runs each unit as `run_unit(unit, crossings)`,
+/// one ordered job on the shared [`crate::executor`] pool at the pool's
+/// width, with each unit owning its input, and puts the survivors back
+/// **in replica order** (the mirror of `fan_out_reports`, carrying
+/// engine states instead of reports). Returns the survivors and the
+/// rounds simulated.
+fn fan_out_stage<A, U, F>(
+    units: Vec<U>,
+    horizon: u64,
+    level: u64,
+    run_unit: F,
 ) -> (Vec<Box<Simulation<A>>>, u64)
 where
-    A: Adversary + Send + 'static,
-    F: Fn(u64) -> Simulation<A> + Send + Sync + 'static,
+    A: Adversary + Clone + Send + 'static,
+    U: Send + 'static,
+    F: Fn(U, &mut Crossings<A>) + Send + Sync + 'static,
 {
-    let run_one = move |replica: u64| {
-        let mut sim = enter(replica);
-        let entered_at = sim.round();
-        let hit = sim.run_until_depth(horizon, level);
-        let consumed = sim.round() - entered_at;
-        let survivor = hit.then(|| {
-            sim.compact();
-            Box::new(sim)
-        });
-        (survivor, consumed)
-    };
-    let slots = executor::run_ordered(effort, executor::global_width(), TaskKind::Leaf, run_one);
-    debug_assert_eq!(slots.len() as u64, effort);
-    let mut rounds_total = 0u64;
-    let survivors = slots
-        .into_iter()
-        .filter_map(|(survivor, rounds)| {
-            rounds_total += rounds;
-            survivor
-        })
-        .collect();
-    (survivors, rounds_total)
+    let done = executor::run_owned_with(
+        units,
+        executor::global_width(),
+        TaskKind::Leaf,
+        move |unit| {
+            let mut crossings = Crossings {
+                horizon,
+                level,
+                survivors: Vec::new(),
+                rounds: 0,
+            };
+            run_unit(unit, &mut crossings);
+            crossings
+        },
+        |_, _| {},
+    );
+    let mut rounds = 0u64;
+    let mut survivors = Vec::with_capacity(done.iter().map(|c| c.survivors.len()).sum());
+    for crossings in done {
+        rounds += crossings.rounds;
+        survivors.extend(crossings.survivors);
+    }
+    survivors.sort_unstable_by_key(|&(replica, _)| replica);
+    (survivors.into_iter().map(|(_, sim)| sim).collect(), rounds)
 }
 
 #[cfg(test)]
@@ -461,7 +563,9 @@ mod tests {
     use super::*;
     use crate::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
     use crate::block::BlockId;
+    use crate::metrics::SimReport;
     use crate::montecarlo::TrialPlan;
+    use std::sync::atomic::{AtomicI64, Ordering};
 
     fn cfg(seed: u64) -> SimConfig {
         SimConfig::from_c(60, 3, 1.0, 0.35, seed).unwrap()
@@ -644,36 +748,168 @@ mod tests {
         assert!((0.0..=1.0).contains(&p1));
     }
 
-    /// The resample step drops the states no replica picks: after the
-    /// drop and remap, each replica's parent is the same state as
-    /// before, and every kept state has at least one replica.
+    /// A resampled stage's units: every picked entrant lands in exactly
+    /// one unit, in entrant order, with exactly the replicas that picked
+    /// it, in replica order; no unpicked entrant lands anywhere; and a
+    /// unit closes at the parent that brings it to `UNIT_CHILDREN`
+    /// children.
     #[test]
-    fn resampling_drops_unpicked_states_and_keeps_every_parent() {
+    fn grouping_puts_each_picked_parent_in_one_unit_with_its_children() {
         let mut selection = SplitMix64::new(5);
-        for (states, effort) in [(1usize, 1usize), (1, 9), (9, 1), (40, 40), (400, 4000)] {
-            let entrants: Vec<Box<u64>> = (0..states as u64).map(|v| Box::new(v * 7)).collect();
-            let before: Vec<u64> = entrants.iter().map(|state| **state).collect();
-            let old_parents: Vec<usize> = (0..effort)
+        for (states, effort) in [(1usize, 1usize), (1, 90), (9, 1), (40, 40), (400, 4000)] {
+            let parents: Vec<usize> = (0..effort)
                 .map(|_| selection.next_below(states as u64) as usize)
                 .collect();
-            let mut parents = old_parents.clone();
-            let kept = keep_resampled(entrants, &mut parents);
-            for (&old, &new) in old_parents.iter().zip(&parents) {
-                assert_eq!(*kept[new], before[old], "{states} states, effort {effort}");
+            let units = group_by_parent((0..states).collect(), &parents);
+            let mut placed = Vec::new();
+            for (u, unit) in units.iter().enumerate() {
+                let mut replicas = unit.replicas.iter();
+                for &(state, children) in &unit.parents {
+                    let expected: Vec<u64> = (0..effort as u64)
+                        .filter(|&r| parents[r as usize] == state)
+                        .collect();
+                    let got: Vec<u64> = replicas.by_ref().take(children).copied().collect();
+                    assert_eq!(
+                        got, expected,
+                        "{states} states, effort {effort}, state {state}"
+                    );
+                    placed.push(state);
+                }
+                assert!(
+                    replicas.next().is_none(),
+                    "a unit has replicas of no parent"
+                );
+                let children = unit.replicas.len();
+                let last_children = unit.parents.last().unwrap().1;
+                if u + 1 < units.len() {
+                    assert!(children >= UNIT_CHILDREN, "unit {u} closed early");
+                }
+                assert!(
+                    children - last_children < UNIT_CHILDREN,
+                    "unit {u} closed late"
+                );
             }
-            let mut picks = vec![0usize; kept.len()];
-            for &parent in &parents {
-                picks[parent] += 1;
-            }
-            assert!(
-                picks.iter().all(|&n| n > 0),
-                "{states} states, effort {effort}: a kept state has no replica"
-            );
-            assert!(
-                kept.windows(2).all(|w| w[0] < w[1]),
-                "kept states stay in order"
-            );
+            let mut picked: Vec<usize> = parents.clone();
+            picked.sort_unstable();
+            picked.dedup();
+            assert_eq!(placed, picked, "{states} states, effort {effort}");
         }
+    }
+
+    /// A resampled stage equals the plain per-child walk: each replica
+    /// clones its parent afresh, reseeds and races, and the survivors
+    /// are kept in replica order. Units reuse one engine per unit and
+    /// reorder the children by parent, so this checks that `clone_from`
+    /// leaves nothing of the previous child behind and that the joiner
+    /// restores replica order, at widths 1 and 4.
+    #[test]
+    fn resampled_stages_equal_a_fresh_clone_per_child_in_replica_order() {
+        let config = SimConfig::from_c(100, 4, 3.0, 0.15, 20_260_808).unwrap();
+        let plan = SplittingPlan::new(config, 5_000, 96, vec![13]).unwrap();
+        let make_adversary = Arc::new(|_| BalanceAdversary::new(4));
+        let levels = plan.stage_levels();
+        for width in [1, 4] {
+            executor::with_test_width(width, || {
+                let mut stage_seeder = SplitMix64::new(config.seed ^ STAGE_SEED_TAG);
+                let mut entrants = plan
+                    .run_stage(0, levels[0], Vec::new(), &mut stage_seeder, &make_adversary)
+                    .0;
+                for (stage, &level) in levels.iter().enumerate().take(5).skip(1) {
+                    let (parents, streams) =
+                        resample(&mut stage_seeder.clone(), entrants.len(), plan.effort);
+                    let mut expected = Vec::new();
+                    let mut expected_rounds = 0;
+                    for (replica, &parent) in parents.iter().enumerate() {
+                        let mut sim = Simulation::clone(&entrants[parent]);
+                        sim.reseed_mining(streams[replica].clone());
+                        let entered_at = sim.round();
+                        if sim.run_until_depth(plan.rounds, level) {
+                            expected.push(sim.report());
+                        }
+                        expected_rounds += sim.round() - entered_at;
+                    }
+                    let (survivors, rounds) =
+                        plan.run_stage(stage, level, entrants, &mut stage_seeder, &make_adversary);
+                    let got: Vec<SimReport> = survivors.iter().map(|sim| sim.report()).collect();
+                    assert_eq!(got, expected, "width {width}, stage {stage}");
+                    assert_eq!(rounds, expected_rounds, "width {width}, stage {stage}");
+                    entrants = survivors;
+                }
+            });
+        }
+    }
+
+    /// Live engine states of a splitting run, counted through their
+    /// adversaries: each construction and clone counts one, each drop
+    /// takes one away, and the peak is kept.
+    static LIVE: AtomicI64 = AtomicI64::new(0);
+    static PEAK: AtomicI64 = AtomicI64::new(0);
+
+    #[derive(Debug)]
+    struct Counted(BalanceAdversary);
+
+    impl Counted {
+        fn new(inner: BalanceAdversary) -> Self {
+            let live = LIVE.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK.fetch_max(live, Ordering::SeqCst);
+            Counted(inner)
+        }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Counted::new(self.0.clone())
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl Adversary for Counted {
+        fn group_count(&self) -> usize {
+            self.0.group_count()
+        }
+
+        fn honest_delay(&mut self, round: u64, from_group: usize, to_group: usize) -> u64 {
+            self.0.honest_delay(round, from_group, to_group)
+        }
+
+        fn act(
+            &mut self,
+            round: u64,
+            group_tips: &[BlockId; 2],
+            tree: &mut crate::tree::BlockTree,
+            successes: &[u64],
+            releases: &mut Vec<crate::adversary::ReleaseDirective>,
+        ) {
+            self.0.act(round, group_tips, tree, successes, releases);
+        }
+    }
+
+    /// A resampled stage holds at most `effort` engine states beside one
+    /// unit's parents and one working engine per slot: a parent is freed
+    /// once its children have run, not at the end of the stage. On
+    /// `rare_split`'s cell, whose first levels all hit, keeping the
+    /// picked parents through the stage peaks near 1.6 × effort.
+    #[test]
+    fn a_stage_holds_at_most_effort_states_beside_one_unit() {
+        let effort = 256;
+        let config = SimConfig::from_c(100, 4, 3.0, 0.15, 20_260_808).unwrap();
+        let plan = SplittingPlan::new(config, 5_000, effort, vec![4]).unwrap();
+        let run =
+            executor::with_test_width(1, || plan.run(|_| Counted::new(BalanceAdversary::new(4))));
+        assert_eq!(LIVE.load(Ordering::SeqCst), 0, "a state leaked");
+        let all_hit = run.levels.iter().filter(|s| s.hits == effort).count();
+        assert!(all_hit >= 2, "want all-hit levels, got {:?}", run.levels);
+        let peak = PEAK.load(Ordering::SeqCst);
+        let bound = effort as i64 + UNIT_CHILDREN as i64 + 1;
+        assert!(
+            peak <= bound,
+            "{peak} live states at the peak, bound {bound}"
+        );
     }
 
     #[test]

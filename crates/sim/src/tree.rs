@@ -39,7 +39,7 @@ use crate::block::{Block, BlockId, Provenance, Round};
 /// assert_eq!(tree.height(b), 2);
 /// assert!(tree.is_ancestor(a, b));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockTree {
     /// Blocks with ids `offset..offset + blocks.len()`, in id order.
     /// A plain `Vec` (not a deque): indexing is the hottest operation
@@ -61,6 +61,36 @@ pub struct BlockTree {
 impl Default for BlockTree {
     fn default() -> Self {
         BlockTree::new()
+    }
+}
+
+impl Clone for BlockTree {
+    fn clone(&self) -> Self {
+        BlockTree {
+            blocks: self.blocks.clone(),
+            offset: self.offset,
+            root: self.root,
+            pruned_honest: self.pruned_honest,
+            pruned_adversary: self.pruned_adversary,
+        }
+    }
+
+    /// Copies `source` into this tree's arena, reusing its allocation.
+    /// The pattern names every field, so a field added later must be
+    /// copied here too or the build fails.
+    fn clone_from(&mut self, source: &Self) {
+        let BlockTree {
+            blocks,
+            offset,
+            root,
+            pruned_honest,
+            pruned_adversary,
+        } = source;
+        self.blocks.clone_from(blocks);
+        self.offset = *offset;
+        self.root = *root;
+        self.pruned_honest = *pruned_honest;
+        self.pruned_adversary = *pruned_adversary;
     }
 }
 
@@ -274,12 +304,6 @@ impl BlockTree {
         self.blocks.drain(..drop as usize);
         self.offset = new_root.0;
         self.root = new_root;
-    }
-
-    /// Releases the arena's spare capacity (see
-    /// [`crate::execution::Simulation::compact`]).
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.blocks.shrink_to_fit();
     }
 }
 
